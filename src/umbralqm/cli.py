@@ -293,10 +293,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ConfigError(f"{what} must be a comma-separated integer list") from exc
 
 
-def _corr_name(kind: Kind) -> str:
-    return kind.value
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
         c = Correspondence(kind, cfg.sigma)
         for n in degrees:
             columns.append(
-                (f"{_corr_name(kind)}_n{n}", [basic_polynomial_value(c, n, m) for m in ms])
+                (f"{kind.value}_n{n}", [basic_polynomial_value(c, n, m) for m in ms])
             )
     return emit("polys", cfg, [Table("basic_polynomials", columns)])
 
@@ -341,7 +337,7 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
     ]
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
-        name = _corr_name(kind)
+        name = kind.value
         columns.append((f"{name}_closed", [_safe_cell(umbral_exp, c, k, m) for m in ms]))
         if with_series:
             values, statuses = [], []
@@ -378,7 +374,7 @@ def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
     continuous = _CONTINUOUS[which]
     for kind, wave in zip(cfg.kinds, waves):
         c = wave.correspondence
-        name = _corr_name(kind)
+        name = kind.value
         k = wave.k
         samples.append((f"{name}_{which}", [_safe_cell(umbral_trig, c, k, m, which) for m in ms]))
         samples.append((f"{name}_continuous", [_safe_cell(continuous, k * m * cfg.sigma) for m in ms]))
@@ -422,7 +418,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
         c = Correspondence(kind, cfg.sigma)
         spec = infinite_well_spectrum(c, M)
         for lv in spec.levels:
-            spectrum_cols["correspondence"].append(_corr_name(kind))
+            spectrum_cols["correspondence"].append(kind.value)
             spectrum_cols["n"].append(lv.n)
             spectrum_cols["k"].append(lv.momentum)
             spectrum_cols["energy"].append(lv.energy)
@@ -441,7 +437,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
                 return _fail(str(exc))
             except DomainError:
                 print(
-                    f"note: skipping {_corr_name(kind)} level {n}: momentum beyond the "
+                    f"note: skipping {kind.value} level {n}: momentum beyond the "
                     "k sigma = 1 convergence boundary",
                     file=sys.stderr,
                 )
@@ -449,7 +445,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
             ms = list(range(M + 1))
             tables.append(
                 Table(
-                    f"wavefunction_{_corr_name(kind)}_n{n}",
+                    f"wavefunction_{kind.value}_n{n}",
                     [
                         ("m", ms),
                         ("x", [m * cfg.sigma for m in ms]),

@@ -1,9 +1,11 @@
 """Basic polynomial sequences of the three lattice correspondences.
 
-Provides the exact coefficient form (by iterating the position operator xi),
-the closed-form lattice values with factorial/double-factorial branch
-analysis, and the series transform that maps Taylor coefficients onto the
-lattice with cutoff/convergence/divergence reporting.
+Each basic polynomial xi^n 1 is sigma^n times a product of linear factors
+x/sigma - r over an integer progression of roots r. The exact coefficient
+form, the exact, float and log-magnitude lattice values and the zero sets
+all derive from that one root description. The series transform maps
+Taylor coefficients onto the lattice with cutoff/convergence/divergence
+reporting.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
-from .operators import Correspondence, Kind, apply_xi
+from .operators import Correspondence, Kind
 from .polynomials import Polynomial
 
 _LOG_MAX = 709.0  # just under log(DBL_MAX)
@@ -48,87 +49,72 @@ class LatticePoint:
 
 
 # ---------------------------------------------------------------------------
-# coefficient form
+# basic sequences
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _basic_cached(kind: Kind, sigma: Fraction, n: int) -> Polynomial:
-    if n == 0:
-        return Polynomial.one()
-    c = Correspondence(kind, sigma)
-    return apply_xi(c, _basic_cached(kind, sigma, n - 1))
+def _roots(kind: Kind, n: int) -> tuple[bool, range]:
+    """Roots of the degree-n basic polynomial in units of sigma.
+
+    B_n(x) = sigma^n * y^lead * prod(y - r for r in rest) with y = x/sigma.
+    `lead` is the extra root at the origin of the symmetric kind; `rest`
+    descends, so the factors m - r at a lattice point ascend:
+    right 0..n-1, left 0..-(n-1), symmetric (central factorial) 0 and
+    n-2, n-4, ..., -(n-2).
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if kind is Kind.RIGHT:
+        return False, range(n - 1, -1, -1)
+    if kind is Kind.LEFT:
+        return False, range(0, -n, -1)
+    return n > 0, range(n - 2, -n, -2)
 
 
 def basic_polynomial(c: Correspondence, n: int) -> Polynomial:
-    """Exact coefficient form of the degree-n basic polynomial, xi^n applied to 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Exact coefficient form of the degree-n basic polynomial xi^n 1."""
+    lead, rest = _roots(c.kind, n)
+    coeffs = [1]  # prod(y - r), lowest degree first
+    for r in rest:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    if lead:
+        coeffs.insert(0, 0)
     sigma = c.sigma_exact()
-    for i in range(n + 1):  # warm the cache iteratively; avoids deep recursion
-        out = _basic_cached(c.kind, sigma, i)
-    return out
+    return Polynomial([a * sigma ** (n - j) for j, a in enumerate(coeffs)])
 
 
 def zeros_of_basic_polynomial(c: Correspondence, n: int) -> list[int]:
-    """Lattice indices of the n simple zeros of the degree-n basic polynomial."""
+    """Lattice indices of the distinct zeros of the degree-n basic polynomial.
+
+    All zeros are simple except the symmetric origin at even n, a double zero
+    (B_4 = x^2 (x^2 - 4 sigma^2)); there n - 1 indices are returned.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if c.kind is Kind.RIGHT:
-        return list(range(n))
-    if c.kind is Kind.LEFT:
-        return list(range(-(n - 1), 1))
-    zeros = {m for m in range(-(n - 1), n) if (n - m) % 2 == 0}
-    zeros.add(0)  # for odd n the origin is a zero through the leading factor
+    lead, rest = _roots(c.kind, n)
+    zeros = set(rest)
+    if lead:
+        zeros.add(0)
     return sorted(zeros)
 
 
-# ---------------------------------------------------------------------------
-# closed-form lattice values
-# ---------------------------------------------------------------------------
+def basic_polynomial_value(c: Correspondence, n: int, m: int):
+    """Closed-form value of the degree-n basic polynomial at the point m*sigma.
 
-
-def _double_factorial(b: int) -> int:
-    out = 1
-    while b > 1:
-        out *= b
-        b -= 2
-    return out
-
-
-def _lattice_int(kind: Kind, n: int, m: int) -> int:
-    """Integer part of the closed-form value: basic value equals sigma**n times this."""
-    if n == 0:
-        return 1
-    if kind is Kind.LEFT:
-        return (-1) ** n * _lattice_int(Kind.RIGHT, n, -m)
-    if kind is Kind.RIGHT:
-        if m >= 0:
-            if m < n:
-                return 0
-            return math.perm(m, n)
-        return (-1) ** n * math.perm(-m + n - 1, n)
-    # symmetric
-    if m == 0:
-        return 0
-    a = abs(m)
-    sign = 1 if m > 0 else -1
-    if n <= a:
-        num = _double_factorial(a + n - 2)
-        den = _double_factorial(a - n)
-        return sign**n * a * (num // den)
-    if (n - m) % 2 == 0:
-        return 0
-    return (
-        (-1) ** ((n - a - 1) // 2)
-        * sign**n
-        * a
-        * _double_factorial(a + n - 2)
-        * _double_factorial(n - a - 2)
-    )
-
-
-def _checked(acc: float, n: int, m: int) -> float:
+    With an int or Fraction sigma the result is an exact Fraction; with a
+    float sigma it is a float computed as an iterative product, +0.0 at the
+    zeros, raising EvaluationOverflow when the product leaves the double range.
+    """
+    lead, rest = _roots(c.kind, n)
+    m = int(m)
+    if isinstance(c.sigma, (int, Fraction)):
+        return Fraction(c.sigma) ** n * math.prod((m - r for r in rest), start=m if lead else 1)
+    if (lead and m == 0) or m in rest:
+        return 0.0
+    sigma = float(c.sigma)
+    acc = m * sigma if lead else 1.0
+    for r in rest:
+        acc *= (m - r) * sigma
     if math.isinf(acc):
         raise EvaluationOverflow(
             f"closed-form product for n={n}, m={m} exceeds the double range; "
@@ -137,105 +123,32 @@ def _checked(acc: float, n: int, m: int) -> float:
     return acc
 
 
-def _lattice_float(kind: Kind, n: int, m: int, sigma: float) -> float:
-    if n == 0:
-        return 1.0
-    if kind is Kind.LEFT:
-        return (-1.0) ** n * _lattice_float(Kind.RIGHT, n, -m, sigma)
-    if kind is Kind.RIGHT:
-        acc = 1.0
-        if m >= 0:
-            if m < n:
-                return 0.0
-            for i in range(n):
-                acc = _checked(acc * (m - i) * sigma, n, m)
-            return acc
-        a = -m
-        for i in range(n):
-            acc = _checked(acc * -((a + i) * sigma), n, m)
-        return acc
-    # symmetric
-    if m == 0:
-        return 0.0
-    a = abs(m)
-    ssig = sigma if m > 0 else -sigma
-    if n <= a:
-        acc = a * ssig
-        for j in range(a - n + 2, a + n - 1, 2):
-            acc = _checked(acc * j * ssig, n, m)
-        return acc
-    if (n - m) % 2 == 0:
-        return 0.0
-    acc = a * ssig
-    for j in range(a + n - 2, 0, -2):
-        acc = _checked(acc * j * ssig, n, m)
-    for j in range(n - a - 2, 0, -2):
-        acc = _checked(acc * j * ssig, n, m)
-    return (-1.0) ** ((n - a - 1) // 2) * acc
+def _log_abs_prod(run: range) -> float:
+    """log |prod(run)| for an ascending run of same-signed nonzero integers, step 1 or 2.
 
-
-def basic_polynomial_value(c: Correspondence, n: int, m: int):
-    """Closed-form value of the degree-n basic polynomial at the point m*sigma.
-
-    With an int or Fraction sigma the result is an exact Fraction; with a
-    float sigma it is a float computed as an iterative product, raising
-    EvaluationOverflow when the product leaves the double range.
+    The magnitudes form an arithmetic progression lo, lo + d, ..., so the
+    product is d^c * Gamma(lo/d + c) / Gamma(lo/d): O(1) for any length c.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    m = int(m)
-    if isinstance(c.sigma, (int, Fraction)):
-        return Fraction(c.sigma) ** n * _lattice_int(c.kind, n, m)
-    return _lattice_float(c.kind, n, m, float(c.sigma))
-
-
-def _ln_double_factorial(b: int) -> float:
-    if b <= 1:
+    if not run:
         return 0.0
-    if b % 2 == 0:
-        t = b // 2
-        return t * math.log(2.0) + math.lgamma(t + 1)
-    t = (b - 1) // 2
-    return math.lgamma(b + 1) - t * math.log(2.0) - math.lgamma(t + 1)
+    lo = min(abs(run[0]), abs(run[-1])) / run.step
+    return len(run) * math.log(run.step) + math.lgamma(lo + len(run)) - math.lgamma(lo)
 
 
 def basic_polynomial_value_log(c: Correspondence, n: int, m: int) -> tuple[float, float]:
     """Sign and natural log magnitude of the closed-form value; (0, -inf) at zeros."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    lead, rest = _roots(c.kind, n)
     m = int(m)
-    sigma = c.sigma_float()
-    kind = c.kind
-    if n == 0:
-        return 1.0, 0.0
-    if kind is Kind.LEFT:
-        sign, mag = basic_polynomial_value_log(Correspondence(Kind.RIGHT, sigma), n, -m)
-        return (-1.0) ** n * sign, mag
-    lsig = n * math.log(sigma)
-    if kind is Kind.RIGHT:
-        if m >= 0:
-            if m < n:
-                return 0.0, -math.inf
-            return 1.0, lsig + math.lgamma(m + 1) - math.lgamma(m - n + 1)
-        a = -m
-        return (-1.0) ** n, lsig + math.lgamma(a + n) - math.lgamma(a)
-    if m == 0:
+    if (lead and m == 0) or m in rest:
         return 0.0, -math.inf
-    a = abs(m)
-    sign = (1.0 if m > 0 else -1.0) ** n
-    if n <= a:
-        mag = lsig + math.log(a) + _ln_double_factorial(a + n - 2) - _ln_double_factorial(a - n)
-        return sign, mag
-    if (n - m) % 2 == 0:
-        return 0.0, -math.inf
-    sign *= (-1.0) ** ((n - a - 1) // 2)
-    mag = (
-        lsig
-        + math.log(a)
-        + _ln_double_factorial(a + n - 2)
-        + _ln_double_factorial(n - a - 2)
-    )
-    return sign, mag
+    sign, mag = 1.0, n * math.log(c.sigma_float())
+    if lead:
+        sign, mag = math.copysign(1.0, m), mag + math.log(abs(m))
+    factors = range(m - rest.start, m - rest.stop, -rest.step)  # m - r, ascending
+    below = factors[: len(range(factors.start, 0, factors.step))]
+    above = factors[len(below) :]
+    sign *= (-1.0) ** len(below)
+    return sign, mag + _log_abs_prod(below) + _log_abs_prod(above)
 
 
 # ---------------------------------------------------------------------------

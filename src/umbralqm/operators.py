@@ -156,15 +156,6 @@ def apply_delta(d: DeltaOperator, p: Polynomial) -> Polynomial:
     return acc * (Fraction(1) / (d.normalizer * d.sigma))
 
 
-def shift_operator(s) -> Operator:
-    s = Fraction(s)
-
-    def op(p: Polynomial) -> Polynomial:
-        return p.shift(s)
-
-    return op
-
-
 def coordinate_operator(p: Polynomial) -> Polynomial:
     """The operator X; usable directly as an operator callable."""
     return p.times_x()
@@ -209,20 +200,6 @@ def apply_beta(c: Correspondence, p: Polynomial) -> Polynomial:
 def apply_xi(c: Correspondence, p: Polynomial) -> Polynomial:
     """Apply the discrete position operator xi = X beta."""
     return apply_beta(c, p).times_x()
-
-
-def beta_operator(c: Correspondence) -> Operator:
-    def op(p: Polynomial) -> Polynomial:
-        return apply_beta(c, p)
-
-    return op
-
-
-def xi_operator(c: Correspondence) -> Operator:
-    def op(p: Polynomial) -> Polynomial:
-        return apply_xi(c, p)
-
-    return op
 
 
 def commutator_residual(c: Correspondence, degree_max: int) -> Fraction:

@@ -281,12 +281,16 @@ class TestFormatsAndConfig:
             jsonschema.validate(json.loads(out), schema)
 
     def test_emitted_csv_round_trips(self, capsys):
-        code, out, _ = run(capsys, "exp", "--k", "0.3", "--window=-5:5")
-        assert code == 0
-        parsed = read_csv(io.StringIO(out))
-        again = io.StringIO()
-        write_csv(parsed, again)
-        assert again.getvalue() == out
+        for argv in (
+            ["exp", "--k", "0.3", "--window=-5:5"],
+            ["polys", "--n", "3", "--corr", "left", "--window=-3:3"],
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            parsed = read_csv(io.StringIO(out))
+            again = io.StringIO()
+            write_csv(parsed, again)
+            assert again.getvalue() == out
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "data.csv"

@@ -15,6 +15,7 @@ from umbralqm import (
     SummationStatus,
     TaylorSeries,
     apply_delta,
+    apply_xi,
     basic_polynomial,
     basic_polynomial_value,
     basic_polynomial_value_log,
@@ -27,6 +28,9 @@ from umbralqm import (
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 THIRD = Fraction(1, 3)
+# lattice indices far out on both sides, plus every third index across the
+# zero sets of degree <= 128
+WIDE_MS = (*range(-2000, 2001, 89), *range(-131, 132, 3))
 
 
 def product_form(kind, n, sigma):
@@ -90,6 +94,16 @@ class TestCoefficientForm:
             assert basic_polynomial(c, n) == product_form(kind, n, sigma)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("sigma", [1, THIRD, Fraction(0.2)])
+    def test_is_xi_iterated_on_one(self, kind, sigma):
+        # the paper's definition B_n = xi^n 1, by repeated application of xi
+        c = Correspondence(kind, sigma)
+        p = Polynomial.one()
+        for n in range(25):
+            assert basic_polynomial(c, n) == p
+            p = apply_xi(c, p)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_vanishing_at_origin(self, kind):
         c = Correspondence(kind, 1)
         for n in range(1, 21):
@@ -123,17 +137,21 @@ class TestClosedFormValues:
             poly = product_form(kind, n, sigma)
             for m in range(-20, 21):
                 assert basic_polynomial_value(c, n, m) == poly(m * Fraction(sigma))
+        for n in (40, 128):
+            poly = product_form(kind, n, sigma)
+            for m in WIDE_MS:
+                assert basic_polynomial_value(c, n, m) == poly(m * Fraction(sigma))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_float_mode_matches_product_oracle(self, kind):
         sigma = 0.2
         c = Correspondence(kind, sigma)
         for n in range(21):
-            for m in range(-20, 21):
+            for m in (*range(-20, 21), *range(-15000, 15001, 97)):
                 value = basic_polynomial_value(c, n, m)
                 oracle = product_value_float(kind, n, m, sigma)
                 if oracle == 0.0:
-                    assert value == 0.0
+                    assert value == 0.0 and math.copysign(1.0, value) == 1.0
                 else:
                     assert abs(value - oracle) <= 1e-12 * abs(oracle)
 
@@ -195,6 +213,17 @@ class TestClosedFormValues:
                 else:
                     rebuilt = sign * math.exp(mag)
                     assert abs(rebuilt - value) <= 1e-10 * abs(value)
+        for n in (1, 2, 3, 40, 128, 399, 400):
+            integer = product_form(kind, n, 1)
+            for m in WIDE_MS:
+                exact = int(integer(m))
+                sign, mag = basic_polynomial_value_log(c, n, m)
+                if exact == 0:
+                    assert sign == 0.0 and mag == -math.inf
+                else:
+                    want = math.log(abs(exact)) + n * math.log(0.5)
+                    assert sign == (1.0 if exact > 0 else -1.0)
+                    assert abs(mag - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestZeros:
