@@ -156,13 +156,7 @@ def format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
 
@@ -174,6 +168,8 @@ def parse_cell(text: str):
         return True
     if text == "false":
         return False
+    if text == "-0":
+        return -0.0  # str() never writes an int as "-0"; format_cell does for -0.0
     try:
         return int(text)
     except ValueError:

@@ -3,14 +3,16 @@
 Each basic polynomial xi^n 1 is sigma^n times a product of linear factors
 x/sigma - r over an integer progression of roots r. The exact coefficient
 form, the exact, float and log-magnitude lattice values and the zero sets
-all derive from that one root description. The series transform maps
-Taylor coefficients onto the lattice with cutoff/convergence/divergence
-reporting.
+all derive from that one root description. Both series engines map Taylor
+coefficients onto the lattice by summing f_n * sigma^n * L_n(m), where the
+root product L_n(m) = prod(m - r) is an exact integer advanced by
+_lattice_step, and report cutoff, convergence or divergence.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -20,7 +22,10 @@ from .operators import Correspondence, Kind
 from .polynomials import Polynomial
 
 _LOG_MAX = 709.0  # just under log(DBL_MAX)
-_FLOAT_GUARD = 1e250  # switch running products to log form beyond this
+_MIN_NORMAL = sys.float_info.min  # smallest double with a full 53-bit mantissa
+_MAX_TERMS = 4000  # term budget of the infinite series
+_BLOWUP_FACTOR = 1e12  # partial sums this far past the first term may be diverging
+_BLOWUP_RUN = 50  # consecutive rising partial sums before the divergence test
 
 
 class EvaluationOverflow(OverflowError):
@@ -31,21 +36,6 @@ class SummationStatus(Enum):
     EXACT_CUTOFF = "exact_cutoff"
     CONVERGED = "converged"
     DIVERGED = "diverged"
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """A point x = m*sigma of the lattice; x/sigma recovers m exactly for rational sigma."""
-
-    m: int
-    x: Union[float, Fraction]
-
-    @classmethod
-    def from_index(cls, c: Correspondence, m: int) -> "LatticePoint":
-        m = int(m)
-        if isinstance(c.sigma, (int, Fraction)):
-            return cls(m, m * Fraction(c.sigma))
-        return cls(m, m * float(c.sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +59,28 @@ def _roots(kind: Kind, n: int) -> tuple[bool, range]:
     if kind is Kind.LEFT:
         return False, range(0, -n, -1)
     return n > 0, range(n - 2, -n, -2)
+
+
+def _lattice_chains(kind: Kind, m: int) -> list[int]:
+    """Root products L_n(m) for n < step, the start of one chain per residue of n mod step.
+
+    L_0(m) = 1 and L_1(m) = m; the symmetric kind steps by 2 (see
+    _lattice_step), so its odd degrees form a second chain.
+    """
+    return [1, m] if kind is Kind.SYMMETRIC else [1]
+
+
+def _lattice_step(kind: Kind, m: int, n: int) -> int:
+    """L_{n+step}(m) / L_n(m): prod(m - r) over the roots that degree n + step adds.
+
+    Right adds the root n and left the root -n (step 1); symmetric adds n and
+    -n (step 2), so its odd and even degrees form separate chains.
+    """
+    if kind is Kind.RIGHT:
+        return m - n
+    if kind is Kind.LEFT:
+        return m + n
+    return (m - n) * (m + n)
 
 
 def basic_polynomial(c: Correspondence, n: int) -> Polynomial:
@@ -166,15 +178,13 @@ class TaylorSeries:
     (unit, log_magnitude) so terms stay computable once coefficients leave
     the double range. `parity` marks series whose nonzero coefficients all
     share one parity, which turns the symmetric transform into a finite sum
-    at matching lattice points. `truncation` caps the summation at a fixed
-    order instead of the adaptive default.
+    at matching lattice points.
     """
 
     coeffs: Optional[tuple] = None
     func: Optional[Callable[[int], complex]] = None
     log_func: Optional[Callable[[int], tuple[complex, float]]] = None
     parity: Optional[str] = None
-    truncation: Optional[int] = None
 
     def __post_init__(self):
         if (self.coeffs is None) == (self.func is None):
@@ -183,8 +193,6 @@ class TaylorSeries:
             object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if self.parity not in (None, "even", "odd"):
             raise ValueError("parity must be None, 'even' or 'odd'")
-        if self.truncation is not None and self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence, parity: Optional[str] = None) -> "TaylorSeries":
@@ -216,78 +224,52 @@ class TaylorSeries:
         return cls(func=func, log_func=log_func)
 
 
-class _Chain:
-    """Running lattice values of one parity of the basic sequence, O(1) per order."""
+def _term(f, flog, sigma: float, n: int, L: int):
+    """The series term f_n * B_n(m sigma) = f_n * sigma^n * L_n(m).
 
-    __slots__ = ("value", "sign", "log_mag", "in_log", "dead")
-
-    def __init__(self, value: float):
-        self.value = float(value)
-        self.dead = value == 0.0
-        self.in_log = False
-        self.sign = 1.0
-        self.log_mag = 0.0
-
-    def scale(self, factor: float) -> None:
-        if self.dead:
-            return
-        if factor == 0.0:
-            self.dead = True
-            return
-        if self.in_log:
-            self.log_mag += math.log(abs(factor))
-            if factor < 0:
-                self.sign = -self.sign
-        else:
-            new = self.value * factor
-            if new == 0.0:
-                # underflow, not a lattice zero: carry on in log form
-                self.in_log = True
-                self.sign = math.copysign(1.0, self.value) * math.copysign(1.0, factor)
-                self.log_mag = math.log(abs(self.value)) + math.log(abs(factor))
-                return
-            self.value = new
-            if abs(new) > _FLOAT_GUARD:
-                self.in_log = True
-                self.sign = 1.0 if new > 0 else -1.0
-                self.log_mag = math.log(abs(new))
-
-
-def _chain_term(chain: _Chain, f, flog):
-    if chain.dead:
+    The engines sum over the exact integer root products L = L_n(m), so a
+    term vanishes exactly at the lattice zeros. sigma^n * L is assembled from
+    the mantissas and binary exponents of its factors. The mantissa of sigma
+    is at least 1/2, so its 1000th power is still a normal double; taking the
+    power in such chunks, renormalized, keeps every factor a full-precision
+    double until the product. The term is computed in floats while f and
+    sigma^n * L are normal doubles and the term is finite and nonzero, and
+    otherwise through logs, with the magnitude capped at exp(_LOG_MAX).
+    """
+    if L == 0:
         return 0.0
-    use_log = chain.in_log or f is None or (f == 0 and flog is not None)
-    if not use_log:
-        t = f * chain.value
-        tmag = abs(t)
-        if not math.isinf(tmag) and not math.isnan(tmag):
-            return t
-        use_log = True
+    if f is not None:
+        mant, expo = math.frexp(sigma)
+        q, r = divmod(n, 1000)  # mant^n = mant^r * (mant^1000)^q
+        chunk, chunk_expo = math.frexp(mant**1000)
+        bits = L.bit_length()
+        try:
+            b = math.ldexp(
+                mant**r * chunk**q * (L / (1 << bits)), expo * n + chunk_expo * q + bits
+            )
+            t = f * b
+            if t != 0 and math.isfinite(abs(t)) and min(abs(f), abs(b)) >= _MIN_NORMAL:
+                return t
+        except OverflowError:  # sigma^n * L or |t| beyond the double range
+            pass
     if flog is None:
         if f is None or f == 0:
             return 0.0
         fmag = abs(f)
         flog = (f / fmag, math.log(fmag))
     unit_f, lf = flog
-    if chain.in_log:
-        unit_x, lx = chain.sign, chain.log_mag
-    else:
-        vmag = abs(chain.value)
-        unit_x, lx = chain.value / vmag, math.log(vmag)
-    lt = lf + lx
+    lt = lf + n * math.log(sigma) + math.log(abs(L))
     if lt == -math.inf:
         return 0.0
     mag = math.exp(_LOG_MAX) if lt > _LOG_MAX else math.exp(lt)
-    return unit_f * unit_x * mag
+    return unit_f * (1.0 if L > 0 else -1.0) * mag
 
 
 class _SeriesMonitor:
     """Tail-bound convergence test plus the blow-up divergence heuristic."""
 
-    def __init__(self, tol: float, blowup_factor: float, blowup_run: int):
+    def __init__(self, tol: float):
         self.tol = tol
-        self.blowup_factor = blowup_factor
-        self.blowup_run = blowup_run
         self.first_mag = 0.0
         self.prev_term = 0.0
         self.hits = 0
@@ -336,51 +318,29 @@ class _SeriesMonitor:
             self.rises = 0
         self.prev_sum = smag
         if (
-            self.rises < self.blowup_run
+            self.rises < _BLOWUP_RUN
             or self.first_mag == 0.0
-            or smag <= self.blowup_factor * self.first_mag
+            or smag <= _BLOWUP_FACTOR * self.first_mag
         ):
             return False
         limit = self._ratio_limit()
         return limit is not None and limit >= 1.0 - 1e-9
 
 
-def _make_chains(kind: Kind, m: int, sigma: float) -> list[_Chain]:
-    if kind is Kind.SYMMETRIC:
-        return [_Chain(1.0), _Chain(m * sigma)]
-    return [_Chain(1.0)]
-
-
-def _advance(kind: Kind, chain: _Chain, m: int, n: int, sigma: float) -> None:
-    if kind is Kind.RIGHT:
-        chain.scale((m - n) * sigma)
-    elif kind is Kind.LEFT:
-        chain.scale((m + n) * sigma)
-    else:
-        chain.scale((m - n) * (m + n) * sigma * sigma)
-
-
-def _parity_cutoff(series: TaylorSeries, chains: list[_Chain]) -> bool:
+def _parity_cutoff(series: TaylorSeries, chains: list[int]) -> bool:
     # One symmetric parity chain has died; if the series has no coefficients
     # on the surviving parity, every remaining term vanishes.
     if series.parity is None or len(chains) != 2:
         return False
-    if chains[0].dead == chains[1].dead:
+    if (chains[0] == 0) == (chains[1] == 0):
         return False
-    alive = 1 if chains[0].dead else 0
+    alive = 1 if chains[0] == 0 else 0
     wanted = 0 if series.parity == "even" else 1
     return alive != wanted
 
 
 def umbral_transform(
-    series: TaylorSeries,
-    c: Correspondence,
-    m: int,
-    tol: float,
-    *,
-    max_terms: int = 4000,
-    blowup_factor: float = 1e12,
-    blowup_run: int = 50,
+    series: TaylorSeries, c: Correspondence, m: int, tol: float
 ) -> tuple[complex, SummationStatus]:
     """Sum f_n times the basic value at m*sigma; returns (value, status).
 
@@ -394,17 +354,15 @@ def umbral_transform(
     m = int(m)
     kind = c.kind
     sigma = c.sigma_float()
-    chains = _make_chains(kind, m, sigma)
-    monitor = _SeriesMonitor(tol, blowup_factor, blowup_run)
+    chains = _lattice_chains(kind, m)
+    step = len(chains)
+    monitor = _SeriesMonitor(tol)
 
     total = 0.0
     if series.coeffs is not None:
         limit, exhausted_status = len(series.coeffs), SummationStatus.EXACT_CUTOFF
     else:
-        limit, exhausted_status = max_terms, SummationStatus.DIVERGED
-    if series.truncation is not None and series.truncation < limit:
-        # a caller-chosen order cap is its own cutoff
-        limit, exhausted_status = series.truncation, SummationStatus.EXACT_CUTOFF
+        limit, exhausted_status = _MAX_TERMS, SummationStatus.DIVERGED
     status = None
     for n in range(limit):
         if series.coeffs is not None:
@@ -412,12 +370,12 @@ def umbral_transform(
         else:
             f = series.func(n)
             flog = series.log_func(n) if series.log_func is not None else None
-        chain = chains[n % 2] if len(chains) == 2 else chains[0]
-        term = _chain_term(chain, f, flog)
+        i = n % step
+        term = _term(f, flog, sigma, n, chains[i])
         total = total + term
-        _advance(kind, chain, m, n, sigma)
+        chains[i] *= _lattice_step(kind, m, n)
 
-        if all(ch.dead for ch in chains) or _parity_cutoff(series, chains):
+        if not any(chains) or _parity_cutoff(series, chains):
             status = SummationStatus.EXACT_CUTOFF
             break
         smag = abs(total)
@@ -455,14 +413,7 @@ def _ratio_to_float(num: int, den: int) -> float:
 
 
 def exponential_series_exact(
-    c: Correspondence,
-    k,
-    m: int,
-    tol: float,
-    *,
-    max_terms: int = 4000,
-    blowup_factor: float = 1e12,
-    blowup_run: int = 50,
+    c: Correspondence, k, m: int, tol: float
 ) -> tuple[float, SummationStatus]:
     """Sum k^n/n! times the basic values with an exact integer accumulator.
 
@@ -480,28 +431,23 @@ def exponential_series_exact(
         return 1.0, SummationStatus.EXACT_CUTOFF
     P, Q = s.numerator, s.denominator
     kind = c.kind
-    if kind is Kind.SYMMETRIC:
-        chains = [1, P * m]  # P^n * (integer lattice value) per parity
-    else:
-        chains = [1]
-    monitor = _SeriesMonitor(tol, blowup_factor, blowup_run)
+    # P^n * L_n(m), one chain per residue of n mod step
+    chains = [P**j * L for j, L in enumerate(_lattice_chains(kind, m))]
+    step = len(chains)
+    P_step = P**step
+    monitor = _SeriesMonitor(tol)
 
     total_num = 0
     denom = 1  # Q^n * n! at the current order
     status = None
-    for n in range(max_terms):
-        a = chains[n % 2] if len(chains) == 2 else chains[0]
+    for n in range(_MAX_TERMS):
+        i = n % step
+        a = chains[i]
         total_num += a
         tmag = abs(_ratio_to_float(a, denom))
+        chains[i] *= P_step * _lattice_step(kind, m, n)
 
-        if kind is Kind.RIGHT:
-            chains[0] *= P * (m - n)
-        elif kind is Kind.LEFT:
-            chains[0] *= P * (m + n)
-        else:
-            chains[n % 2] *= P * P * (m - n) * (m + n)
-
-        if all(ch == 0 for ch in chains):
+        if not any(chains):
             status = SummationStatus.EXACT_CUTOFF
             break
         smag = abs(_ratio_to_float(total_num, denom))
@@ -512,9 +458,9 @@ def exponential_series_exact(
             status = SummationStatus.DIVERGED
             break
 
-        step = Q * (n + 1)
-        total_num *= step
-        denom *= step
+        scale = Q * (n + 1)
+        total_num *= scale
+        denom *= scale
     if status is None:
         status = SummationStatus.DIVERGED
     return _ratio_to_float(total_num, denom), status

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .functions import DiscreteFunction, DomainError, closed_form_status, umbral_exp, umbral_trig
 from .operators import Correspondence, Kind
@@ -184,9 +183,7 @@ class WellSpectrum:
         return self.levels[folded - 1].energy
 
 
-def infinite_well_spectrum(
-    c: Correspondence, M: int, sigma: Optional[float] = None
-) -> WellSpectrum:
+def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:
     """All floor(M/2) candidate levels under the correspondence's quantum rule.
 
     Right/left: k_n = tan(pi n / M)/sigma, with the n = M/2 state flagged
@@ -196,9 +193,7 @@ def infinite_well_spectrum(
     """
     if M < 2:
         raise ValueError("M must be >= 2")
-    s = float(sigma) if sigma is not None else c.sigma_float()
-    if s <= 0:
-        raise ValueError("sigma must be positive")
+    s = c.sigma_float()
     levels = []
     for n in range(1, M // 2 + 1):
         theta = math.pi * n / M
@@ -214,11 +209,11 @@ def infinite_well_spectrum(
     return WellSpectrum(c.kind, M, s, tuple(levels))
 
 
-def well_momentum(c: Correspondence, M: int, n: int, sigma: Optional[float] = None) -> float:
+def well_momentum(c: Correspondence, M: int, n: int) -> float:
     """Quantized momentum of level n (1 <= n <= M-1) under the correspondence's rule."""
     if not 1 <= n <= M - 1:
         raise ValueError("n must lie in [1, M-1]")
-    s = float(sigma) if sigma is not None else c.sigma_float()
+    s = c.sigma_float()
     theta = math.pi * n / M
     if c.kind is Kind.SYMMETRIC:
         return math.sin(theta) / s
@@ -255,9 +250,7 @@ class WaveFunctionTable:
         return abs(self.samples[-1])
 
 
-def infinite_well_wavefunction(
-    c: Correspondence, M: int, n: int, sigma: Optional[float] = None
-) -> WaveFunctionTable:
+def infinite_well_wavefunction(c: Correspondence, M: int, n: int) -> WaveFunctionTable:
     """Discrete sine eigenfunction of level n on the well of M points.
 
     Raises NonPhysicalStateError on the right/left tan pole (n = M/2) and
@@ -268,11 +261,9 @@ def infinite_well_wavefunction(
         raise ValueError("M must be >= 2")
     if not 1 <= n <= M - 1:
         raise ValueError("n must lie in [1, M-1]")
-    s = float(sigma) if sigma is not None else c.sigma_float()
-    k = well_momentum(c, M, n, s)
-    cc = Correspondence(c.kind, s)
-    samples = tuple(umbral_trig(cc, k, m, "sin") for m in range(M + 1))
-    return WaveFunctionTable(c.kind, M, n, s, samples)
+    k = well_momentum(c, M, n)
+    samples = tuple(umbral_trig(c, k, m, "sin") for m in range(M + 1))
+    return WaveFunctionTable(c.kind, M, n, c.sigma_float(), samples)
 
 
 def well_state_count(c: Correspondence, M: int) -> tuple[int, int, int]:

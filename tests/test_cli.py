@@ -32,14 +32,22 @@ class TestTableIO:
         table = Table(
             "t",
             [
-                ("m", [-2, -1, 0]),
-                ("value", [1.5, float("inf"), -0.125]),
-                ("flag", [True, False, True]),
-                ("label", ["a", "b", ""]),
+                ("m", [-2, -1, 0, None]),
+                ("value", [1.5, float("inf"), -0.125, float("-inf")]),
+                ("other", [float("nan"), -0.0, 2.0, 0.1]),
+                ("flag", [True, False, True, False]),
+                ("label", ["a", "b", "", "c"]),
             ],
         )
         first = io.StringIO()
         write_csv(table, first)
+        # a round trip alone cannot catch a wrong spelling
+        assert first.getvalue().splitlines()[-4:] == [
+            "-2,1.5,nan,true,a",
+            "-1,inf,-0,false,b",
+            "0,-0.125,2,true,",
+            ",-inf,0.10000000000000001,false,c",
+        ]
         parsed = read_csv(io.StringIO(first.getvalue()))
         second = io.StringIO()
         write_csv(parsed, second)

@@ -293,7 +293,7 @@ class TestUmbralTransform:
 
     def test_boundary_momentum_fails_to_converge(self):
         series = TaylorSeries.exponential(1.0)
-        _, status = umbral_transform(series, right(1), -1, 1e-12, max_terms=500)
+        _, status = umbral_transform(series, right(1), -1, 1e-12)
         assert status is SummationStatus.DIVERGED
 
     def test_polynomial_coefficients_reproduce_basic_values(self):
@@ -306,6 +306,39 @@ class TestUmbralTransform:
                     want = basic_polynomial_value(c, n, m)
                     assert status is SummationStatus.EXACT_CUTOFF
                     assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_high_degree_terms_round_once(self, kind):
+        # values up to 1e300 carry one rounding of the exact root product,
+        # not one per factor
+        c, exact = Correspondence(kind, 1.0), Correspondence(kind, 1)
+        for n in (100, 120):
+            series = TaylorSeries.from_coefficients([0.0] * n + [1.0])
+            for m in range(-420, 421, 20):
+                want = basic_polynomial_value(exact, n, m)
+                if want == 0 or abs(want) > 1e300:
+                    continue
+                value, status = umbral_transform(series, c, m, 1e-12)
+                assert status is SummationStatus.EXACT_CUTOFF
+                assert abs(value - want) <= 1e-15 * abs(want)
+
+    def test_orders_past_a_subnormal_power_of_the_mantissa(self):
+        # 0.002 has the binary mantissa 0.512, whose n-th power is subnormal
+        # for n past ~1058 although sigma^n * L_n(-5) stays a normal double
+        c, exact = right(0.002), right(Fraction(0.002))
+        for n in range(1040, 1121, 4):
+            want = basic_polynomial_value(exact, n, -5)
+            series = TaylorSeries.from_coefficients([0.0] * n + [1.0])
+            value, _ = umbral_transform(series, c, -5, 1e-12)
+            err = float(abs(Fraction(value) - want) / abs(want))
+            assert err <= 1e-15, (n, err)
+        # the exponential reaches those orders: (1 + k sigma)^-5 with k sigma
+        # = -0.99, summed without cancellation
+        k = complex(-495, 1e-9)
+        value, status = umbral_transform(TaylorSeries.exponential(k), c, -5, 1e-12)
+        want = (1 + k * 0.002) ** -5
+        assert status is SummationStatus.CONVERGED
+        assert abs(value - want) <= 1e-11 * abs(want)
 
     def test_single_parity_series_cuts_off_at_matching_points(self):
         # odd coefficients, odd lattice index: everything beyond |m| vanishes
@@ -324,16 +357,12 @@ class TestUmbralTransform:
             umbral_transform(TaylorSeries.exponential(0.5), right(1), 1, 0.0)
 
     def test_fixed_truncation_caps_the_sum(self):
-        # left at m=1 is an infinite series; a fixed truncation keeps only
-        # the requested orders: 1 + k sigma * 1 for two terms
-        series = TaylorSeries(
-            func=lambda n: 0.5**n / math.factorial(n), truncation=2
-        )
+        # left at m=1 is an infinite series; a finite coefficient list keeps
+        # only its orders: 1 + k sigma * 1 for two terms
+        series = TaylorSeries.from_coefficients([1.0, 0.5])
         value, status = umbral_transform(series, left(1), 1, 1e-12)
         assert abs(value - 1.5) < 1e-15
         assert status is SummationStatus.EXACT_CUTOFF
-        with pytest.raises(ValueError):
-            TaylorSeries(coeffs=(1.0,), truncation=-1)
 
     def test_large_positive_sum_converges_instead_of_tripping_the_blowup(self):
         # converges to (1 - 0.9)^(-20) = 1e20, five orders past the blow-up factor
@@ -341,21 +370,6 @@ class TestUmbralTransform:
         value, status = umbral_transform(series, right(1), -20, 1e-12)
         assert status is SummationStatus.CONVERGED
         assert abs(value - 1e20) <= 1e-9 * 1e20
-
-
-class TestLatticePoint:
-    def test_rational_spacing_is_exact(self):
-        from umbralqm import LatticePoint
-
-        point = LatticePoint.from_index(symmetric(THIRD), 7)
-        assert point.x == Fraction(7, 3)
-        assert point.x / THIRD == point.m
-
-    def test_float_spacing(self):
-        from umbralqm import LatticePoint
-
-        point = LatticePoint.from_index(right(0.25), -3)
-        assert point.x == -0.75
 
 
 class TestContinuumLimit:
