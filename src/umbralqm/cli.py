@@ -22,11 +22,9 @@ from .functions import (
     DomainError,
     WaveSpec,
     amplitude_growth,
-    momentum_to_wavelength,
     umbral_exp,
     umbral_exp_series,
     umbral_trig,
-    wavelength_to_momentum,
 )
 from .operators import Correspondence, InvalidDeltaError, Kind
 from .schrodinger import (
@@ -97,6 +95,16 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _positive(name: str, value) -> float:
+    try:
+        value = float(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad numeric configuration value: {exc}") from exc
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def _load_config_file(path: str) -> dict:
     values = {}
     try:
@@ -127,14 +135,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             merged[key] = flag
 
-    try:
-        sigma = float(merged["sigma"])
-        tau = float(merged["tau"])
-        tol = float(merged["tol"])
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric configuration value: {exc}") from exc
-    if sigma <= 0 or tau <= 0 or tol <= 0:
-        raise ConfigError("sigma, tau and tol must be positive")
+    sigma, tau, tol = (_positive(name, merged[name]) for name in ("sigma", "tau", "tol"))
     corr = str(merged["corr"])
     if corr not in _CORR_CHOICES:
         raise ConfigError(f"corr must be one of {_CORR_CHOICES}")
@@ -304,7 +305,10 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
     ms = list(range(lo, hi + 1))
     columns = [("m", ms), ("x", [m * cfg.sigma for m in ms])]
     for n in degrees:
-        columns.append((f"continuous_n{n}", [(m * cfg.sigma) ** n for m in ms]))
+        try:
+            columns.append((f"continuous_n{n}", [(m * cfg.sigma) ** n for m in ms]))
+        except OverflowError:
+            return _fail(f"continuous power of degree {n} exceeds the double range on this window")
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
         for n in degrees:
@@ -316,6 +320,8 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
     k = args.k
+    if not math.isfinite(k):
+        return _fail(f"--k must be finite, got {k!r}")
     with_series = not args.no_series
     if abs(k) * cfg.sigma >= 1 and with_series:
         return _fail(
@@ -358,36 +364,24 @@ def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
         else:
             waves.append(WaveSpec.from_momentum(c, args.k))
     samples = [("m", ms), ("x", [m * cfg.sigma for m in ms])]
-    wave_cols = {
-        "correspondence": [],
-        "k": [],
-        "k_sigma": [],
-        "lambda": [],
-        "points_per_wavelength": [],
-        "is_minimal": [],
-        "amplitude_factor_per_period": [],
-    }
     continuous = _CONTINUOUS[which]
-    for kind, wave in zip(cfg.kinds, waves):
-        c = wave.correspondence
-        name = kind.value
-        k = wave.k
-        samples.append((f"{name}_{which}", [_safe_cell(umbral_trig, c, k, m, which) for m in ms]))
-        samples.append((f"{name}_continuous", [_safe_cell(continuous, k * m * cfg.sigma) for m in ms]))
-        wave_cols["correspondence"].append(name)
-        wave_cols["k"].append(k)
-        wave_cols["k_sigma"].append(k * cfg.sigma)
-        wave_cols["lambda"].append(wave.wavelength)
-        wave_cols["points_per_wavelength"].append(wave.points_per_wavelength)
-        wave_cols["is_minimal"].append(wave.is_minimal)
-        factor = None
-        if kind is not Kind.SYMMETRIC:
-            factor = amplitude_growth(wave.points_per_wavelength, 1)
-        wave_cols["amplitude_factor_per_period"].append(factor)
-    tables = [
-        Table("samples", samples),
-        Table("wave_parameters", [(k, v) for k, v in wave_cols.items()]),
+    for wave in waves:
+        c, k = wave.correspondence, wave.k
+        samples.append((f"{c.kind.value}_{which}", [_safe_cell(umbral_trig, c, k, m, which) for m in ms]))
+        samples.append((f"{c.kind.value}_continuous", [_safe_cell(continuous, k * m * cfg.sigma) for m in ms]))
+    parameters = [
+        ("correspondence", [w.correspondence.kind.value for w in waves]),
+        ("k", [w.k for w in waves]),
+        ("k_sigma", [w.k * cfg.sigma for w in waves]),
+        ("lambda", [w.wavelength for w in waves]),
+        ("points_per_wavelength", [w.points_per_wavelength for w in waves]),
+        ("is_minimal", [w.is_minimal for w in waves]),
+        ("amplitude_factor_per_period", [
+            None if w.correspondence.kind is Kind.SYMMETRIC else amplitude_growth(w.points_per_wavelength, 1)
+            for w in waves
+        ]),
     ]
+    tables = [Table("samples", samples), Table("wave_parameters", parameters)]
     return emit("trig", cfg, tables, multi_table=True)
 
 
@@ -453,27 +447,18 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
-    sigma_m = args.sigma_m
-    tau_s = args.tau_s
-    if args.particle == "electron":
-        particles = [("electron", ELECTRON_MASS_KG)]
-    elif args.particle == "proton":
-        particles = [("proton", PROTON_MASS_KG)]
-    elif args.particle == "custom":
-        if args.mass is None or args.mass <= 0:
+    _positive("--sigma-m", args.sigma_m)
+    _positive("--tau-s", args.tau_s)
+    if args.particle == "custom":
+        if args.mass is None:
             return _fail("--particle custom requires a positive --mass in kg")
-        particles = [("custom", args.mass)]
+        particles = [("custom", _positive("--mass", args.mass))]
     else:
-        particles = [("electron", ELECTRON_MASS_KG), ("proton", PROTON_MASS_KG)]
-    columns = {
-        "particle": [],
-        "mass_kg": [],
-        "e_max_time_ev": [],
-        "e_max_space_ev": [],
-        "e_binding_ev": [],
-    }
+        known = (("electron", ELECTRON_MASS_KG), ("proton", PROTON_MASS_KG))
+        particles = [(name, mass) for name, mass in known if args.particle in (name, "both")]
+    columns = {name: [] for name in ("particle", "mass_kg", "e_max_time_ev", "e_max_space_ev", "e_binding_ev")}
     for name, mass in particles:
-        bounds = energy_bounds(PhysicalUnits(mass=mass, sigma_m=sigma_m, tau_s=tau_s))
+        bounds = energy_bounds(PhysicalUnits(mass=mass, sigma_m=args.sigma_m, tau_s=args.tau_s))
         columns["particle"].append(name)
         columns["mass_kg"].append(mass)
         columns["e_max_time_ev"].append(bounds.e_max_time_ev)
@@ -487,125 +472,11 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_checks(cfg: RunConfig):
-    from fractions import Fraction
-
-    from .correspondences import basic_polynomial, zeros_of_basic_polynomial
-    from .operators import DeltaOperator, apply_delta, commutator_residual
-    from .schrodinger import PlaneWaveState, apply_hamiltonian, well_state_count
-
-    kinds = list(_KINDS.values())
-
-    def heisenberg():
-        for kind in kinds:
-            for sigma in (1, Fraction(1, 3)):
-                if commutator_residual(Correspondence(kind, sigma), 16) != 0:
-                    return f"nonzero commutator residual for {kind.value}, sigma={sigma}"
-        return None
-
-    def lowering():
-        for kind in kinds:
-            c = Correspondence(kind, Fraction(1, 3))
-            d = DeltaOperator.for_correspondence(c)
-            for n in range(1, 17):
-                if apply_delta(d, basic_polynomial(c, n)) != n * basic_polynomial(c, n - 1):
-                    return f"lowering failed for {kind.value}, n={n}"
-        return None
-
-    def closed_vs_product():
-        for kind in kinds:
-            c = Correspondence(kind, 0.5)
-            for n in range(13):
-                for m in range(-12, 13):
-                    value = basic_polynomial_value(c, n, m)
-                    x = m * 0.5
-                    if kind is Kind.RIGHT:
-                        oracle = 1.0
-                        for i in range(n):
-                            oracle *= x - i * 0.5
-                    elif kind is Kind.LEFT:
-                        oracle = 1.0
-                        for i in range(n):
-                            oracle *= x + i * 0.5
-                    else:
-                        oracle = 1.0 if n == 0 else x
-                        for i in range(max(n - 1, 0)):
-                            oracle *= x + (2 * i - (n - 2)) * 0.5
-                    if abs(value - oracle) > 1e-12 * max(1.0, abs(oracle)):
-                        return f"value mismatch at {kind.value}, n={n}, m={m}"
-        return None
-
-    def exp_series():
-        for kind in kinds:
-            c = Correspondence(kind, 1)
-            for ks in (-0.5, 0.5, 0.9):
-                for m in range(-10, 11):
-                    closed = umbral_exp(c, ks, m)
-                    summed, _ = umbral_exp_series(c, ks, m, 1e-12)
-                    if abs(summed - closed) > 1e-10 * max(1.0, abs(closed)):
-                        return f"series mismatch at {kind.value}, k sigma={ks}, m={m}"
-        return None
-
-    def waves():
-        for kind in kinds:
-            c = Correspondence(kind, cfg.sigma)
-            lmin = 4 if kind is Kind.SYMMETRIC else 8
-            if abs(momentum_to_wavelength(c, 1 / cfg.sigma) - lmin * cfg.sigma) > 1e-12:
-                return f"minimal wave mismatch for {kind.value}"
-            for l in (12.0, 48.0):
-                k = wavelength_to_momentum(c, l)
-                if abs(momentum_to_wavelength(c, k) - l * cfg.sigma) > 1e-10 * l * cfg.sigma:
-                    return f"wavelength round trip failed for {kind.value}, l={l}"
-        return None
-
-    def eigencheck():
-        for kind in kinds:
-            c = Correspondence(kind, 1.0)
-            psi = PlaneWaveState(c, 0.5).tabulate((-8, 8))
-            out = apply_hamiltonian(c, 2.0, psi)
-            for m in out.indices():
-                want = (0.25 + 2.0) * psi.value(m)
-                if abs(out.value(m) - want) > 1e-10 * max(1.0, abs(want)):
-                    return f"plane-wave eigencheck failed for {kind.value} at m={m}"
-        return None
-
-    def well_counts():
-        if well_state_count(Correspondence(Kind.RIGHT, 1), 8) != (4, 3, 1):
-            return "right well counts changed"
-        if well_state_count(Correspondence(Kind.SYMMETRIC, 1), 8) != (4, 4, 4):
-            return "symmetric well counts changed"
-        return None
-
-    def bounds_targets():
-        u = PhysicalUnits()
-        b = energy_bounds(u)
-        if abs(b.e_max_time_ev - 1.22e28) > 0.01 * 1.22e28:
-            return "time bound off target"
-        if abs(b.e_max_space_ev - 1.46e50) > 0.02 * 1.46e50:
-            return "electron space bound off target"
-        return None
-
-    def polynomial_zeros():
-        if zeros_of_basic_polynomial(Correspondence(Kind.SYMMETRIC, 1), 3) != [-1, 0, 1]:
-            return "symmetric zero pattern changed"
-        return None
-
-    return [
-        ("heisenberg identity (degree 16, sigma 1 and 1/3)", heisenberg),
-        ("basic sequence lowering (degree 16)", lowering),
-        ("closed form vs direct product", closed_vs_product),
-        ("exponential series vs closed form", exp_series),
-        ("wavelength round trips and minimal waves", waves),
-        ("constant-potential plane-wave eigencheck", eigencheck),
-        ("well state counts", well_counts),
-        ("energy bound targets", bounds_targets),
-        ("symmetric zero pattern", polynomial_zeros),
-    ]
-
-
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .invariants import cli_checks
+
     failures = 0
-    for name, check in _run_checks(cfg):
+    for name, check in cli_checks(cfg.sigma):
         detail = check()
         if detail is None:
             print(f"ok   {name}")

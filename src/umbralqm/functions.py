@@ -35,6 +35,15 @@ _MIN_POINTS = {Kind.RIGHT: 8.0, Kind.LEFT: 8.0, Kind.SYMMETRIC: 4.0}
 _TRIG_NAMES = ("sin", "cos", "sinh", "cosh")
 
 
+def lattice_dispersion(kind: Kind):
+    """(rule, inverse): the rule gives k sigma of the wave advancing theta radians per point.
+
+    Symmetric: sin(theta); right/left: tan(theta). theta = pi/4 (right/left)
+    and pi/2 (symmetric) give the k sigma = 1 minimal waves of _MIN_POINTS.
+    """
+    return (math.sin, math.asin) if kind is Kind.SYMMETRIC else (math.tan, math.atan)
+
+
 def minimum_wavelength_points(c: Correspondence) -> float:
     """Points per wavelength of the shortest representable wave (k*sigma = 1)."""
     return _MIN_POINTS[c.kind]
@@ -131,11 +140,7 @@ def wavelength_to_momentum(c: Correspondence, l: float) -> float:
     lmin = _MIN_POINTS[c.kind]
     if l < lmin:
         raise DomainError(f"need at least {lmin:g} points per wavelength")
-    angle = 2 * math.pi / l
-    s = c.sigma_float()
-    if c.kind is Kind.SYMMETRIC:
-        return math.sin(angle) / s
-    return math.tan(angle) / s
+    return lattice_dispersion(c.kind)[0](2 * math.pi / l) / c.sigma_float()
 
 
 def momentum_to_wavelength(c: Correspondence, k: float) -> float:
@@ -143,8 +148,7 @@ def momentum_to_wavelength(c: Correspondence, k: float) -> float:
     s = k * c.sigma_float()
     if not 0 < s <= 1:
         raise DomainError("requires 0 < k sigma <= 1")
-    angle = math.asin(s) if c.kind is Kind.SYMMETRIC else math.atan(s)
-    return 2 * math.pi * c.sigma_float() / angle
+    return 2 * math.pi * c.sigma_float() / lattice_dispersion(c.kind)[1](s)
 
 
 def amplitude_growth(l: float, n: int) -> float:

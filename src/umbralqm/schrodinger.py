@@ -12,7 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .functions import DiscreteFunction, DomainError, closed_form_status, umbral_exp, umbral_trig
+from .functions import (
+    DiscreteFunction,
+    DomainError,
+    _check_window,
+    closed_form_status,
+    lattice_dispersion,
+    umbral_exp,
+    umbral_trig,
+)
 from .operators import Correspondence, Kind
 
 HBAR_JS = 1.054571817e-34  # CODATA 2018
@@ -115,9 +123,7 @@ class PlaneWaveState:
         return self.amplitude_forward * umbral_exp(c, kk, m) + self.amplitude_backward * umbral_exp(c, -kk, m)
 
     def tabulate(self, window: tuple[int, int]) -> DiscreteFunction:
-        lo, hi = int(window[0]), int(window[1])
-        if lo > hi:
-            raise ValueError("window minimum exceeds maximum")
+        lo, hi = _check_window(window)
         values = [self.sample(m) for m in range(lo, hi + 1)]
         return DiscreteFunction(self.correspondence.sigma_float(), lo, values)
 
@@ -183,6 +189,11 @@ class WellSpectrum:
         return self.levels[folded - 1].energy
 
 
+def _tan_pole_level(kind: Kind, M: int):
+    """The level at theta = pi/2, where tan has its pole: n = M/2 for right/left and even M."""
+    return M // 2 if kind is not Kind.SYMMETRIC and M % 2 == 0 else None
+
+
 def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:
     """All floor(M/2) candidate levels under the correspondence's quantum rule.
 
@@ -194,18 +205,15 @@ def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:
     if M < 2:
         raise ValueError("M must be >= 2")
     s = c.sigma_float()
+    (rule, _), pole = lattice_dispersion(c.kind), _tan_pole_level(c.kind, M)
     levels = []
     for n in range(1, M // 2 + 1):
-        theta = math.pi * n / M
-        if c.kind is Kind.SYMMETRIC:
-            ks = math.sin(theta)
-            levels.append(WellLevel(n, ks / s, (ks / s) ** 2, True, True))
-            continue
-        if M % 2 == 0 and n == M // 2:
+        if n == pole:
             levels.append(WellLevel(n, math.inf, math.inf, False, False))
             continue
-        ks = math.tan(theta)
-        levels.append(WellLevel(n, ks / s, (ks / s) ** 2, True, ks < 1.0 - _BOUNDARY_EPS))
+        ks = rule(math.pi * n / M)
+        convergent = c.kind is Kind.SYMMETRIC or ks < 1.0 - _BOUNDARY_EPS
+        levels.append(WellLevel(n, ks / s, (ks / s) ** 2, True, convergent))
     return WellSpectrum(c.kind, M, s, tuple(levels))
 
 
@@ -213,13 +221,9 @@ def well_momentum(c: Correspondence, M: int, n: int) -> float:
     """Quantized momentum of level n (1 <= n <= M-1) under the correspondence's rule."""
     if not 1 <= n <= M - 1:
         raise ValueError("n must lie in [1, M-1]")
-    s = c.sigma_float()
-    theta = math.pi * n / M
-    if c.kind is Kind.SYMMETRIC:
-        return math.sin(theta) / s
-    if M % 2 == 0 and n == M // 2:
+    if n == _tan_pole_level(c.kind, M):
         raise NonPhysicalStateError(f"level n={n} of M={M} sits on the tan pole")
-    return math.tan(theta) / s
+    return lattice_dispersion(c.kind)[0](math.pi * n / M) / c.sigma_float()
 
 
 @dataclass(frozen=True)
@@ -259,8 +263,6 @@ def infinite_well_wavefunction(c: Correspondence, M: int, n: int) -> WaveFunctio
     """
     if M < 2:
         raise ValueError("M must be >= 2")
-    if not 1 <= n <= M - 1:
-        raise ValueError("n must lie in [1, M-1]")
     k = well_momentum(c, M, n)
     samples = tuple(umbral_trig(c, k, m, "sin") for m in range(M + 1))
     return WaveFunctionTable(c.kind, M, n, c.sigma_float(), samples)

@@ -8,22 +8,15 @@ import io
 import math
 import statistics
 import time
-from fractions import Fraction
 
 from umbralqm import (
     Correspondence,
-    DeltaOperator,
     DiscreteFunction,
     Kind,
     PhysicalUnits,
-    PlaneWaveState,
     SummationStatus,
-    apply_delta,
     apply_hamiltonian,
     amplitude_growth,
-    basic_polynomial,
-    basic_polynomial_value,
-    commutator_residual,
     energy_bounds,
     infinite_well_spectrum,
     infinite_well_wavefunction,
@@ -34,10 +27,10 @@ from umbralqm import (
     wavelength_to_momentum,
     PROTON_MASS_KG,
 )
+from umbralqm import invariants
 from umbralqm.cli import main as cli_main, read_csv
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
-SIGMAS = (1, Fraction(1, 3))
 
 
 def report(line):
@@ -46,95 +39,28 @@ def report(line):
 
 def test_criterion_01_heisenberg_identity_is_exact():
     start = time.perf_counter()
-    for kind in ALL_KINDS:
-        for sigma in SIGMAS:
-            residual = commutator_residual(Correspondence(kind, sigma), 32)
-            assert residual == 0, (kind, sigma, residual)
+    assert invariants.heisenberg(32) is None
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(f"criterion 01: commutator residual exactly 0 through degree 32 ({elapsed:.2f}s)")
 
 
 def test_criterion_02_delta_lowers_the_basic_sequence_exactly():
-    for kind in ALL_KINDS:
-        for sigma in SIGMAS:
-            c = Correspondence(kind, sigma)
-            d = DeltaOperator.for_correspondence(c)
-            for n in range(1, 33):
-                assert apply_delta(d, basic_polynomial(c, n)) == n * basic_polynomial(c, n - 1)
+    assert invariants.lowering(32, invariants.EXACT_SIGMAS) is None
     report("criterion 02: delta p_n = n p_(n-1) exactly for n <= 32, all correspondences")
 
 
-def _product_value_exact(kind, n, m, sigma):
-    sigma = Fraction(sigma)
-    x = m * sigma
-    if n == 0:
-        return Fraction(1)
-    if kind is Kind.RIGHT:
-        acc = Fraction(1)
-        for i in range(n):
-            acc *= x - i * sigma
-        return acc
-    if kind is Kind.LEFT:
-        acc = Fraction(1)
-        for i in range(n):
-            acc *= x + i * sigma
-        return acc
-    acc = x
-    for i in range(n - 1):
-        acc *= x + (2 * i - (n - 2)) * sigma
-    return acc
-
-
-def _product_value_float(kind, n, m, sigma):
-    x = m * sigma
-    if n == 0:
-        return 1.0
-    if kind is Kind.RIGHT:
-        acc = 1.0
-        for i in range(n):
-            acc *= x - i * sigma
-        return acc
-    if kind is Kind.LEFT:
-        acc = 1.0
-        for i in range(n):
-            acc *= x + i * sigma
-        return acc
-    acc = x
-    for i in range(n - 1):
-        acc *= x + (2 * i - (n - 2)) * sigma
-    return acc
-
-
 def test_criterion_03_closed_forms_match_the_product_oracle():
-    for kind in ALL_KINDS:
-        for sigma in SIGMAS:
-            c = Correspondence(kind, sigma)
-            for n in range(21):
-                for m in range(-20, 21):
-                    assert basic_polynomial_value(c, n, m) == _product_value_exact(kind, n, m, sigma)
-        c = Correspondence(kind, 0.2)
-        for n in range(21):
-            for m in range(-20, 21):
-                value = basic_polynomial_value(c, n, m)
-                oracle = _product_value_float(kind, n, m, 0.2)
-                if oracle == 0.0:
-                    assert value == 0.0
-                else:
-                    assert abs(value - oracle) <= 1e-12 * abs(oracle)
+    assert invariants.closed_vs_product(20, 20, (*invariants.EXACT_SIGMAS, 0.2)) is None
     report("criterion 03: closed-form values equal the factor products (exact and 1e-12 float)")
 
 
 def test_criterion_04_exponential_series_match_their_closed_forms():
     start = time.perf_counter()
+    assert invariants.exp_series((-0.9, -0.5, -0.2, 0.2, 0.5, 0.9), 20) is None
+    # infinite branches diverge at and beyond the boundary
     for kind in ALL_KINDS:
         c = Correspondence(kind, 1)
-        for ks in (-0.9, -0.5, -0.2, 0.2, 0.5, 0.9):
-            for m in range(-20, 21):
-                closed = umbral_exp(c, ks, m)
-                value, _ = umbral_exp_series(c, ks, m, 1e-12)
-                assert abs(value - closed) <= 1e-10 * max(1e-300, abs(closed)), (kind, ks, m)
-        # infinite branches diverge at and beyond the boundary
         bad_m = {Kind.RIGHT: (-1, -3), Kind.LEFT: (1, 3), Kind.SYMMETRIC: (1, 2)}[kind]
         for ks in (1.0, 1.5, 2.0):
             for m in bad_m:
@@ -146,12 +72,8 @@ def test_criterion_04_exponential_series_match_their_closed_forms():
 
 
 def test_criterion_05_wave_relations_and_minimal_waves():
-    for kind in ALL_KINDS:
-        c = Correspondence(kind, 0.4)
-        lmin = 4 if kind is Kind.SYMMETRIC else 8
-        for l in (lmin, lmin + 0.25, 10, 12, 100):
-            k = wavelength_to_momentum(c, l)
-            assert abs(momentum_to_wavelength(c, k) - l * 0.4) <= 1e-10 * l * 0.4
+    # offsets above the minimal wave (4 symmetric, 8 right/left): lengths lmin, lmin + 0.25, 10, 12, 100 and more
+    assert invariants.waves(0.4, (0, 0.25, 2, 4, 6, 8, 92, 96)) is None
     assert momentum_to_wavelength(Correspondence(Kind.SYMMETRIC, 1), 1.0) == 4.0
     assert momentum_to_wavelength(Correspondence(Kind.RIGHT, 1), 1.0) == 8.0
     assert momentum_to_wavelength(Correspondence(Kind.LEFT, 1), 1.0) == 8.0
@@ -176,24 +98,13 @@ def test_criterion_06_periodicity_and_amplitude_growth():
 
 
 def test_criterion_07_constant_potential_eigencheck():
-    for kind in ALL_KINDS:
-        c = Correspondence(kind, 1.0)
-        for ks in (0.2, 0.5, 0.9):
-            psi = PlaneWaveState(c, ks, 1.0, 0.25j).tabulate((-10, 10))
-            for v0 in (0.0, 1.5):
-                out = apply_hamiltonian(c, v0, psi)
-                energy = ks**2 + v0
-                sup = max(abs(psi.value(m)) for m in psi.indices())
-                resid = max(abs(out.value(m) - energy * psi.value(m)) for m in out.indices())
-                assert resid <= 1e-10 * sup, (kind, ks, v0, resid)
+    assert invariants.eigencheck((0.2, 0.5, 0.9), (0.0, 1.5), 10) is None
     report("criterion 07: H(plane wave) = (k^2 + V0)(plane wave) to 1e-10, all correspondences")
 
 
 def test_criterion_08_energy_bounds_reach_their_targets():
-    electron = energy_bounds(PhysicalUnits())
+    assert invariants.bound_targets() is None
     proton = energy_bounds(PhysicalUnits(mass=PROTON_MASS_KG))
-    assert abs(electron.e_max_time_ev - 1.22e28) <= 0.01 * 1.22e28
-    assert abs(electron.e_max_space_ev - 1.46e50) <= 0.02 * 1.46e50
     assert abs(proton.e_max_space_ev - 7.94e46) <= 0.02 * 7.94e46
     report("criterion 08: energy ceilings 1.22e28 eV (1%), 1.46e50 eV and 7.94e46 eV (2%)")
 

@@ -8,7 +8,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from umbralqm import invariants
 from umbralqm.cli import Table, main, read_csv, write_csv
+from umbralqm.functions import DiscreteFunction
+from umbralqm.schrodinger import EnergyBounds
 
 
 def run(capsys, *argv):
@@ -100,6 +103,12 @@ class TestPolys:
     def test_bad_degree_list(self, capsys):
         code, _, _ = run(capsys, "polys", "--n", "2;3")
         assert code == 2
+
+    def test_overflowing_continuous_power_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "polys", "--n", "400")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "degree 400" in err
 
 
 class TestExp:
@@ -333,6 +342,35 @@ class TestFormatsAndConfig:
         assert code == 2
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("flag", ["sigma", "tau", "tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_non_positive_setting_is_a_usage_error(self, capsys, flag, value):
+        code, _, err = run(capsys, "polys", "--n", "1", f"--{flag}={value}")
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be positive and finite")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exp", "--k", "nan"],
+            ["bounds", "--sigma-m", "-1"],
+            ["bounds", "--tau-s", "inf"],
+            ["bounds", "--particle", "custom", "--mass", "nan"],
+        ],
+    )
+    def test_bad_subcommand_number_is_a_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {argv[-2]} must be")
+
+    def test_non_finite_config_file_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "umbralqm.conf"
+        config.write_text("sigma = nan\n")
+        monkeypatch.setenv("UMBRALQM_CONFIG", str(config))
+        code, _, err = run(capsys, "well", "--points", "8")
+        assert code == 2
+        assert err.startswith("error: sigma must be positive and finite")
+
     def test_bad_window_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "polys", "--n", "1", "--window=5:1")
         assert code == 2
@@ -345,8 +383,42 @@ class TestFormatsAndConfig:
 
 class TestCheck:
     def test_self_checks_pass(self, capsys):
-        code, out, _ = run(capsys, "check")
+        code, out, err = run(capsys, "check")
         assert code == 0
-        lines = [line for line in out.splitlines() if line]
-        assert len(lines) >= 8
-        assert all(line.startswith("ok") for line in lines)
+        assert err == ""
+        assert out == (
+            "ok   heisenberg identity (degree 16, sigma 1 and 1/3)\n"
+            "ok   basic sequence lowering (degree 16)\n"
+            "ok   closed form vs direct product\n"
+            "ok   exponential series vs closed form\n"
+            "ok   wavelength round trips and minimal waves\n"
+            "ok   constant-potential plane-wave eigencheck\n"
+            "ok   well state counts\n"
+            "ok   energy bound targets\n"
+            "ok   symmetric zero pattern\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, replacement, expected",
+        [
+            ("well_counts", lambda: "right well counts changed", "well state counts: right well counts changed"),
+            # a NaN fails every bound
+            ("basic_polynomial_value", lambda c, n, m: math.nan,
+             "closed form vs direct product: value mismatch at right, sigma=0.5, n=0, m=-12"),
+            ("umbral_exp_series", lambda c, ks, m, tol: (math.nan, None),
+             "exponential series vs closed form: series mismatch at right, k sigma=-0.5, m=-10"),
+            ("momentum_to_wavelength", lambda c, k: math.nan,
+             "wavelength round trips and minimal waves: minimal wave mismatch for right"),
+            ("apply_hamiltonian", lambda c, v0, psi: DiscreteFunction(psi.sigma, psi.m_min, [math.nan] * 17),
+             "constant-potential plane-wave eigencheck: plane-wave eigencheck failed for right, k=0.5, V0=2.0, m=-8"),
+            ("energy_bounds", lambda units: EnergyBounds(math.nan, math.nan), "energy bound targets: time bound off target"),
+        ],
+        ids=["well_counts", "nan_closed_form", "nan_series", "nan_wavelength", "nan_hamiltonian", "nan_bounds"],
+    )
+    def test_a_failing_invariant_is_reported_and_exits_1(self, capsys, monkeypatch, name, replacement, expected):
+        monkeypatch.setattr(invariants, name, replacement)
+        code, out, _ = run(capsys, "check")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 9
+        assert [line for line in lines if not line.startswith("ok   ")] == [f"FAIL {expected}"]

@@ -25,6 +25,7 @@ from umbralqm import (
     umbral_transform,
     zeros_of_basic_polynomial,
 )
+from umbralqm.invariants import product_value
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 THIRD = Fraction(1, 3)
@@ -49,27 +50,6 @@ def product_form(kind, n, sigma):
     for f in factors:
         out = out * f
     return out
-
-
-def product_value_float(kind, n, m, sigma):
-    """Independent oracle: evaluate the factor product left to right in floats."""
-    x = m * sigma
-    if n == 0:
-        return 1.0
-    if kind is Kind.RIGHT:
-        acc = 1.0
-        for i in range(n):
-            acc *= x - i * sigma
-        return acc
-    if kind is Kind.LEFT:
-        acc = 1.0
-        for i in range(n):
-            acc *= x + i * sigma
-        return acc
-    acc = x
-    for i in range(n - 1):
-        acc *= x + (2 * i - (n - 2)) * sigma
-    return acc
 
 
 class TestCoefficientForm:
@@ -149,7 +129,7 @@ class TestClosedFormValues:
         for n in range(21):
             for m in (*range(-20, 21), *range(-15000, 15001, 97)):
                 value = basic_polynomial_value(c, n, m)
-                oracle = product_value_float(kind, n, m, sigma)
+                oracle = product_value(kind, n, m, sigma)
                 if oracle == 0.0:
                     assert value == 0.0 and math.copysign(1.0, value) == 1.0
                 else:
