@@ -46,7 +46,6 @@ _FORMAT_CHOICES = ("csv", "json")
 
 _DEFAULTS = {
     "sigma": 1.0,
-    "tau": 1.0,
     "corr": "all",
     "format": "csv",
     "out": None,
@@ -70,7 +69,6 @@ class Table:
 @dataclass
 class RunConfig:
     sigma: float
-    tau: float
     corr: str
     kinds: list
     fmt: str
@@ -135,7 +133,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             merged[key] = flag
 
-    sigma, tau, tol = (_positive(name, merged[name]) for name in ("sigma", "tau", "tol"))
+    sigma, tol = (_positive(name, merged[name]) for name in ("sigma", "tol"))
+    if sigma < sys.float_info.min:
+        raise ConfigError(
+            "sigma must be at least the smallest normal double "
+            f"{sys.float_info.min!r}, got {sigma!r}"
+        )
     corr = str(merged["corr"])
     if corr not in _CORR_CHOICES:
         raise ConfigError(f"corr must be one of {_CORR_CHOICES}")
@@ -144,7 +147,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"format must be one of {_FORMAT_CHOICES}")
     kinds = list(_KINDS.values()) if corr == "all" else [_KINDS[corr]]
     window = _parse_window(str(merged["window"]))
-    return RunConfig(sigma, tau, corr, kinds, fmt, merged["out"], window, tol)
+    return RunConfig(sigma, corr, kinds, fmt, merged["out"], window, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,6 @@ def _tables_to_json(command: str, cfg: RunConfig, tables: list[Table]) -> dict:
             "version": __version__,
             "config": {
                 "sigma": cfg.sigma,
-                "tau": cfg.tau,
                 "corr": cfg.corr,
                 "format": cfg.fmt,
                 "window": list(cfg.window),
@@ -499,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"umbralqm {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--sigma", type=float, help="lattice spacing (default 1)")
-    common.add_argument("--tau", type=float, help="time step (default 1)")
     common.add_argument("--corr", choices=_CORR_CHOICES, help="correspondence selection")
     common.add_argument("--format", choices=_FORMAT_CHOICES, help="output format")
     common.add_argument("--out", help="output path (base path for multi-table csv)")

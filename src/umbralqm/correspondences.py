@@ -3,26 +3,22 @@
 Each basic polynomial xi^n 1 is sigma^n times a product of linear factors
 x/sigma - r over an integer progression of roots r. The exact coefficient
 form, the exact, float and log-magnitude lattice values and the zero sets
-all derive from that one root description. Both series engines map Taylor
-coefficients onto the lattice by summing f_n * sigma^n * L_n(m), where the
-root product L_n(m) = prod(m - r) is an exact integer advanced by
-_lattice_step, and report cutoff, convergence or divergence.
+all derive from that one root description. The exponential series engine
+sums k^n/n! * sigma^n * L_n(m) exactly, where the root product
+L_n(m) = prod(m - r) is an integer advanced by _lattice_step, and reports
+cutoff, convergence or divergence; complex momenta sum in Gaussian integers.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional
 
 from .operators import Correspondence, Kind
 from .polynomials import Polynomial
 
-_LOG_MAX = 709.0  # just under log(DBL_MAX)
-_MIN_NORMAL = sys.float_info.min  # smallest double with a full 53-bit mantissa
 _MAX_TERMS = 4000  # term budget of the infinite series
 _BLOWUP_FACTOR = 1e12  # partial sums this far past the first term may be diverging
 _BLOWUP_RUN = 50  # consecutive rising partial sums before the divergence test
@@ -164,105 +160,8 @@ def basic_polynomial_value_log(c: Correspondence, n: int, m: int) -> tuple[float
 
 
 # ---------------------------------------------------------------------------
-# series transform
+# exponential series
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TaylorSeries:
-    """Coefficients f_n of sum f_n x^n, as an explicit list or a generator rule.
-
-    A finite coefficient list is a polynomial: its transform always
-    terminates and is reported as an exact cutoff. `func` extends the
-    coefficients to arbitrary order; `log_func(n)` optionally returns
-    (unit, log_magnitude) so terms stay computable once coefficients leave
-    the double range. `parity` marks series whose nonzero coefficients all
-    share one parity, which turns the symmetric transform into a finite sum
-    at matching lattice points.
-    """
-
-    coeffs: Optional[tuple] = None
-    func: Optional[Callable[[int], complex]] = None
-    log_func: Optional[Callable[[int], tuple[complex, float]]] = None
-    parity: Optional[str] = None
-
-    def __post_init__(self):
-        if (self.coeffs is None) == (self.func is None):
-            raise ValueError("provide exactly one of coeffs or func")
-        if self.coeffs is not None:
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.parity not in (None, "even", "odd"):
-            raise ValueError("parity must be None, 'even' or 'odd'")
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Sequence, parity: Optional[str] = None) -> "TaylorSeries":
-        return cls(coeffs=tuple(coeffs), parity=parity)
-
-    @classmethod
-    def exponential(cls, k: Union[float, complex]) -> "TaylorSeries":
-        """Coefficients k^n / n!, with a log form that never over/underflows."""
-        if k == 0:
-            return cls(coeffs=(1.0,))
-        if isinstance(k, complex) and k.imag != 0.0:
-            mag = abs(k)
-            unit = k / mag
-        else:
-            kf = float(k.real) if isinstance(k, complex) else float(k)
-            mag = abs(kf)
-            unit = 1.0 if kf > 0 else -1.0
-        log_mag = math.log(mag)
-
-        def log_func(n: int) -> tuple[complex, float]:
-            return unit**n, n * log_mag - math.lgamma(n + 1)
-
-        def func(n: int):
-            u, lm = log_func(n)
-            if lm > _LOG_MAX:
-                return None  # force the log route
-            return u * math.exp(lm)
-
-        return cls(func=func, log_func=log_func)
-
-
-def _term(f, flog, sigma: float, n: int, L: int):
-    """The series term f_n * B_n(m sigma) = f_n * sigma^n * L_n(m).
-
-    The engines sum over the exact integer root products L = L_n(m), so a
-    term vanishes exactly at the lattice zeros. sigma^n * L is assembled from
-    the mantissas and binary exponents of its factors. The mantissa of sigma
-    is at least 1/2, so its 1000th power is still a normal double; taking the
-    power in such chunks, renormalized, keeps every factor a full-precision
-    double until the product. The term is computed in floats while f and
-    sigma^n * L are normal doubles and the term is finite and nonzero, and
-    otherwise through logs, with the magnitude capped at exp(_LOG_MAX).
-    """
-    if L == 0:
-        return 0.0
-    if f is not None:
-        mant, expo = math.frexp(sigma)
-        q, r = divmod(n, 1000)  # mant^n = mant^r * (mant^1000)^q
-        chunk, chunk_expo = math.frexp(mant**1000)
-        bits = L.bit_length()
-        try:
-            b = math.ldexp(
-                mant**r * chunk**q * (L / (1 << bits)), expo * n + chunk_expo * q + bits
-            )
-            t = f * b
-            if t != 0 and math.isfinite(abs(t)) and min(abs(f), abs(b)) >= _MIN_NORMAL:
-                return t
-        except OverflowError:  # sigma^n * L or |t| beyond the double range
-            pass
-    if flog is None:
-        if f is None or f == 0:
-            return 0.0
-        fmag = abs(f)
-        flog = (f / fmag, math.log(fmag))
-    unit_f, lf = flog
-    lt = lf + n * math.log(sigma) + math.log(abs(L))
-    if lt == -math.inf:
-        return 0.0
-    mag = math.exp(_LOG_MAX) if lt > _LOG_MAX else math.exp(lt)
-    return unit_f * (1.0 if L > 0 else -1.0) * mag
 
 
 class _SeriesMonitor:
@@ -327,76 +226,44 @@ class _SeriesMonitor:
         return limit is not None and limit >= 1.0 - 1e-9
 
 
-def _parity_cutoff(series: TaylorSeries, chains: list[int]) -> bool:
-    # One symmetric parity chain has died; if the series has no coefficients
-    # on the surviving parity, every remaining term vanishes.
-    if series.parity is None or len(chains) != 2:
-        return False
-    if (chains[0] == 0) == (chains[1] == 0):
-        return False
-    alive = 1 if chains[0] == 0 else 0
-    wanted = 0 if series.parity == "even" else 1
-    return alive != wanted
+class _GaussianInt:
+    """Exact Gaussian integer re + i*im, the numerator of a complex momentum's series.
 
-
-def umbral_transform(
-    series: TaylorSeries, c: Correspondence, m: int, tol: float
-) -> tuple[complex, SummationStatus]:
-    """Sum f_n times the basic value at m*sigma; returns (value, status).
-
-    Finite branches stop with EXACT_CUTOFF; otherwise terms are added until
-    the estimated tail drops below tol (CONVERGED) or the partial sums keep
-    growing past the blow-up threshold (DIVERGED). Exhausting the term budget
-    without converging is also reported as DIVERGED.
+    It supports what the exact engine does to its numerators: adding another
+    Gaussian integer, multiplying by an int or another Gaussian integer,
+    small powers and the zero test.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = int(m)
-    kind = c.kind
-    sigma = c.sigma_float()
-    chains = _lattice_chains(kind, m)
-    step = len(chains)
-    monitor = _SeriesMonitor(tol)
 
-    total = 0.0
-    if series.coeffs is not None:
-        limit, exhausted_status = len(series.coeffs), SummationStatus.EXACT_CUTOFF
-    else:
-        limit, exhausted_status = _MAX_TERMS, SummationStatus.DIVERGED
-    status = None
-    for n in range(limit):
-        if series.coeffs is not None:
-            f, flog = series.coeffs[n], None
-        else:
-            f = series.func(n)
-            flog = series.log_func(n) if series.log_func is not None else None
-        i = n % step
-        term = _term(f, flog, sigma, n, chains[i])
-        total = total + term
-        chains[i] *= _lattice_step(kind, m, n)
+    __slots__ = ("re", "im")
 
-        if not any(chains) or _parity_cutoff(series, chains):
-            status = SummationStatus.EXACT_CUTOFF
-            break
-        smag = abs(total)
-        if monitor.term_converged(abs(term), smag):
-            status = SummationStatus.CONVERGED
-            break
-        if monitor.sum_diverged(smag):
-            status = SummationStatus.DIVERGED
-            break
-    if status is None:
-        status = exhausted_status
-    return total, status
+    def __init__(self, re: int, im: int):
+        self.re, self.im = re, im
+
+    def __add__(self, other: _GaussianInt):
+        return _GaussianInt(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        if isinstance(other, _GaussianInt):
+            return _GaussianInt(
+                self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+            )
+        return _GaussianInt(self.re * other, self.im * other)
+
+    def __pow__(self, n: int):
+        out = _GaussianInt(1, 0)
+        for _ in range(n):
+            out *= self
+        return out
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
 
 
-# ---------------------------------------------------------------------------
-# exact exponential summation
-# ---------------------------------------------------------------------------
-
-
-def _ratio_to_float(num: int, den: int) -> float:
-    # float(num/den) without building a Fraction; den > 0.
+def _ratio_to_float(num, den: int):
+    # float(num/den) without building a Fraction; den > 0. A Gaussian
+    # numerator gives a complex.
+    if isinstance(num, _GaussianInt):
+        return complex(_ratio_to_float(num.re, den), _ratio_to_float(num.im, den))
     if num == 0:
         return 0.0
     sign = 1.0 if num > 0 else -1.0
@@ -412,24 +279,36 @@ def _ratio_to_float(num: int, den: int) -> float:
     return sign * (a / b)
 
 
+def _momentum_ratio(k, sigma: Fraction):
+    """k sigma as an exact ratio P/Q, Q > 0; P is a Gaussian integer for complex k."""
+    if not isinstance(k, complex):
+        s = Fraction(k) * sigma
+        return s.numerator, s.denominator
+    re, im = Fraction(k.real) * sigma, Fraction(k.imag) * sigma
+    Q = math.lcm(re.denominator, im.denominator)
+    P = _GaussianInt(re.numerator * (Q // re.denominator), im.numerator * (Q // im.denominator))
+    return P, Q
+
+
 def exponential_series_exact(
     c: Correspondence, k, m: int, tol: float
-) -> tuple[float, SummationStatus]:
+) -> tuple[complex, SummationStatus]:
     """Sum k^n/n! times the basic values with an exact integer accumulator.
 
     The alternating branches of the discrete exponential cancel through tens
     of orders of magnitude, far beyond double precision; here the partial sum
     is kept as an exact integer ratio (the denominators Q^n n! form a
     divisible chain, so no gcd reduction is ever needed) and floats are only
-    used for the stopping rules and the final value.
+    used for the stopping rules and the final value. A real k (int, float or
+    Fraction) sums in integers and returns a float; a complex k sums in
+    Gaussian integers and returns a complex.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = int(m)
-    s = Fraction(k) * c.sigma_exact()
-    if s == 0:
+    P, Q = _momentum_ratio(k, c.sigma_exact())
+    if not P:
         return 1.0, SummationStatus.EXACT_CUTOFF
-    P, Q = s.numerator, s.denominator
     kind = c.kind
     # P^n * L_n(m), one chain per residue of n mod step
     chains = [P**j * L for j, L in enumerate(_lattice_chains(kind, m))]
@@ -437,7 +316,7 @@ def exponential_series_exact(
     P_step = P**step
     monitor = _SeriesMonitor(tol)
 
-    total_num = 0
+    total_num = P * 0  # zero of the numerator type
     denom = 1  # Q^n * n! at the current order
     status = None
     for n in range(_MAX_TERMS):

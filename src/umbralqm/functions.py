@@ -13,12 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .correspondences import (
-    SummationStatus,
-    TaylorSeries,
-    exponential_series_exact,
-    umbral_transform,
-)
+from .correspondences import EvaluationOverflow, SummationStatus, exponential_series_exact
 from .operators import Correspondence, Kind
 
 
@@ -54,6 +49,7 @@ def umbral_exp(c: Correspondence, k, m: int):
 
     Right: (1 + k sigma)^m, Left: (1 - k sigma)^(-m),
     Symmetric: (k sigma + sqrt((k sigma)^2 + 1))^m with the principal root.
+    Raises EvaluationOverflow when the power leaves the double range.
     """
     m = int(m)
     ks = k * c.sigma_float()
@@ -69,7 +65,12 @@ def umbral_exp(c: Correspondence, k, m: int):
         if expo < 0:
             raise DomainError("closed form is 0 raised to a negative power")
         return 1.0 if expo == 0 else 0.0
-    return base**expo
+    try:
+        return base**expo
+    except OverflowError as exc:
+        raise EvaluationOverflow(
+            f"closed-form exponential at m={m} exceeds the double range"
+        ) from exc
 
 
 def umbral_exp_series(
@@ -77,14 +78,12 @@ def umbral_exp_series(
 ) -> tuple[complex, SummationStatus]:
     """Discrete exponential summed from the series k^n/n! times the basic values.
 
-    Real momenta go through the exact integer accumulator, which survives the
-    catastrophic cancellation of the alternating branches; complex momenta
-    use the floating transform.
+    The exact accumulator survives the catastrophic cancellation of the
+    alternating branches. k is rounded to a double first; a complex k with a
+    nonzero imaginary part sums in Gaussian integers and gives a complex.
     """
-    if isinstance(k, complex) and k.imag != 0.0:
-        return umbral_transform(TaylorSeries.exponential(k), c, m, tol)
-    kr = float(k.real) if isinstance(k, complex) else float(k)
-    return exponential_series_exact(c, Fraction(kr), m, tol)
+    k = complex(k)
+    return exponential_series_exact(c, k if k.imag else Fraction(k.real), m, tol)
 
 
 def closed_form_status(c: Correspondence, k, m: int) -> SummationStatus:

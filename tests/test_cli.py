@@ -342,12 +342,25 @@ class TestFormatsAndConfig:
         assert code == 2
         assert "unknown key" in err
 
-    @pytest.mark.parametrize("flag", ["sigma", "tau", "tol"])
+    @pytest.mark.parametrize("flag", ["sigma", "tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     def test_non_finite_or_non_positive_setting_is_a_usage_error(self, capsys, flag, value):
         code, _, err = run(capsys, "polys", "--n", "1", f"--{flag}={value}")
         assert code == 2
         assert err.startswith(f"error: {flag} must be positive and finite")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_subnormal_sigma_is_a_usage_error(self, capsys, tmp_path, monkeypatch, source):
+        argv = ["trig", "--k", "0.5", "--which", "sinh", "--window=0:2"]
+        if source == "flag":
+            argv.append("--sigma=1e-320")
+        else:
+            config = tmp_path / "umbralqm.conf"
+            config.write_text("sigma = 1e-320\n")
+            monkeypatch.setenv("UMBRALQM_CONFIG", str(config))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: sigma must be at least the smallest normal double")
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,4 @@
-"""Basic polynomial sequences: coefficient forms, closed-form values, series transform."""
+"""Basic polynomial sequences: coefficient forms, closed-form values, zeros."""
 
 import math
 import statistics
@@ -13,16 +13,15 @@ from umbralqm import (
     Kind,
     Polynomial,
     SummationStatus,
-    TaylorSeries,
     apply_delta,
     apply_xi,
     basic_polynomial,
     basic_polynomial_value,
     basic_polynomial_value_log,
+    exponential_series_exact,
     left,
     right,
     symmetric,
-    umbral_transform,
     zeros_of_basic_polynomial,
 )
 from umbralqm.invariants import product_value
@@ -234,122 +233,24 @@ class TestZeros:
             zeros_of_basic_polynomial(right(1), 0)
 
 
-class TestTaylorSeries:
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            TaylorSeries()
-        with pytest.raises(ValueError):
-            TaylorSeries(coeffs=(1.0,), func=lambda n: 0.0)
-
-    def test_parity_validation(self):
-        with pytest.raises(ValueError):
-            TaylorSeries(coeffs=(1.0,), parity="mixed")
-
-    def test_exponential_coefficients(self):
-        series = TaylorSeries.exponential(0.5)
-        assert abs(series.func(3) - 0.5**3 / 6) < 1e-16
-        unit, mag = series.log_func(4)
-        assert unit == 1.0
-        assert abs(mag - (4 * math.log(0.5) - math.lgamma(5))) < 1e-12
-
-
 class TestUmbralTransform:
+    """The exact series engine: sum of k^n/n! times the basic values at m."""
+
     def test_exponential_truncates_on_the_right_branch(self):
-        series = TaylorSeries.exponential(0.5)
-        value, status = umbral_transform(series, right(1), 3, 1e-12)
+        value, status = exponential_series_exact(right(1), Fraction(1, 2), 3, 1e-12)
         assert status is SummationStatus.EXACT_CUTOFF
         assert abs(value - 3.375) < 1e-12
 
     def test_constant_series(self):
-        series = TaylorSeries.from_coefficients([1.0])
+        # k = 0 leaves only the n = 0 term, the constant 1
         for kind in ALL_KINDS:
-            value, status = umbral_transform(series, Correspondence(kind, 1), 5, 1e-12)
-            assert (value, status) == (1.0, SummationStatus.EXACT_CUTOFF)
+            for k in (0, Fraction(0), 0j):
+                value, status = exponential_series_exact(Correspondence(kind, 1), k, 5, 1e-12)
+                assert (value, status) == (1.0, SummationStatus.EXACT_CUTOFF)
 
     def test_divergence_outside_the_disk(self):
-        series = TaylorSeries.exponential(2.0)
-        _, status = umbral_transform(series, right(1), -1, 1e-12)
+        _, status = exponential_series_exact(right(1), 2, -1, 1e-12)
         assert status is SummationStatus.DIVERGED
-
-    def test_boundary_momentum_fails_to_converge(self):
-        series = TaylorSeries.exponential(1.0)
-        _, status = umbral_transform(series, right(1), -1, 1e-12)
-        assert status is SummationStatus.DIVERGED
-
-    def test_polynomial_coefficients_reproduce_basic_values(self):
-        for kind in ALL_KINDS:
-            c = Correspondence(kind, 0.5)
-            for n in range(9):
-                series = TaylorSeries.from_coefficients([0.0] * n + [1.0])
-                for m in range(-6, 7):
-                    value, status = umbral_transform(series, c, m, 1e-12)
-                    want = basic_polynomial_value(c, n, m)
-                    assert status is SummationStatus.EXACT_CUTOFF
-                    assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_high_degree_terms_round_once(self, kind):
-        # values up to 1e300 carry one rounding of the exact root product,
-        # not one per factor
-        c, exact = Correspondence(kind, 1.0), Correspondence(kind, 1)
-        for n in (100, 120):
-            series = TaylorSeries.from_coefficients([0.0] * n + [1.0])
-            for m in range(-420, 421, 20):
-                want = basic_polynomial_value(exact, n, m)
-                if want == 0 or abs(want) > 1e300:
-                    continue
-                value, status = umbral_transform(series, c, m, 1e-12)
-                assert status is SummationStatus.EXACT_CUTOFF
-                assert abs(value - want) <= 1e-15 * abs(want)
-
-    def test_orders_past_a_subnormal_power_of_the_mantissa(self):
-        # 0.002 has the binary mantissa 0.512, whose n-th power is subnormal
-        # for n past ~1058 although sigma^n * L_n(-5) stays a normal double
-        c, exact = right(0.002), right(Fraction(0.002))
-        for n in range(1040, 1121, 4):
-            want = basic_polynomial_value(exact, n, -5)
-            series = TaylorSeries.from_coefficients([0.0] * n + [1.0])
-            value, _ = umbral_transform(series, c, -5, 1e-12)
-            err = float(abs(Fraction(value) - want) / abs(want))
-            assert err <= 1e-15, (n, err)
-        # the exponential reaches those orders: (1 + k sigma)^-5 with k sigma
-        # = -0.99, summed without cancellation
-        k = complex(-495, 1e-9)
-        value, status = umbral_transform(TaylorSeries.exponential(k), c, -5, 1e-12)
-        want = (1 + k * 0.002) ** -5
-        assert status is SummationStatus.CONVERGED
-        assert abs(value - want) <= 1e-11 * abs(want)
-
-    def test_single_parity_series_cuts_off_at_matching_points(self):
-        # odd coefficients, odd lattice index: everything beyond |m| vanishes
-        series = TaylorSeries(
-            func=lambda n: 0.5**n / math.factorial(n) if n % 2 else 0.0,
-            parity="odd",
-        )
-        value, status = umbral_transform(series, symmetric(1), 3, 1e-12)
-        assert status is SummationStatus.EXACT_CUTOFF
-        # surviving terms: n=1 and n=3 with values 3 sigma and x(x^2-sigma^2)=24
-        want = 0.5 * 3 + 0.5**3 / 6 * 24
-        assert abs(value - want) < 1e-12
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            umbral_transform(TaylorSeries.exponential(0.5), right(1), 1, 0.0)
-
-    def test_fixed_truncation_caps_the_sum(self):
-        # left at m=1 is an infinite series; a finite coefficient list keeps
-        # only its orders: 1 + k sigma * 1 for two terms
-        series = TaylorSeries.from_coefficients([1.0, 0.5])
-        value, status = umbral_transform(series, left(1), 1, 1e-12)
-        assert abs(value - 1.5) < 1e-15
-        assert status is SummationStatus.EXACT_CUTOFF
-
-    def test_large_positive_sum_converges_instead_of_tripping_the_blowup(self):
-        # converges to (1 - 0.9)^(-20) = 1e20, five orders past the blow-up factor
-        series = TaylorSeries.exponential(-0.9)
-        value, status = umbral_transform(series, right(1), -20, 1e-12)
-        assert status is SummationStatus.CONVERGED
-        assert abs(value - 1e20) <= 1e-9 * 1e20
 
 
 class TestContinuumLimit:

@@ -10,12 +10,14 @@ from umbralqm import (
     Correspondence,
     DiscreteFunction,
     DomainError,
+    EvaluationOverflow,
     Kind,
     SummationStatus,
     WaveSpec,
     addition_law_check,
     amplitude_growth,
     amplitude_growth_log,
+    closed_form_status,
     left,
     minimum_wavelength_points,
     momentum_to_wavelength,
@@ -57,6 +59,12 @@ class TestUmbralExp:
         value = umbral_exp(symmetric(1), 0.5j, 1)
         assert abs(value - (0.5j + cmath.sqrt(1 - 0.25))) < 1e-15
 
+    def test_overflow_is_the_documented_exception(self):
+        with pytest.raises(EvaluationOverflow):
+            tabulate_exp(symmetric(0.2), 1, (-5000, 5000))
+        with pytest.raises(EvaluationOverflow):
+            tabulate_trig(right(0.2), 1.0, (-5000, 5000), "sinh")
+
     def test_mirror_identity_between_right_and_left(self):
         for ks in (-0.7, -0.3, 0.3, 0.7):
             for m in range(-10, 11):
@@ -72,12 +80,27 @@ class TestUmbralExpSeries:
         assert abs(value - 3.375) < 1e-12
 
     def test_zero_momentum(self):
-        value, status = umbral_exp_series(symmetric(1), 0.0, 5, 1e-12)
-        assert (value, status) == (1.0, SummationStatus.EXACT_CUTOFF)
+        for kind in ALL_KINDS:
+            value, status = umbral_exp_series(Correspondence(kind, 1), 0.0, 5, 1e-12)
+            assert (value, status) == (1.0, SummationStatus.EXACT_CUTOFF)
 
     def test_divergence_outside_the_disk(self):
         _, status = umbral_exp_series(right(1), 1.5, -2, 1e-12)
         assert status is SummationStatus.DIVERGED
+
+    def test_boundary_momentum_fails_to_converge(self):
+        _, status = umbral_exp_series(right(1), 1.0, -1, 1e-12)
+        assert status is SummationStatus.DIVERGED
+
+    def test_tolerance_must_be_positive(self):
+        with pytest.raises(ValueError):
+            umbral_exp_series(right(1), 0.5, 1, 0.0)
+
+    def test_large_positive_sum_converges_instead_of_tripping_the_blowup(self):
+        # converges to (1 - 0.9)^(-20) = 1e20, five orders past the blow-up factor
+        value, status = umbral_exp_series(right(1), -0.9, -20, 1e-12)
+        assert status is SummationStatus.CONVERGED
+        assert abs(value - 1e20) <= 1e-9 * 1e20
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_agrees_with_closed_form(self, kind):
@@ -89,12 +112,37 @@ class TestUmbralExpSeries:
                 assert abs(value - closed) <= 1e-10 * max(1e-300, abs(closed))
 
     def test_complex_route_matches_closed_form(self):
-        c = right(1)
-        k = 0.4j
-        for m in range(-4, 7):
-            closed = umbral_exp(c, k, m)
-            value, _ = umbral_exp_series(c, k, m, 1e-12)
-            assert abs(value - closed) <= 1e-10 * max(1.0, abs(closed))
+        # imaginary and complex k sigma across the kinds and spacings; a float
+        # sum got 187 of these cells wrong while reporting them converged
+        for kind in ALL_KINDS:
+            for sigma in (1, 0.5, 0.3, 0.125):
+                c = Correspondence(kind, sigma)
+                for ks in (0.5j, -0.9j, 0.6 + 0.6j, -0.3 + 0.8j, 0.2 - 0.2j):
+                    k = ks / sigma
+                    for m in range(-12, 13):
+                        closed = umbral_exp(c, k, m)
+                        value, status = umbral_exp_series(c, k, m, 1e-12)
+                        assert abs(value - closed) <= 1e-10 * abs(closed), (kind, sigma, ks, m)
+                        assert status is closed_form_status(c, k, m)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_complex_sum_survives_deep_cancellation(self, kind):
+        # |E| falls to 5e-5 at m = -40 on the right branch while the terms
+        # reach ~1e26; a float sum returned noise of modulus 2e13 as converged
+        c = Correspondence(kind, 1.0)
+        for m in range(-40, 41):
+            closed = umbral_exp(c, 0.8j, m)
+            value, _ = umbral_exp_series(c, 0.8j, m, 1e-12)
+            assert abs(value - closed) <= 1e-10 * abs(closed), m
+
+    def test_complex_sum_past_a_thousand_orders(self):
+        # (1 + k sigma)^-5 with k sigma = -0.99 + 2e-12 i converges after ~3,900
+        # of the 4,000 orders the series may use
+        c, k = right(0.002), complex(-495, 1e-9)
+        value, status = umbral_exp_series(c, k, -5, 1e-12)
+        want = (1 + k * 0.002) ** -5
+        assert status is SummationStatus.CONVERGED
+        assert abs(value - want) <= 1e-11 * abs(want)
 
 
 class TestUmbralTrig:
