@@ -14,14 +14,16 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from . import __version__
-from .correspondences import EvaluationOverflow, basic_polynomial_value
+from .correspondences import EvaluationOverflow, SummationStatus, basic_polynomial_value
 from .functions import (
     ConsistencyError,
     DomainError,
     WaveSpec,
     amplitude_growth,
+    closed_form_status,
     umbral_exp,
     umbral_exp_series,
     umbral_trig,
@@ -325,7 +327,9 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not math.isfinite(k):
         return _fail(f"--k must be finite, got {k!r}")
     with_series = not args.no_series
-    if abs(k) * cfg.sigma >= 1 and with_series:
+    # the right kind's m < 0 branch diverges iff |k sigma| >= 1, read as the series reads it
+    diverges = closed_form_status(Correspondence(Kind.RIGHT, cfg.sigma), k, -1) is SummationStatus.DIVERGED
+    if diverges and with_series:
         return _fail(
             f"|k sigma| = {abs(k) * cfg.sigma:g} >= 1: the series diverges; "
             "pass --no-series for closed forms only"
@@ -497,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="umbralqm",
         description="Tabulate lattice quantum mechanics data as CSV or JSON.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"umbralqm {__version__}")
     common = argparse.ArgumentParser(add_help=False)
@@ -508,36 +513,37 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, help="series tolerance (default 1e-10)")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, parents=[common], allow_abbrev=False)  # no flag prefixes
 
-    p = sub.add_parser("polys", parents=[common], help="basic polynomial values")
+    p = add("polys", help="basic polynomial values")
     p.add_argument("--n", default="1,2,3", help="comma-separated degrees")
     p.set_defaults(func=cmd_polys)
 
-    p = sub.add_parser("exp", parents=[common], help="discrete exponential")
+    p = add("exp", help="discrete exponential")
     p.add_argument("--k", type=float, required=True, help="momentum")
     p.add_argument("--no-series", action="store_true", help="emit closed forms only")
     p.set_defaults(func=cmd_exp)
 
-    p = sub.add_parser("trig", parents=[common], help="discrete trigonometric functions")
+    p = add("trig", help="discrete trigonometric functions")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=float, help="momentum")
     group.add_argument("--l", type=float, help="points per wavelength")
     p.add_argument("--which", choices=("sin", "cos", "sinh", "cosh"), default="sin")
     p.set_defaults(func=cmd_trig)
 
-    p = sub.add_parser("well", parents=[common], help="infinite-well spectrum and wavefunctions")
+    p = add("well", help="infinite-well spectrum and wavefunctions")
     p.add_argument("--points", type=int, required=True, help="lattice points M in the well")
     p.add_argument("--levels", help="comma-separated levels for wavefunction tables")
     p.set_defaults(func=cmd_well)
 
-    p = sub.add_parser("bounds", parents=[common], help="lattice energy upper limits")
+    p = add("bounds", help="lattice energy upper limits")
     p.add_argument("--particle", choices=("electron", "proton", "custom", "both"), default="both")
     p.add_argument("--mass", type=float, help="mass in kg for --particle custom")
     p.add_argument("--sigma-m", type=float, default=PLANCK_LENGTH_M, help="lattice length in meters")
     p.add_argument("--tau-s", type=float, default=PLANCK_TIME_S, help="time step in seconds")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("check", parents=[common], help="run the invariant self-checks")
+    p = add("check", help="run the invariant self-checks")
     p.set_defaults(func=cmd_check)
 
     return parser

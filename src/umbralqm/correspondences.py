@@ -5,23 +5,26 @@ x/sigma - r over an integer progression of roots r. The exact coefficient
 form, the exact, float and log-magnitude lattice values and the zero sets
 all derive from that one root description. The exponential series engine
 sums k^n/n! * sigma^n * L_n(m) exactly, where the root product
-L_n(m) = prod(m - r) is an integer advanced by _lattice_step, and reports
-cutoff, convergence or divergence; complex momenta sum in Gaussian integers.
+L_n(m) = prod(m - r) is an integer advanced by _lattice_steps: its status is
+the convergence theorem, its sum a binary split to a certified term count;
+complex momenta sum in Gaussian integers.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from itertools import repeat
+from operator import mul
 
 from .operators import Correspondence, Kind
 from .polynomials import Polynomial
 
-_MAX_TERMS = 4000  # term budget of the infinite series
-_BLOWUP_FACTOR = 1e12  # partial sums this far past the first term may be diverging
-_BLOWUP_RUN = 50  # consecutive rising partial sums before the divergence test
+_TERM_BUDGET = 40_000  # most terms one series cell may sum; see the README numerical notes
+_SPLIT_LEAF = 32  # chain runs this short are multiplied out in a loop
 
 
 class EvaluationOverflow(OverflowError):
@@ -32,6 +35,7 @@ class SummationStatus(Enum):
     EXACT_CUTOFF = "exact_cutoff"
     CONVERGED = "converged"
     DIVERGED = "diverged"
+    UNSUMMED = "unsummed"  # convergent, not summed within the term budget
 
 
 # ---------------------------------------------------------------------------
@@ -61,22 +65,24 @@ def _lattice_chains(kind: Kind, m: int) -> list[int]:
     """Root products L_n(m) for n < step, the start of one chain per residue of n mod step.
 
     L_0(m) = 1 and L_1(m) = m; the symmetric kind steps by 2 (see
-    _lattice_step), so its odd degrees form a second chain.
+    _lattice_steps), so its odd degrees form a second chain.
     """
     return [1, m] if kind is Kind.SYMMETRIC else [1]
 
 
-def _lattice_step(kind: Kind, m: int, n: int) -> int:
-    """L_{n+step}(m) / L_n(m): prod(m - r) over the roots that degree n + step adds.
+def _lattice_steps(kind: Kind, m: int, run: range):
+    """L_{n+step}(m) / L_n(m) for each n in run: prod(m - r) over the roots degree n + step adds.
 
     Right adds the root n and left the root -n (step 1); symmetric adds n and
     -n (step 2), so its odd and even degrees form separate chains.
     """
+    right = range(m - run.start, m - run.stop, -run.step)  # m - n
+    left = range(m + run.start, m + run.stop, run.step)  # m + n
     if kind is Kind.RIGHT:
-        return m - n
+        return right
     if kind is Kind.LEFT:
-        return m + n
-    return (m - n) * (m + n)
+        return left
+    return map(mul, right, left)
 
 
 def basic_polynomial(c: Correspondence, n: int) -> Polynomial:
@@ -164,68 +170,6 @@ def basic_polynomial_value_log(c: Correspondence, n: int, m: int) -> tuple[float
 # ---------------------------------------------------------------------------
 
 
-class _SeriesMonitor:
-    """Tail-bound convergence test plus the blow-up divergence heuristic."""
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.first_mag = 0.0
-        self.prev_term = 0.0
-        self.hits = 0
-        self.prev_sum = 0.0
-        self.rises = 0
-        self.ratios: list[tuple[int, float]] = []
-
-    def term_converged(self, tmag: float, smag: float) -> bool:
-        # Scale against the current partial sum only: under heavy cancellation
-        # the partial sums shrink toward the true value, so the test tightens
-        # itself instead of stopping at the noise floor of the large terms.
-        if tmag == 0.0:
-            return False
-        if not self.first_mag:
-            self.first_mag = tmag
-        ok = False
-        if self.prev_term:
-            ratio = tmag / self.prev_term
-            self.ratios.append((len(self.ratios) + 1, ratio))
-            scale = smag if smag > 0 else self.first_mag
-            if ratio < 1.0:
-                tail = tmag * ratio / (1.0 - ratio)
-                ok = tmag <= self.tol * scale and tail <= self.tol * scale
-        self.hits = self.hits + 1 if ok else 0
-        self.prev_term = tmag
-        return self.hits >= 2
-
-    def _ratio_limit(self) -> Optional[float]:
-        # The term ratios of the series handled here behave like
-        # L * (1 + a/n); two well-separated samples recover the limit L,
-        # which separates growth toward a large finite sum (L < 1) from
-        # genuine divergence (L >= 1).
-        hist = self.ratios
-        if len(hist) < 10:
-            return None
-        (n1, r1), (n2, r2) = hist[len(hist) // 2], hist[-1]
-        if n1 == n2:
-            return r2
-        slope = (r1 - r2) / (1.0 / n1 - 1.0 / n2)
-        return r2 - slope / n2
-
-    def sum_diverged(self, smag: float) -> bool:
-        if smag > self.prev_sum:
-            self.rises += 1
-        else:
-            self.rises = 0
-        self.prev_sum = smag
-        if (
-            self.rises < _BLOWUP_RUN
-            or self.first_mag == 0.0
-            or smag <= _BLOWUP_FACTOR * self.first_mag
-        ):
-            return False
-        limit = self._ratio_limit()
-        return limit is not None and limit >= 1.0 - 1e-9
-
-
 class _GaussianInt:
     """Exact Gaussian integer re + i*im, the numerator of a complex momentum's series.
 
@@ -259,87 +203,187 @@ class _GaussianInt:
         return bool(self.re or self.im)
 
 
-def _ratio_to_float(num, den: int):
-    # float(num/den) without building a Fraction; den > 0. A Gaussian
-    # numerator gives a complex.
+def _norm(x) -> int:
+    """|x|^2 of an int or Gaussian integer, exactly."""
+    return x.re * x.re + x.im * x.im if isinstance(x, _GaussianInt) else x * x
+
+
+def _log_abs(x) -> float:
+    """Natural log of |x| for an int or Gaussian integer of any size; -inf at 0."""
+    if not x:
+        return -math.inf
+    return math.log(abs(x)) if isinstance(x, int) else 0.5 * math.log(_norm(x))
+
+
+def _to_float(num, den: int):
+    """num/den correctly rounded, a complex for a Gaussian num; +-inf past the double range."""
     if isinstance(num, _GaussianInt):
-        return complex(_ratio_to_float(num.re, den), _ratio_to_float(num.im, den))
-    if num == 0:
-        return 0.0
-    sign = 1.0 if num > 0 else -1.0
-    a, b = abs(num), den
-    excess = max(a.bit_length(), b.bit_length()) - 256
-    if excess > 0:
-        a >>= excess
-        b >>= excess
-        if b == 0:
-            return sign * math.inf
-        if a == 0:
-            return 0.0
-    return sign * (a / b)
+        return complex(_to_float(num.re, den), _to_float(num.im, den))
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf  # copysign overflows on a huge int
 
 
-def _momentum_ratio(k, sigma: Fraction):
-    """k sigma as an exact ratio P/Q, Q > 0; P is a Gaussian integer for complex k."""
-    if not isinstance(k, complex):
-        s = Fraction(k) * sigma
+def _decimal(x) -> Fraction:
+    """x as an exact Fraction; a float reads as its shortest decimal, so 0.2 is 1/5."""
+    return Fraction(repr(float(x))) if isinstance(x, float) else Fraction(x)
+
+
+def _momentum_ratio(k, sigma):
+    """k sigma as an exact ratio P/Q, Q > 0, read through _decimal; P is Gaussian for complex k."""
+    sigma = _decimal(sigma)
+    if not (isinstance(k, complex) and k.imag):
+        s = _decimal(k.real) * sigma
         return s.numerator, s.denominator
-    re, im = Fraction(k.real) * sigma, Fraction(k.imag) * sigma
+    re, im = _decimal(k.real) * sigma, _decimal(k.imag) * sigma
     Q = math.lcm(re.denominator, im.denominator)
     P = _GaussianInt(re.numerator * (Q // re.denominator), im.numerator * (Q // im.denominator))
     return P, Q
 
 
+def _closed_base(kind: Kind, ks):
+    """(base, s): the closed-form discrete exponential (umbral_exp) at m is base**(s*m)."""
+    if kind is Kind.RIGHT:
+        return 1 + ks, 1
+    if kind is Kind.LEFT:
+        return 1 - ks, -1
+    root = cmath.sqrt(ks * ks + 1) if isinstance(ks, complex) else math.sqrt(ks * ks + 1)
+    return ks + root, 1
+
+
+def _series_status(kind: Kind, P, Q: int, m: int) -> SummationStatus:
+    """The convergence theorem for sum_n (P/Q)^n L_n(m) / n!, before any term budget.
+
+    A finite sum for k = 0, m = 0, right m > 0 and left m < 0. Else, with
+    q = |P|/Q compared in integers: converged for q < 1, diverged for q > 1
+    and for right/left q = 1. Symmetric terms at q = 1 fall like n^-1.5: a
+    convergent series too slow for any budget.
+    """
+    if not P or m == 0 or (kind is Kind.RIGHT and m > 0) or (kind is Kind.LEFT and m < 0):
+        return SummationStatus.EXACT_CUTOFF
+    p2, q2 = _norm(P), Q * Q
+    if p2 < q2:
+        return SummationStatus.CONVERGED
+    if p2 > q2 or kind is not Kind.SYMMETRIC:
+        return SummationStatus.DIVERGED
+    return SummationStatus.UNSUMMED
+
+
+def _log_tail(kind: Kind, log_q: float, m: int, n: int, logs) -> float:
+    """log of a bound on sum_{j >= n} |t_j| from logs = [log |t_n|, ..., log |t_(n+step-1)|].
+
+    A chain whose next term is 0 stays 0. Else each ratio |t_(j+step) / t_j|,
+    j >= n, is below r = q (n + |m|)/(n + 1) for right/left and q^2 for
+    symmetric once n >= |m|, so the tail is at most the next step terms over
+    1 - r; inf while no r < 1 exists.
+    """
+    top = max(logs)
+    if top == -math.inf:
+        return top
+    q = math.exp(log_q)
+    if kind is Kind.SYMMETRIC:
+        r = q * q if n >= abs(m) else math.inf
+    else:
+        r = q * (n + abs(m)) / (n + 1)
+    if r >= 1:
+        return math.inf
+    return top + math.log(sum(math.exp(x - top) for x in logs)) - math.log1p(-r)
+
+
+def _term_count(kind: Kind, log_q: float, m: int, target: float) -> int:
+    """Fewest terms N whose tail, estimated with lgamma, is at most e^target; past the budget if none is.
+
+    The bound falls monotonically once finite, so bisection finds N in
+    O(log budget) evaluations.
+    """
+    step = len(_lattice_chains(kind, m))
+    unit = Correspondence(kind, 1)
+
+    def fits(n: int) -> bool:
+        logs = [j * log_q + basic_polynomial_value_log(unit, j, m)[1] - math.lgamma(j + 1)
+                for j in range(n, n + step)]
+        return _log_tail(kind, log_q, m, n, logs) <= target
+
+    return bisect_left(range(_TERM_BUDGET + 2), True, key=fits)
+
+
+def _merge(left, right):
+    """(A, B, T) of two adjacent runs of a chain joined: the right run scales by the left's A/B."""
+    A1, B1, T1 = left
+    A2, B2, T2 = right
+    return A1 * A2, B1 * B2, T1 * B2 + A1 * T2
+
+
+def _split(ratio, run: range):
+    """Binary splitting over the chain indices of a nonempty run; ratio(run) = (p_n, q_n) lists.
+
+    Integers (A, B, T): A/B = prod p/q takes the run's first term to the term
+    after it; T/B is the run's sum in units of its first term (Haible and
+    Papanikolaou, ANTS-III 1998).
+    """
+    if len(run) > _SPLIT_LEAF:
+        half = len(run) // 2
+        return _merge(_split(ratio, run[:half]), _split(ratio, run[half:]))
+    terms = zip(*ratio(run))
+    p, q = next(terms)
+    A, B, T = p, q, p**0 * q
+    for p, q in terms:
+        A, B, T = A * p, B * q, (T + A) * q
+    return A, B, T
+
+
 def exponential_series_exact(
     c: Correspondence, k, m: int, tol: float
 ) -> tuple[complex, SummationStatus]:
-    """Sum k^n/n! times the basic values with an exact integer accumulator.
+    """Sum k^n/n! times the basic values at m exactly; (value, status).
 
-    The alternating branches of the discrete exponential cancel through tens
-    of orders of magnitude, far beyond double precision; here the partial sum
-    is kept as an exact integer ratio (the denominators Q^n n! form a
-    divisible chain, so no gcd reduction is ever needed) and floats are only
-    used for the stopping rules and the final value. A real k (int, float or
-    Fraction) sums in integers and returns a float; a complex k sums in
-    Gaussian integers and returns a complex.
+    The status is the theorem of _series_status. The first N terms, N chosen
+    from the term magnitudes and the closed form's size, are summed by binary
+    splitting and accepted once the certified tail is 0 or at most
+    tol (|S| - tail); else only the terms past N are split and merged in. The value is the exact
+    sum correctly rounded (+-inf or 0.0 past the double range; complex for a
+    complex k); nan when diverged or `unsummed` (over _TERM_BUDGET terms).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = int(m)
-    P, Q = _momentum_ratio(k, c.sigma_exact())
-    if not P:
-        return 1.0, SummationStatus.EXACT_CUTOFF
     kind = c.kind
-    # P^n * L_n(m), one chain per residue of n mod step
-    chains = [P**j * L for j, L in enumerate(_lattice_chains(kind, m))]
-    step = len(chains)
-    P_step = P**step
-    monitor = _SeriesMonitor(tol)
+    P, Q = _momentum_ratio(k, c.sigma)
+    status = _series_status(kind, P, Q, m)
+    if status not in (SummationStatus.EXACT_CUTOFF, SummationStatus.CONVERGED):
+        return math.nan, status
+    log_q, accept = _log_abs(P) - math.log(Q), math.log(tol / (1 + tol))
+    if status is SummationStatus.EXACT_CUTOFF:
+        N = abs(m) + 1 if P else 1
+    else:
+        base, sign = _closed_base(kind, _to_float(P, Q))
+        if not base:  # k sigma rounds to -1 (right) or 1 (left): some 1e16 terms
+            return math.nan, SummationStatus.UNSUMMED
+        N = _term_count(kind, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)))
 
-    total_num = P * 0  # zero of the numerator type
-    denom = 1  # Q^n * n! at the current order
-    status = None
-    for n in range(_MAX_TERMS):
-        i = n % step
-        a = chains[i]
-        total_num += a
-        tmag = abs(_ratio_to_float(a, denom))
-        chains[i] *= P_step * _lattice_step(kind, m, n)
+    starts = _lattice_chains(kind, m)
+    step = len(starts)
+    Ps, Qs = P**step, Q**step
 
-        if not any(chains):
-            status = SummationStatus.EXACT_CUTOFF
-            break
-        smag = abs(_ratio_to_float(total_num, denom))
-        if monitor.term_converged(tmag, smag):
-            status = SummationStatus.CONVERGED
-            break
-        if monitor.sum_diverged(smag):
-            status = SummationStatus.DIVERGED
-            break
+    def ratio(run: range):  # p_n = P^step L_(n+step)/L_n, q_n = Q^step (n+1)...(n+step)
+        rising = map(math.perm, range(run.start + step, run.stop + step, step), repeat(step))
+        return [Ps * s for s in _lattice_steps(kind, m, run)], [Qs * f for f in rising]
 
-        scale = Q * (n + 1)
-        total_num *= scale
-        denom *= scale
-    if status is None:
-        status = SummationStatus.DIVERGED
-    return _ratio_to_float(total_num, denom), status
+    # chain i holds the terms n = i mod step as (A, B, T): A/B the first term
+    # not summed yet (P^i L_i(m) / Q^i at the start), T/B the sum so far
+    chains = [(P**i * L, Q**i, P * 0) for i, L in enumerate(starts)]
+    done = 0
+    while N <= _TERM_BUDGET:
+        runs = [range(done + (i - done) % step, N, step) for i in range(step)]
+        chains = [_merge(chain, _split(ratio, run)) if run else chain for chain, run in zip(chains, runs)]
+        done = N
+        num, den = P * 0, 1
+        for _, B, T in chains:
+            num, den = num * B + T * den, den * B
+        log_sum = _log_abs(num) - math.log(den)
+        tail = _log_tail(kind, log_q, m, N, [_log_abs(A) - math.log(B) for A, B, _ in chains])
+        if tail == -math.inf or tail - log_sum <= accept:  # a finite sum may be exactly 0
+            return _to_float(num, den), status
+        N = max(_term_count(kind, log_q, m, accept - math.log(4) + log_sum), 2 * N)
+    return math.nan, SummationStatus.UNSUMMED

@@ -8,12 +8,11 @@ right/left waves.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .correspondences import EvaluationOverflow, SummationStatus, exponential_series_exact
+from .correspondences import _closed_base, _momentum_ratio, _series_status
 from .operators import Correspondence, Kind
 
 
@@ -52,15 +51,8 @@ def umbral_exp(c: Correspondence, k, m: int):
     Raises EvaluationOverflow when the power leaves the double range.
     """
     m = int(m)
-    ks = k * c.sigma_float()
-    is_complex = isinstance(ks, complex)
-    if c.kind is Kind.RIGHT:
-        base, expo = 1 + ks, m
-    elif c.kind is Kind.LEFT:
-        base, expo = 1 - ks, -m
-    else:
-        root = cmath.sqrt(ks * ks + 1) if is_complex else math.sqrt(ks * ks + 1)
-        base, expo = ks + root, m
+    base, s = _closed_base(c.kind, k * c.sigma_float())
+    expo = s * m
     if base == 0:
         if expo < 0:
             raise DomainError("closed form is 0 raised to a negative power")
@@ -78,25 +70,17 @@ def umbral_exp_series(
 ) -> tuple[complex, SummationStatus]:
     """Discrete exponential summed from the series k^n/n! times the basic values.
 
-    The exact accumulator survives the catastrophic cancellation of the
-    alternating branches. k is rounded to a double first; a complex k with a
-    nonzero imaginary part sums in Gaussian integers and gives a complex.
+    The exact engine survives the catastrophic cancellation of the
+    alternating branches. A float k or sigma is read as its shortest decimal,
+    so 0.2 sums as 1/5; a complex k with a nonzero imaginary part sums in
+    Gaussian integers and gives a complex.
     """
-    k = complex(k)
-    return exponential_series_exact(c, k if k.imag else Fraction(k.real), m, tol)
+    return exponential_series_exact(c, k, m, tol)
 
 
 def closed_form_status(c: Correspondence, k, m: int) -> SummationStatus:
-    """Status the series route would report for the closed-form value at m."""
-    m = int(m)
-    if m == 0:
-        return SummationStatus.EXACT_CUTOFF
-    if c.kind is Kind.RIGHT and m > 0:
-        return SummationStatus.EXACT_CUTOFF
-    if c.kind is Kind.LEFT and m < 0:
-        return SummationStatus.EXACT_CUTOFF
-    ks = abs(k * c.sigma_float())
-    return SummationStatus.CONVERGED if ks < 1 else SummationStatus.DIVERGED
+    """Status the series route reports at m whenever its term count fits the budget."""
+    return _series_status(c.kind, *_momentum_ratio(k, c.sigma), int(m))
 
 
 def umbral_trig(c: Correspondence, k: float, m: int, which: str) -> float:

@@ -58,17 +58,20 @@ def test_criterion_03_closed_forms_match_the_product_oracle():
 def test_criterion_04_exponential_series_match_their_closed_forms():
     start = time.perf_counter()
     assert invariants.exp_series((-0.9, -0.5, -0.2, 0.2, 0.5, 0.9), 20) is None
-    # infinite branches diverge at and beyond the boundary
+    # infinite branches diverge at and beyond the boundary, except the
+    # symmetric series at k sigma = 1: its terms fall like n^-1.5, so it
+    # converges, too slowly to sum within the term budget
     for kind in ALL_KINDS:
         c = Correspondence(kind, 1)
         bad_m = {Kind.RIGHT: (-1, -3), Kind.LEFT: (1, 3), Kind.SYMMETRIC: (1, 2)}[kind]
         for ks in (1.0, 1.5, 2.0):
+            want = SummationStatus.UNSUMMED if (kind, ks) == (Kind.SYMMETRIC, 1.0) else SummationStatus.DIVERGED
             for m in bad_m:
                 _, status = umbral_exp_series(c, ks, m, 1e-12)
-                assert status is SummationStatus.DIVERGED, (kind, ks, m, status)
+                assert status is want, (kind, ks, m, status)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    report(f"criterion 04: series equal closed forms to 1e-10; (k sigma)^2 >= 1 diverges ({elapsed:.2f}s)")
+    report(f"criterion 04: series equal closed forms to 1e-10; (k sigma)^2 >= 1 diverges or is unsummed ({elapsed:.2f}s)")
 
 
 def test_criterion_05_wave_relations_and_minimal_waves():

@@ -134,6 +134,13 @@ class TestExp:
         assert code == 2
         assert "series" in err
 
+    def test_series_refused_when_the_decimal_k_sigma_reaches_one(self, capsys):
+        # the float product is 0.9999999999999999, the decimal one just above 1
+        code, out, err = run(capsys, "exp", "--k", "9.61", "--sigma", "0.1040582726326743", "--window=-2:2")
+        assert code == 2
+        assert out == ""
+        assert "series" in err
+
     def test_wide_momentum_inside_the_disk_is_accepted(self, capsys):
         code, _, _ = run(capsys, "exp", "--k", "4.9", "--sigma", "0.2", "--window=-4:4")
         assert code == 0
@@ -392,6 +399,14 @@ class TestFormatsAndConfig:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("argv", [["bounds", "--tau", "1e-43"], ["bounds", "--part", "electron"]])
+    def test_flag_prefix_is_not_expanded(self, capsys, argv):
+        # a prefix of --tau-s or --particle must not bind to that flag
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
 class TestCheck:

@@ -24,6 +24,7 @@ from umbralqm import (
     symmetric,
     zeros_of_basic_polynomial,
 )
+from umbralqm import correspondences
 from umbralqm.invariants import product_value
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
@@ -248,9 +249,42 @@ class TestUmbralTransform:
                 value, status = exponential_series_exact(Correspondence(kind, 1), k, 5, 1e-12)
                 assert (value, status) == (1.0, SummationStatus.EXACT_CUTOFF)
 
+    @pytest.mark.parametrize("c, k, m", [*((right(1), -1, m) for m in (1, 2, 5)), *((left(1), 1, m) for m in (-1, -2, -5))])
+    def test_finite_sum_that_is_exactly_zero(self, c, k, m):
+        # (1 + k sigma)^m with k sigma = -1: the |m| + 1 terms cancel exactly
+        assert exponential_series_exact(c, k, m, 1e-12) == (0.0, SummationStatus.EXACT_CUTOFF)
+
     def test_divergence_outside_the_disk(self):
         _, status = exponential_series_exact(right(1), 2, -1, 1e-12)
         assert status is SummationStatus.DIVERGED
+
+    @pytest.mark.parametrize("kind, m", [(Kind.RIGHT, -40), (Kind.LEFT, 40), (Kind.SYMMETRIC, 40), (Kind.SYMMETRIC, -40)])
+    def test_a_failed_certificate_extends_the_sum_without_resumming(self, kind, m, monkeypatch):
+        # a size hint 1e6^|m| times too large picks too few terms; the tail
+        # certificate against the exact sum must catch it, and the extension
+        # splits only the terms past the old count
+        c, k = Correspondence(kind, Fraction(1, 2)), Fraction(8, 5)
+        want, _ = exponential_series_exact(c, k, m, 1e-12)
+        counts, leaves = [], []
+        term_count, split = correspondences._term_count, correspondences._split
+
+        def count_spy(*args):
+            counts.append(term_count(*args))
+            return counts[-1]
+
+        def split_spy(ratio, run):
+            if len(run) <= correspondences._SPLIT_LEAF:
+                leaves.extend(run)
+            return split(ratio, run)
+
+        monkeypatch.setattr(correspondences, "_closed_base", lambda kind, ks: (1e6 if m > 0 else 1e-6, 1))
+        monkeypatch.setattr(correspondences, "_term_count", count_spy)
+        monkeypatch.setattr(correspondences, "_split", split_spy)
+        value, status = exponential_series_exact(c, k, m, 1e-12)
+        assert status is SummationStatus.CONVERGED
+        assert len(counts) >= 2 and counts[-1] > counts[0]
+        assert sorted(leaves) == list(range(max(leaves) + 1))  # each term split once
+        assert abs(value - want) <= 2.5e-12 * abs(want)
 
 
 class TestContinuumLimit:

@@ -3,8 +3,13 @@
 import cmath
 import math
 import statistics
+import time
+from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbralqm import (
     Correspondence,
@@ -33,6 +38,40 @@ from umbralqm import (
 )
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
+
+
+def series_oracle(kind, ks, m):
+    """Closed form at the exact k sigma (a Fraction, or a pair of Fractions re, im), in mpmath."""
+    re, im = ks if isinstance(ks, tuple) else (ks, Fraction(0))
+    with mpmath.workdps(60):
+        x = mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator, mpmath.mpf(im.numerator) / im.denominator)
+        if kind is Kind.RIGHT:
+            return (1 + x) ** m
+        if kind is Kind.LEFT:
+            return (1 - x) ** (-m)
+        return (x + mpmath.sqrt(x * x + 1)) ** m
+
+
+def status_rule(kind, q2, m):
+    """Series status from the convergence theorem, q2 = |k sigma|^2 exactly."""
+    if q2 == 0 or m == 0 or (kind is Kind.RIGHT and m > 0) or (kind is Kind.LEFT and m < 0):
+        return SummationStatus.EXACT_CUTOFF
+    if q2 < 1:
+        return SummationStatus.CONVERGED
+    if q2 > 1 or kind is not Kind.SYMMETRIC:
+        return SummationStatus.DIVERGED
+    return SummationStatus.UNSUMMED
+
+
+def assert_rounds_to(value, exact, tol):
+    """value is within tol of the exact mpmath value, or is its correctly rounded inf or 0."""
+    with mpmath.workdps(60):
+        rounded = complex(exact) if isinstance(value, complex) else float(exact.real)
+        if rounded in (0, math.inf, -math.inf):
+            assert value == rounded, (value, exact)
+        else:
+            err = abs(mpmath.mpc(value) - exact)
+            assert err <= (tol + 2**-52) * abs(exact) + 2**-1074, (value, exact)
 
 
 class TestUmbralExp:
@@ -97,7 +136,7 @@ class TestUmbralExpSeries:
             umbral_exp_series(right(1), 0.5, 1, 0.0)
 
     def test_large_positive_sum_converges_instead_of_tripping_the_blowup(self):
-        # converges to (1 - 0.9)^(-20) = 1e20, five orders past the blow-up factor
+        # converges to (1 - 0.9)^(-20) = 1e20, twenty orders past its first term
         value, status = umbral_exp_series(right(1), -0.9, -20, 1e-12)
         assert status is SummationStatus.CONVERGED
         assert abs(value - 1e20) <= 1e-9 * 1e20
@@ -136,13 +175,65 @@ class TestUmbralExpSeries:
             assert abs(value - closed) <= 1e-10 * abs(closed), m
 
     def test_complex_sum_past_a_thousand_orders(self):
-        # (1 + k sigma)^-5 with k sigma = -0.99 + 2e-12 i converges after ~3,900
-        # of the 4,000 orders the series may use
+        # (1 + k sigma)^-5 with k sigma = -0.99 + 2e-12 i converges after ~3,900 terms
         c, k = right(0.002), complex(-495, 1e-9)
         value, status = umbral_exp_series(c, k, -5, 1e-12)
         want = (1 + k * 0.002) ** -5
         assert status is SummationStatus.CONVERGED
         assert abs(value - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize(
+        "kind, sigma, k, m",
+        [
+            *((kind, 0.2, 1.0, m) for kind in ALL_KINDS for m in (-950, -840, 950)),
+            (Kind.RIGHT, 1.0, 0.9, -96),
+            (Kind.LEFT, 1.0, 0.9, -96),
+            (Kind.RIGHT, 0.01, 50j, -275),
+        ],
+    )
+    def test_far_lattice_and_near_boundary_cells(self, kind, sigma, k, m):
+        # each cell was wrong before the sums were certified: off by up to 1e158,
+        # or 0 for a finite sum, often reported diverged
+        k_parts, s = complex(k), Fraction(repr(sigma))
+        ks = (Fraction(repr(k_parts.real)) * s, Fraction(repr(k_parts.imag)) * s)
+        value, status = umbral_exp_series(Correspondence(kind, sigma), k, m, 1e-12)
+        assert status is status_rule(kind, ks[0] ** 2 + ks[1] ** 2, m)
+        assert_rounds_to(value, series_oracle(kind, ks, m), 1e-12)
+
+    @pytest.mark.parametrize("m, want", [(200, math.inf), (-200, 0.0)])
+    def test_sum_past_the_double_range_rounds_to_inf_or_zero(self, m, want):
+        # (1 - 0.98)^-m is 1e340 at m = 200 and 1e-340 at m = -200
+        value, status = umbral_exp_series(left(1), 0.98, m, 1e-12)
+        assert value == want
+        assert status is (SummationStatus.CONVERGED if m > 0 else SummationStatus.EXACT_CUTOFF)
+
+    @pytest.mark.parametrize(
+        "kind, k, m", [(Kind.RIGHT, 0.999, -1000), (Kind.SYMMETRIC, 0.5, 150_000), (Kind.RIGHT, 0.5, 200_000)]
+    )
+    def test_a_sum_past_the_term_budget_is_unsummed(self, kind, k, m):
+        # the term count is known before summing, so the cell costs no summation
+        start = time.perf_counter()
+        value, status = umbral_exp_series(Correspondence(kind, 1), k, m, 1e-12)
+        assert status is SummationStatus.UNSUMMED
+        assert math.isnan(value)
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @example(Kind.RIGHT, Fraction(1, 3), Fraction(19, 20), -300)
+    @example(Kind.LEFT, Fraction(9), Fraction(-19, 20), 300)
+    @example(Kind.SYMMETRIC, Fraction(2, 7), Fraction(19, 20), -300)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        sigma=st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+        ks=st.builds(Fraction, st.integers(-19, 19), st.just(20))
+        | st.builds(Fraction, st.integers(-6, 6), st.integers(7, 9)),
+        m=st.integers(-300, 300),
+    )
+    def test_status_is_the_theorem_and_value_the_closed_form(self, kind, sigma, ks, m):
+        # rational sigma and k sigma with |k sigma| <= 0.95, summed exactly
+        value, status = umbral_exp_series(Correspondence(kind, sigma), ks / sigma, m, 1e-12)
+        assert status is status_rule(kind, ks * ks, m)
+        assert_rounds_to(value, series_oracle(kind, ks, m), 1e-12)
 
 
 class TestUmbralTrig:
