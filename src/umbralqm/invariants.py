@@ -39,9 +39,9 @@ def product_value(kind: Kind, n: int, m: int, sigma):
     return math.prod(factors, start=1.0 if isinstance(sigma, float) else 1)
 
 
-def heisenberg(degree: int):
-    """[delta, xi] = 1 exactly on every polynomial up to the degree, sigma 1 and 1/3."""
-    for kind, sigma in product(Kind, EXACT_SIGMAS):
+def heisenberg(degree: int, sigmas):
+    """[delta, xi] = 1 exactly on every polynomial up to the degree."""
+    for kind, sigma in product(Kind, sigmas):
         if commutator_residual(Correspondence(kind, sigma), degree) != 0:
             return f"nonzero commutator residual for {kind.value}, sigma={sigma}"
     return None
@@ -144,7 +144,7 @@ def cli_checks(sigma: float) -> list:
     Its offsets round-trip lengths 12 and 48 for every kind (right/left minimum 8, symmetric 4).
     """
     return [
-        ("heisenberg identity (degree 16, sigma 1 and 1/3)", partial(heisenberg, 16)),
+        ("heisenberg identity (degree 16, sigma 1 and 1/3)", partial(heisenberg, 16, EXACT_SIGMAS)),
         ("basic sequence lowering (degree 16)", partial(lowering, 16, (Fraction(1, 3),))),
         ("closed form vs direct product", partial(closed_vs_product, 12, 12, (0.5,))),
         ("exponential series vs closed form", partial(exp_series, (-0.5, 0.5, 0.9), 10)),

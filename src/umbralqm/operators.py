@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 from typing import Callable, Mapping, Union
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, scaled_integer_map
 
 Operator = Callable[[Polynomial], Polynomial]
 
@@ -34,16 +34,16 @@ class Kind(Enum):
 class Correspondence:
     """One of the three lattice correspondences at spacing sigma.
 
-    sigma may be an int, Fraction or float; exact code paths convert it with
-    `Fraction`, which is lossless for all three.
+    sigma, positive and finite, may be an int, Fraction or float; exact code
+    paths convert it with `Fraction`, which is lossless for all three.
     """
 
     kind: Kind
     sigma: Union[int, float, Fraction] = 1
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < inf:
+            raise ValueError("sigma must be positive and finite")
 
     def sigma_exact(self) -> Fraction:
         return Fraction(self.sigma)
@@ -81,8 +81,8 @@ class DeltaOperator:
     def __post_init__(self):
         if int(self.normalizer) != self.normalizer or self.normalizer <= 0:
             raise ValueError("normalizer must be a positive integer")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < inf:
+            raise ValueError("sigma must be positive and finite")
         cleaned = {int(n): Fraction(a) for n, a in self.terms.items() if a}
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "normalizer", int(self.normalizer))
@@ -90,15 +90,15 @@ class DeltaOperator:
 
     @classmethod
     def right(cls, sigma=1) -> "DeltaOperator":
-        return cls({1: Fraction(1), 0: Fraction(-1)}, 1, Fraction(sigma))
+        return cls({1: Fraction(1), 0: Fraction(-1)}, 1, sigma)
 
     @classmethod
     def left(cls, sigma=1) -> "DeltaOperator":
-        return cls({0: Fraction(1), -1: Fraction(-1)}, 1, Fraction(sigma))
+        return cls({0: Fraction(1), -1: Fraction(-1)}, 1, sigma)
 
     @classmethod
     def symmetric(cls, sigma=1) -> "DeltaOperator":
-        return cls({1: Fraction(1), -1: Fraction(-1)}, 2, Fraction(sigma))
+        return cls({1: Fraction(1), -1: Fraction(-1)}, 2, sigma)
 
     @classmethod
     def for_correspondence(cls, c: Correspondence) -> "DeltaOperator":
@@ -137,11 +137,6 @@ def check_delta_conditions(d: DeltaOperator) -> DeltaConditionReport:
     return DeltaConditionReport(coeff_sum, weighted, d.normalizer)
 
 
-def apply_shift(p: Polynomial, s) -> Polynomial:
-    """Apply the shift operator: p(x) -> p(x + s)."""
-    return p.shift(Fraction(s))
-
-
 def apply_delta(d: DeltaOperator, p: Polynomial) -> Polynomial:
     """Apply (1/(N sigma)) sum_n a_n T^{n sigma} to p, exactly."""
     report = check_delta_conditions(d)
@@ -156,35 +151,23 @@ def apply_delta(d: DeltaOperator, p: Polynomial) -> Polynomial:
     return acc * (Fraction(1) / (d.normalizer * d.sigma))
 
 
-def coordinate_operator(p: Polynomial) -> Polynomial:
-    """The operator X; usable directly as an operator callable."""
-    return p.times_x()
-
-
 def pincherle_derivative(op: Operator, p: Polynomial) -> Polynomial:
     """Apply the commutator [op, X] = op X - X op to p."""
     return op(p.times_x()) - op(p).times_x()
 
 
-def _invert_average(p: Polynomial, sigma: Fraction) -> Polynomial:
-    # Solve ((T_s + T_{-s})/2) q = p. On coefficient vectors the averaging
-    # operator is unit upper triangular (it only feeds even-gap higher
-    # degrees downward), so back-substitution from the top degree is finite
-    # and exact.
-    deg = p.degree
-    if deg < 0:
-        return Polynomial.zero()
-    powers = [Fraction(1)]
-    for _ in range(deg):
-        powers.append(powers[-1] * sigma)
-    q = [Fraction(0)] * (deg + 1)
-    for j in range(deg, -1, -1):
-        acc = p.coefficient(j)
+def _invert_average(g: list, u: int) -> None:
+    # Solve ((T_u + T_{-u})/2) q = g in place. On coefficient vectors the
+    # averaging operator is unit upper triangular with integer entries
+    # C(i, j) u^(i-j) at even gaps i - j, so back-substitution from the top
+    # degree stays in integers.
+    deg, step = len(g) - 1, u * u
+    for j in range(deg - 2, -1, -1):
+        acc, power = g[j], 1
         for i in range(j + 2, deg + 1, 2):
-            if q[i]:
-                acc -= q[i] * comb(i, j) * powers[i - j]
-        q[j] = acc
-    return Polynomial(q)
+            power *= step
+            acc -= g[i] * comb(i, j) * power
+        g[j] = acc
 
 
 def apply_beta(c: Correspondence, p: Polynomial) -> Polynomial:
@@ -194,7 +177,7 @@ def apply_beta(c: Correspondence, p: Polynomial) -> Polynomial:
         return p.shift(-s)
     if c.kind is Kind.LEFT:
         return p.shift(s)
-    return _invert_average(p, s)
+    return scaled_integer_map(p, s, _invert_average)
 
 
 def apply_xi(c: Correspondence, p: Polynomial) -> Polynomial:

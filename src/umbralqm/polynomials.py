@@ -9,7 +9,7 @@ degree bookkeeping of difference operators uniform.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import lcm
 
 
 def _frac(value) -> Fraction:
@@ -62,6 +62,8 @@ class Polynomial:
         return max((abs(c) for c in self.coeffs), default=Fraction(0))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -74,6 +76,8 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -100,20 +104,7 @@ class Polynomial:
 
     def shift(self, s) -> "Polynomial":
         """Translate the argument: p(x) -> p(x + s), expanded exactly."""
-        s = _frac(s)
-        if self.is_zero or not s:
-            return self
-        deg = self.degree
-        powers = [Fraction(1)]
-        for _ in range(deg):
-            powers.append(powers[-1] * s)
-        out = [Fraction(0)] * (deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(i + 1):
-                out[j] += a * comb(i, j) * powers[i - j]
-        return Polynomial(out)
+        return scaled_integer_map(self, s, _taylor_shift)
 
     def __call__(self, point):
         """Evaluate by Horner's rule; exact at rational points."""
@@ -132,3 +123,29 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
+
+
+def scaled_integer_map(p: Polynomial, s, kernel) -> Polynomial:
+    """Apply an operator f(s d/dx) to p by running an integer kernel.
+
+    With D the common denominator of p's coefficients and s = u/v in lowest
+    terms, g(y) = D v^deg p(y/v) has integer coefficients and f(s d/dx) p
+    becomes f(u d/dy) g. `kernel(g, u)` rewrites the list g in place as that
+    image in integers, keeping the degree; only the output is gcd-reduced.
+    """
+    s = _frac(s)
+    if p.is_zero or not s:
+        return p
+    common = lcm(*(c.denominator for c in p.coeffs))
+    scales = [common * s.denominator ** (p.degree - i) for i in range(p.degree + 1)]
+    g = [c.numerator * (d // c.denominator) for c, d in zip(p.coeffs, scales)]
+    kernel(g, s.numerator)
+    return Polynomial([Fraction(h, d) for h, d in zip(g, scales)])
+
+
+def _taylor_shift(g: list, u: int) -> None:
+    # g(y) -> g(y + u) by deg passes of synthetic division (Horner's triangle).
+    deg = len(g) - 1
+    for i in range(deg):
+        for j in range(deg - 1, i - 1, -1):
+            g[j] += u * g[j + 1]

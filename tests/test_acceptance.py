@@ -39,7 +39,7 @@ def report(line):
 
 def test_criterion_01_heisenberg_identity_is_exact():
     start = time.perf_counter()
-    assert invariants.heisenberg(32) is None
+    assert invariants.heisenberg(32, invariants.EXACT_SIGMAS) is None
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(f"criterion 01: commutator residual exactly 0 through degree 32 ({elapsed:.2f}s)")

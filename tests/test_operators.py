@@ -1,9 +1,12 @@
 """Exact operator calculus: shifts, delta operators, Pincherle derivatives, beta/xi."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbralqm import (
     Correspondence,
@@ -13,20 +16,42 @@ from umbralqm import (
     Polynomial,
     apply_beta,
     apply_delta,
-    apply_shift,
     apply_xi,
     check_delta_conditions,
     commutator_residual,
-    coordinate_operator,
     left,
     pincherle_derivative,
     right,
     symmetric,
 )
+from umbralqm import invariants
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+
+
+def fraction_shift(p, s):
+    """Oracle for p(x + s): the binomial expansion summed term by term in Fractions."""
+    s = Fraction(s)
+    out = [Fraction(0)] * (p.degree + 1)
+    for i, a in enumerate(p.coeffs):
+        for j in range(i + 1):
+            out[j] += a * math.comb(i, j) * s ** (i - j)
+    return Polynomial(out)
+
+
+# Up to degree 40 (the zero polynomial included) with mixed denominators.
+polynomials = st.lists(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60), max_size=41
+).map(Polynomial)
+# Shift amounts: ints, rationals, zero and binary floats with long denominators.
+shifts = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-5, max_value=5, max_denominator=40),
+    st.sampled_from([0.2, -0.2, 0.1, 2.5, -1e-3, 1 / 3]),
+)
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 def random_polynomial(rng, max_degree=8):
@@ -57,17 +82,25 @@ class TestPolynomial:
         assert p * p == Polynomial([1, 2, 1])
         assert p + Polynomial([-1, -1]) == Polynomial()
 
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, [1, 2]])
+    def test_sum_and_difference_reject_non_polynomials(self, other):
+        p = Polynomial([1, 2, 3])
+        with pytest.raises(TypeError):
+            p + other
+        with pytest.raises(TypeError):
+            p - other
+
 
 class TestShift:
     def test_square_shift_by_one(self):
-        assert apply_shift(Polynomial([0, 0, 1]), 1) == Polynomial([1, 2, 1])
+        assert Polynomial([0, 0, 1]).shift(1) == Polynomial([1, 2, 1])
 
     def test_constants_are_shift_fixed(self):
-        assert apply_shift(Polynomial([7]), Fraction(13, 5)) == Polynomial([7])
+        assert Polynomial([7]).shift(Fraction(13, 5)) == Polynomial([7])
 
     def test_cube_shift_by_half(self):
         expected = Polynomial([Fraction(1, 8), Fraction(3, 4), Fraction(3, 2), 1])
-        assert apply_shift(Polynomial([0, 0, 0, 1]), HALF) == expected
+        assert Polynomial([0, 0, 0, 1]).shift(HALF) == expected
 
     def test_shift_composition(self):
         rng = random.Random(7)
@@ -80,6 +113,17 @@ class TestShift:
         for _ in range(10):
             p = random_polynomial(rng)
             assert p.shift(HALF).shift(THIRD) == p.shift(THIRD).shift(HALF)
+
+    @PROPERTY_SETTINGS
+    @given(polynomials, shifts)
+    @example(Polynomial(), Fraction(2, 7))
+    @example(Polynomial([Fraction(1, k + 1) for k in range(41)]), 0.2)
+    @example(Polynomial([Fraction(k - 20, 3 + k % 7) for k in range(41)]), Fraction(-2, 7))
+    @example(Polynomial([1, Fraction(1, 3)]), 0)
+    def test_integer_shift_matches_the_fraction_expansion(self, p, s):
+        shifted = p.shift(s)
+        assert shifted.coeffs == fraction_shift(p, s).coeffs
+        assert all(type(c) is Fraction for c in shifted.coeffs)
 
 
 class TestDeltaOperator:
@@ -112,7 +156,7 @@ class TestDeltaOperator:
             for s in (1, HALF, Fraction(-2, 3)):
                 for _ in range(5):
                     p = random_polynomial(rng)
-                    assert apply_delta(d, apply_shift(p, s)) == apply_shift(apply_delta(d, p), s)
+                    assert apply_delta(d, p.shift(s)) == apply_delta(d, p).shift(s)
 
     def test_invalid_delta_is_rejected(self):
         bad = DeltaOperator({1: Fraction(1)}, 1, 1)  # coefficients do not sum to zero
@@ -126,6 +170,14 @@ class TestDeltaOperator:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             DeltaOperator.right(0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("builder", [DeltaOperator.right, DeltaOperator.left, DeltaOperator.symmetric])
+    def test_sigma_must_be_finite(self, builder, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            builder(sigma)
+        with pytest.raises(ValueError, match="finite"):
+            DeltaOperator({1: Fraction(1), 0: Fraction(-1)}, 1, sigma)
 
 
 class TestDeltaConditions:
@@ -159,14 +211,25 @@ class TestPincherleDerivative:
         rng = random.Random(3)
         for _ in range(10):
             p = random_polynomial(rng)
-            assert pincherle_derivative(coordinate_operator, p) == Polynomial()
+            assert pincherle_derivative(Polynomial.times_x, p) == Polynomial()
 
     def test_shift_operator_derivative_is_scaled_shift(self):
         rng = random.Random(5)
         for _ in range(10):
             p = random_polynomial(rng)
-            derivative = pincherle_derivative(lambda q: apply_shift(q, HALF), p)
+            derivative = pincherle_derivative(lambda q: q.shift(HALF), p)
             assert derivative == HALF * p.shift(HALF)
+
+
+class TestCorrespondence:
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 0, -1])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_sigma_must_be_positive_and_finite(self, kind, sigma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Correspondence(kind, sigma)
+
+    def test_huge_exact_sigma_is_finite(self):
+        assert right(Fraction(10**400)).sigma_exact() == 10**400
 
 
 class TestBetaAndXi:
@@ -190,6 +253,13 @@ class TestBetaAndXi:
                 averaged = (q.shift(sigma) + q.shift(-sigma)) * HALF
                 assert averaged == p
 
+    @PROPERTY_SETTINGS
+    @given(polynomials, st.sampled_from([0.2, 0.1, 0.3, 1 / 3, 2.5, Fraction(2, 7)]))
+    @example(Polynomial([Fraction(1, k + 1) for k in range(41)]), 0.2)
+    def test_symmetric_beta_round_trip_with_binary_float_sigma(self, p, sigma):
+        q = apply_beta(symmetric(sigma), p)
+        assert (q.shift(sigma) + q.shift(-sigma)) * HALF == p
+
     def test_xi_on_one_gives_x(self):
         assert apply_xi(symmetric(1), Polynomial.one()) == Polynomial.x()
 
@@ -205,7 +275,7 @@ class TestBetaAndXi:
         # witness: p = 1, shift by sigma
         c = symmetric(1)
         p = Polynomial.one()
-        assert apply_xi(c, apply_shift(p, 1)) != apply_shift(apply_xi(c, p), 1)
+        assert apply_xi(c, p.shift(1)) != apply_xi(c, p).shift(1)
 
     @pytest.mark.parametrize("factory", [right, left, symmetric])
     def test_pincherle_derivative_of_delta_inverts_beta(self, factory):
@@ -228,6 +298,11 @@ class TestCommutator:
     def test_heisenberg_with_fractional_sigma(self):
         for kind in ALL_KINDS:
             assert commutator_residual(Correspondence(kind, THIRD), 12) == 0
+
+    @pytest.mark.parametrize("degree,sigma", [(40, Fraction(2, 7)), (24, Fraction(0.2))])
+    def test_heisenberg_and_lowering_at_benchmark_sizes(self, degree, sigma):
+        assert invariants.heisenberg(degree, (sigma,)) is None
+        assert invariants.lowering(degree, (sigma,)) is None
 
     def test_degree_max_must_be_positive(self):
         with pytest.raises(ValueError):
