@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import __version__
-from .correspondences import EvaluationOverflow, SummationStatus, basic_polynomial_value
+from .correspondences import SummationStatus, basic_polynomial_value
 from .functions import (
-    ConsistencyError,
     DomainError,
     WaveSpec,
+    _power,
     amplitude_growth,
     closed_form_status,
     umbral_exp,
@@ -278,13 +278,12 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _safe_cell(fn, *args) -> float:
-    # Tabulated cells degrade to inf instead of aborting the whole table
-    # when a closed form outgrows the double range on a wide window.
+def _continuous(fn, x: float) -> float:
+    """fn(x) for exp, sin, cos, sinh or cosh; past the double range the inf of fn's sign."""
     try:
-        return fn(*args)
+        return fn(x)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, x) if fn is math.sinh else math.inf
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -309,10 +308,7 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
     ms = list(range(lo, hi + 1))
     columns = [("m", ms), ("x", [m * cfg.sigma for m in ms])]
     for n in degrees:
-        try:
-            columns.append((f"continuous_n{n}", [(m * cfg.sigma) ** n for m in ms]))
-        except OverflowError:
-            return _fail(f"continuous power of degree {n} exceeds the double range on this window")
+        columns.append((f"continuous_n{n}", [_power(m * cfg.sigma, n) for m in ms]))
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
         for n in degrees:
@@ -341,12 +337,12 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
     columns = [
         ("m", ms),
         ("x", [m * cfg.sigma for m in ms]),
-        ("continuous", [_safe_cell(math.exp, k * m * cfg.sigma) for m in ms]),
+        ("continuous", [_continuous(math.exp, k * m * cfg.sigma) for m in ms]),
     ]
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
         name = kind.value
-        columns.append((f"{name}_closed", [_safe_cell(umbral_exp, c, k, m) for m in ms]))
+        columns.append((f"{name}_closed", [umbral_exp(c, k, m) for m in ms]))
         if with_series:
             values, statuses = [], []
             for m in ms:
@@ -373,8 +369,8 @@ def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
     continuous = _CONTINUOUS[which]
     for wave in waves:
         c, k = wave.correspondence, wave.k
-        samples.append((f"{c.kind.value}_{which}", [_safe_cell(umbral_trig, c, k, m, which) for m in ms]))
-        samples.append((f"{c.kind.value}_continuous", [_safe_cell(continuous, k * m * cfg.sigma) for m in ms]))
+        samples.append((f"{c.kind.value}_{which}", [umbral_trig(c, k, m, which) for m in ms]))
+        samples.append((f"{c.kind.value}_continuous", [_continuous(continuous, k * m * cfg.sigma) for m in ms]))
     parameters = [
         ("correspondence", [w.correspondence.kind.value for w in waves]),
         ("k", [w.k for w in waves]),
@@ -421,7 +417,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
             spectrum_cols["physical"].append(lv.physical)
             spectrum_cols["convergent"].append(lv.convergent)
             spectrum_cols["degenerate_with"].append(M - lv.n)
-            spectrum_cols["energy_continuous"].append((lv.n * math.pi / (M * cfg.sigma)) ** 2)
+            spectrum_cols["energy_continuous"].append(_power(lv.n * math.pi / (M * cfg.sigma), 2))
     tables = [Table("spectrum", [(k, v) for k, v in spectrum_cols.items()])]
 
     for kind in cfg.kinds:
@@ -563,9 +559,7 @@ def main(argv=None) -> int:
         DomainError,
         NonPhysicalStateError,
         WindowTooSmallError,
-        EvaluationOverflow,
         InvalidDeltaError,
-        ConsistencyError,
     ) as exc:
         return _fail(str(exc))
     except BrokenPipeError:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
@@ -25,10 +26,6 @@ from .polynomials import Polynomial
 
 _TERM_BUDGET = 40_000  # most terms one series cell may sum; see the README numerical notes
 _SPLIT_LEAF = 32  # chain runs this short are multiplied out in a loop
-
-
-class EvaluationOverflow(OverflowError):
-    """An iterative product left the double range; use the log-space evaluator."""
 
 
 class SummationStatus(Enum):
@@ -117,7 +114,9 @@ def basic_polynomial_value(c: Correspondence, n: int, m: int):
 
     With an int or Fraction sigma the result is an exact Fraction; with a
     float sigma it is a float computed as an iterative product, +0.0 at the
-    zeros, raising EvaluationOverflow when the product leaves the double range.
+    zeros. Once the running product leaves the normal double range the value
+    is re-derived from basic_polynomial_value_log and rounded once: +-inf,
+    +-0.0 or a subnormal past the range.
     """
     lead, rest = _roots(c.kind, n)
     m = int(m)
@@ -129,12 +128,17 @@ def basic_polynomial_value(c: Correspondence, n: int, m: int):
     acc = m * sigma if lead else 1.0
     for r in rest:
         acc *= (m - r) * sigma
-    if math.isinf(acc):
-        raise EvaluationOverflow(
-            f"closed-form product for n={n}, m={m} exceeds the double range; "
-            "use basic_polynomial_value_log"
-        )
+        if not sys.float_info.min <= abs(acc) < math.inf:
+            return _signed_exp(*basic_polynomial_value_log(c, n, m))
     return acc
+
+
+def _signed_exp(sign: float, mag: float) -> float:
+    """sign * e^mag rounded once: +-inf past the double range, +-0.0 or a subnormal below it."""
+    try:
+        return math.copysign(math.exp(mag), sign)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
 
 
 def _log_abs_prod(run: range) -> float:

@@ -8,20 +8,17 @@ right/left waves.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .correspondences import EvaluationOverflow, SummationStatus, exponential_series_exact
-from .correspondences import _closed_base, _momentum_ratio, _series_status
+from .correspondences import SummationStatus, exponential_series_exact
+from .correspondences import _closed_base, _momentum_ratio, _series_status, _signed_exp
 from .operators import Correspondence, Kind
 
 
 class DomainError(ValueError):
     """The requested point lies outside the convergence domain of the function."""
-
-
-class ConsistencyError(ArithmeticError):
-    """A nominally real result came back with a non-negligible imaginary part."""
 
 
 _MIN_POINTS = {Kind.RIGHT: 8.0, Kind.LEFT: 8.0, Kind.SYMMETRIC: 4.0}
@@ -43,12 +40,22 @@ def minimum_wavelength_points(c: Correspondence) -> float:
     return _MIN_POINTS[c.kind]
 
 
+def _power(x: float, n) -> float:
+    """x**n for a real x; past the double range the inf of the power's sign."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
+
+
 def umbral_exp(c: Correspondence, k, m: int):
     """Closed-form discrete exponential at lattice index m.
 
     Right: (1 + k sigma)^m, Left: (1 - k sigma)^(-m),
     Symmetric: (k sigma + sqrt((k sigma)^2 + 1))^m with the principal root.
-    Raises EvaluationOverflow when the power leaves the double range.
+    A value past the double range is its correctly signed inf; a complex
+    power that overflows gives each part as r cos(phi) or r sin(phi) from
+    log r and phi, so a part within the range stays finite.
     """
     m = int(m)
     base, s = _closed_base(c.kind, k * c.sigma_float())
@@ -57,12 +64,14 @@ def umbral_exp(c: Correspondence, k, m: int):
         if expo < 0:
             raise DomainError("closed form is 0 raised to a negative power")
         return 1.0 if expo == 0 else 0.0
+    if not isinstance(base, complex):
+        return _power(base, expo)
     try:
         return base**expo
-    except OverflowError as exc:
-        raise EvaluationOverflow(
-            f"closed-form exponential at m={m} exceeds the double range"
-        ) from exc
+    except OverflowError:
+        log_r, phi = expo * math.log(abs(base)), expo * cmath.phase(base)
+        parts = (math.cos(phi), math.sin(phi))
+        return complex(*(_signed_exp(t, log_r + math.log(abs(t))) if t else t for t in parts))
 
 
 def umbral_exp_series(
@@ -86,10 +95,11 @@ def closed_form_status(c: Correspondence, k, m: int) -> SummationStatus:
 def umbral_trig(c: Correspondence, k: float, m: int, which: str) -> float:
     """Discrete sin/cos/sinh/cosh built from the discrete exponential.
 
-    sin and cos admit |k sigma| <= 1 (the boundary is the minimal wave);
-    sinh and cosh require |k sigma| < 1. The circular functions are combined
-    from complex exponentials and must come back real to within a relative
-    imaginary residue of 1e-12, which is then discarded.
+    sin and cos admit |k sigma| <= 1 (the boundary is the minimal wave) and
+    are the imaginary and real parts of e(ik), since e(-ik) is its conjugate.
+    sinh and cosh require |k sigma| < 1; where one of e(k), e(-k) is past the
+    double range the other is at most 1, so the value is the half of the
+    large one, rounded once from its log.
     """
     if which not in _TRIG_NAMES:
         raise ValueError(f"which must be one of {_TRIG_NAMES}")
@@ -98,19 +108,19 @@ def umbral_trig(c: Correspondence, k: float, m: int, which: str) -> float:
     if which in ("sin", "cos"):
         if ks > 1.0:
             raise DomainError("sin/cos require |k sigma| <= 1")
-        ep = umbral_exp(c, complex(0.0, k), m)
-        em = umbral_exp(c, complex(0.0, -k), m)
-        z = (ep - em) / 2j if which == "sin" else (ep + em) / 2
-        if abs(z.imag) > 1e-12 * max(1.0, abs(z)):
-            raise ConsistencyError(
-                f"imaginary residue {z.imag!r} on a real {which} value"
-            )
-        return z.real
+        z = umbral_exp(c, complex(0.0, k), m)
+        return z.imag if which == "sin" else z.real
     if ks >= 1.0:
         raise DomainError("sinh/cosh require |k sigma| < 1")
     ep = umbral_exp(c, k, m)
     em = umbral_exp(c, -k, m)
-    return (ep - em) / 2 if which == "sinh" else (ep + em) / 2
+    value = (ep - em) / 2 if which == "sinh" else (ep + em) / 2
+    if math.isinf(value):
+        big = k if math.isinf(ep) else -k
+        base, s = _closed_base(c.kind, big * c.sigma_float())
+        sign = -1.0 if which == "sinh" and big != k else 1.0
+        value = _signed_exp(sign, s * int(m) * math.log(base) - math.log(2))
+    return value
 
 
 def wavelength_to_momentum(c: Correspondence, l: float) -> float:
@@ -128,10 +138,12 @@ def wavelength_to_momentum(c: Correspondence, l: float) -> float:
 
 def momentum_to_wavelength(c: Correspondence, k: float) -> float:
     """Wavelength of the discrete wave with momentum k, for 0 < k*sigma <= 1."""
-    s = k * c.sigma_float()
+    sigma = c.sigma_float()
+    s = k * sigma
     if not 0 < s <= 1:
         raise DomainError("requires 0 < k sigma <= 1")
-    return 2 * math.pi * c.sigma_float() / lattice_dispersion(c.kind)[1](s)
+    theta, span = lattice_dispersion(c.kind)[1](s), 2 * math.pi * sigma
+    return span / theta if span < math.inf else sigma * (2 * math.pi / theta)
 
 
 def amplitude_growth(l: float, n: int) -> float:
@@ -143,7 +155,7 @@ def amplitude_growth(l: float, n: int) -> float:
     cos_val = math.cos(2 * math.pi / l)
     if cos_val == 0:
         raise DomainError("secant pole")
-    return (1.0 / cos_val) ** (l * n)
+    return _power(1.0 / cos_val, l * n)
 
 
 def amplitude_growth_log(l: float, n: int) -> float:
@@ -232,15 +244,10 @@ class DiscreteFunction:
     sigma: float
     m_min: int
     values: list
-    statuses: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.values:
             raise ValueError("window must contain at least one point")
-        if not self.statuses:
-            self.statuses = [SummationStatus.CONVERGED] * len(self.values)
-        if len(self.statuses) != len(self.values):
-            raise ValueError("statuses and values must align")
 
     @property
     def m_max(self) -> int:
@@ -258,47 +265,5 @@ class DiscreteFunction:
             raise KeyError(f"index {m} outside window {self.window}")
         return self.values[m - self.m_min]
 
-    def status(self, m: int) -> SummationStatus:
-        if not self.m_min <= m <= self.m_max:
-            raise KeyError(f"index {m} outside window {self.window}")
-        return self.statuses[m - self.m_min]
-
     def moduli(self) -> list[float]:
         return [abs(v) for v in self.values]
-
-
-def _check_window(window: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError("window minimum exceeds maximum")
-    return lo, hi
-
-
-def tabulate_exp(c: Correspondence, k, window: tuple[int, int]) -> DiscreteFunction:
-    """Closed-form exponential samples with the status the series would report."""
-    lo, hi = _check_window(window)
-    values = [umbral_exp(c, k, m) for m in range(lo, hi + 1)]
-    statuses = [closed_form_status(c, k, m) for m in range(lo, hi + 1)]
-    return DiscreteFunction(c.sigma_float(), lo, values, statuses)
-
-
-def tabulate_exp_series(
-    c: Correspondence, k, window: tuple[int, int], tol: float = 1e-12
-) -> DiscreteFunction:
-    """Series-summed exponential samples; statuses come from the summation itself."""
-    lo, hi = _check_window(window)
-    values, statuses = [], []
-    for m in range(lo, hi + 1):
-        v, st = umbral_exp_series(c, k, m, tol)
-        values.append(v)
-        statuses.append(st)
-    return DiscreteFunction(c.sigma_float(), lo, values, statuses)
-
-
-def tabulate_trig(
-    c: Correspondence, k: float, window: tuple[int, int], which: str = "sin"
-) -> DiscreteFunction:
-    lo, hi = _check_window(window)
-    values = [umbral_trig(c, k, m, which) for m in range(lo, hi + 1)]
-    statuses = [closed_form_status(c, k, m) for m in range(lo, hi + 1)]
-    return DiscreteFunction(c.sigma_float(), lo, values, statuses)

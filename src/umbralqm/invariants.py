@@ -80,16 +80,28 @@ def exp_series(momenta, window: int):
     return None
 
 
+def _close(value: float, want: float, rel: float) -> bool:
+    """value is want (inf past the double range) or within rel of it."""
+    return value == want or abs(value - want) <= rel * want
+
+
 def waves(sigma: float, offsets):
-    """k sigma = 1 is the minimal wave of lmin points; lmin + each offset round-trips via its momentum."""
+    """k sigma = 1 is the minimal wave of lmin points; lmin + each offset round-trips via its momentum.
+
+    The minimal wave is taken at a double k with k * sigma == 1 exactly, 1/sigma
+    or a neighbour: near k sigma = 1 the symmetric wavelength moves by 1e-8 per
+    ulp of k sigma. At the few sigmas with no such k only the round trips run.
+    """
+    k = 1 / sigma
+    unit = next((x for x in (k, math.nextafter(k, 0), math.nextafter(k, math.inf)) if x * sigma == 1), None)
     for kind in Kind:
         c = Correspondence(kind, sigma)
         lmin = minimum_wavelength_points(c)
-        if not abs(momentum_to_wavelength(c, 1 / sigma) - lmin * sigma) <= 1e-12:
+        if unit is not None and not _close(momentum_to_wavelength(c, unit), lmin * sigma, 1e-15):
             return f"minimal wave mismatch for {kind.value}"
         for l in (lmin + d for d in offsets):
             k = wavelength_to_momentum(c, l)
-            if not abs(momentum_to_wavelength(c, k) - l * sigma) <= 1e-10 * l * sigma:
+            if not _close(momentum_to_wavelength(c, k), l * sigma, 1e-10):
                 return f"wavelength round trip failed for {kind.value}, l={l}"
     return None
 

@@ -49,7 +49,14 @@ class Correspondence:
         return Fraction(self.sigma)
 
     def sigma_float(self) -> float:
-        return float(self.sigma)
+        """sigma as a double; a ValueError for an exact sigma past the double range."""
+        try:
+            return float(self.sigma)
+        except OverflowError:
+            raise ValueError(
+                "sigma exceeds the double range: only the exact paths (basic_polynomial, "
+                "basic_polynomial_value, exponential_series_exact, the operators) take it"
+            ) from None
 
 
 def right(sigma=1) -> Correspondence:

@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .functions import (
-    DiscreteFunction,
-    DomainError,
-    _check_window,
-    closed_form_status,
-    lattice_dispersion,
-    umbral_exp,
-    umbral_trig,
-)
+from .correspondences import _to_float
+from .functions import DiscreteFunction, DomainError, _power, lattice_dispersion, umbral_exp, umbral_trig
 from .operators import Correspondence, Kind
 
 HBAR_JS = 1.054571817e-34  # CODATA 2018
@@ -71,14 +65,30 @@ class EnergyBounds:
         return min(self.e_max_time_ev, self.e_max_space_ev)
 
 
+def _rounded(formula, exact: Fraction) -> float:
+    """formula(), a float evaluation of exact, where it is within 1e-15 relative; else exact rounded once.
+
+    A step of the formula that leaves the normal double range moves its value
+    off or raises; the exact quotient then rounds to inf, a subnormal or 0.
+    """
+    rounded = _to_float(exact.numerator, exact.denominator)
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        return rounded
+    return value if abs(value - rounded) <= 1e-15 * rounded < math.inf else rounded
+
+
 def energy_scale_ev(u: PhysicalUnits) -> float:
     """eV value of one unit of (k sigma)^2, i.e. hbar^2/(2 m sigma^2)."""
-    return u.hbar**2 / (2 * u.mass * u.sigma_m**2) / EV_J
+    exact = Fraction(u.hbar) ** 2 / (2 * Fraction(u.mass) * Fraction(u.sigma_m) ** 2 * Fraction(EV_J))
+    return _rounded(lambda: u.hbar**2 / (2 * u.mass * u.sigma_m**2) / EV_J, exact)
 
 
 def energy_bounds(u: PhysicalUnits) -> EnergyBounds:
     """Upper energy limits from the convergence of the time and space waves."""
-    return EnergyBounds(u.hbar / u.tau_s / EV_J, energy_scale_ev(u))
+    exact = Fraction(u.hbar) / (Fraction(u.tau_s) * Fraction(EV_J))
+    return EnergyBounds(_rounded(lambda: u.hbar / u.tau_s / EV_J, exact), energy_scale_ev(u))
 
 
 def separate(
@@ -98,9 +108,7 @@ def separate(
         raise DomainError("time evolution requires |E tau| < 1")
     c = Correspondence(kind, tau)
     ik = complex(0.0, E)
-    values = [umbral_exp(c, ik, n) for n in range(n_steps + 1)]
-    statuses = [closed_form_status(c, ik, n) for n in range(n_steps + 1)]
-    return DiscreteFunction(tau, 0, values, statuses)
+    return DiscreteFunction(tau, 0, [umbral_exp(c, ik, n) for n in range(n_steps + 1)])
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,7 @@ class PlaneWaveState:
         return self.amplitude_forward * umbral_exp(c, kk, m) + self.amplitude_backward * umbral_exp(c, -kk, m)
 
     def tabulate(self, window: tuple[int, int]) -> DiscreteFunction:
-        lo, hi = _check_window(window)
+        lo, hi = window
         values = [self.sample(m) for m in range(lo, hi + 1)]
         return DiscreteFunction(self.correspondence.sigma_float(), lo, values)
 
@@ -148,15 +156,14 @@ def lattice_delta(c: Correspondence, f: DiscreteFunction) -> DiscreteFunction:
             values.append((f.value(m) - f.value(m - 1)) / s)
         else:
             values.append((f.value(m + 1) - f.value(m - 1)) / (2 * s))
-    statuses = [f.status(m) for m in range(lo, hi + 1)]
-    return DiscreteFunction(f.sigma, lo, values, statuses)
+    return DiscreteFunction(f.sigma, lo, values)
 
 
 def apply_hamiltonian(c: Correspondence, V0: float, psi: DiscreteFunction) -> DiscreteFunction:
     """Apply H = -delta^2 + V0 to the samples; result lives on the interior window."""
     second = lattice_delta(c, lattice_delta(c, psi))
     values = [-second.value(m) + V0 * psi.value(m) for m in second.indices()]
-    return DiscreteFunction(psi.sigma, second.m_min, values, list(second.statuses))
+    return DiscreteFunction(psi.sigma, second.m_min, values)
 
 
 @dataclass(frozen=True)
@@ -213,7 +220,7 @@ def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:
             continue
         ks = rule(math.pi * n / M)
         convergent = c.kind is Kind.SYMMETRIC or ks < 1.0 - _BOUNDARY_EPS
-        levels.append(WellLevel(n, ks / s, (ks / s) ** 2, True, convergent))
+        levels.append(WellLevel(n, ks / s, _power(ks / s, 2), True, convergent))
     return WellSpectrum(c.kind, M, s, tuple(levels))
 
 

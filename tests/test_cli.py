@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, configuration, emitted data."""
 
+import contextlib
 import io
 import json
 import math
@@ -7,6 +8,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbralqm import invariants
 from umbralqm.cli import Table, main, read_csv, write_csv
@@ -28,6 +31,51 @@ def columns_of(csv_text):
 def load_schema():
     path = resources.files("umbralqm") / "schemas" / "output.schema.json"
     return json.loads(path.read_text())
+
+
+# any double, with the ones that break arithmetic drawn often
+EXTREMES = [math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1e-170, 1e300, -1e300, 0.0, -0.0]
+NUMBERS = st.sampled_from(EXTREMES) | st.floats()
+
+
+@st.composite
+def cli_argvs(draw):
+    """One subcommand with random numeric options on windows of at most 5 points."""
+    command = draw(st.sampled_from(("polys", "exp", "trig", "well", "bounds", "check")))
+
+    def number(flag):
+        return f"--{flag}={draw(NUMBERS)!r}"
+
+    argv = [command, *(number(flag) for flag in ("sigma", "tol") if draw(st.booleans()))]
+    lo = draw(st.integers(-60, 60))
+    argv += [f"--window={lo}:{lo + draw(st.integers(0, 4))}"]
+    argv += ["--corr", draw(st.sampled_from(("right", "left", "symmetric", "all")))]
+    if command == "polys":
+        argv += ["--n", ",".join(map(str, draw(st.lists(st.integers(0, 64), min_size=1, max_size=3))))]
+    elif command == "exp":
+        argv += [number("k"), *(["--no-series"] if draw(st.booleans()) else [])]
+    elif command == "trig":
+        argv += [number(draw(st.sampled_from(("k", "l"))))]
+        argv += ["--which", draw(st.sampled_from(("sin", "cos", "sinh", "cosh")))]
+    elif command == "well":
+        argv += ["--points", str(draw(st.integers(0, 64)))]
+        argv += ["--levels", ",".join(map(str, draw(st.lists(st.integers(0, 64), max_size=3))))]
+    elif command == "bounds":
+        argv += ["--particle", draw(st.sampled_from(("electron", "proton", "custom", "both")))]
+        argv += [number(flag) for flag in ("mass", "sigma-m", "tau-s") if draw(st.booleans())]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(["bounds", "--sigma-m=1e-170"])  # sigma^2 underflowed: a division by zero
+@example(["well", "--points=8", "--sigma=1e-300"])  # k^2 overflowed in the spectrum
+@given(argv=cli_argvs())
+def test_random_and_non_finite_numbers_exit_0_or_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "internal error" not in err.getvalue(), argv
 
 
 class TestTableIO:
@@ -104,11 +152,15 @@ class TestPolys:
         code, _, _ = run(capsys, "polys", "--n", "2;3")
         assert code == 2
 
-    def test_overflowing_continuous_power_is_a_usage_error(self, capsys):
-        code, out, err = run(capsys, "polys", "--n", "400")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "degree 400" in err
+    def test_values_past_the_double_range_are_signed_inf(self, capsys):
+        # 10^401 and 410!/9! (2e889) are past the range: right B_401(-10) = -(410!/9!), left B_401(10) = 410!/9!
+        code, out, err = run(capsys, "polys", "--n", "401", "--window=-10:10")
+        assert code == 0
+        assert err == ""
+        cols = columns_of(out)
+        assert cols["continuous_n401"][0] == -math.inf and cols["continuous_n401"][-1] == math.inf
+        assert cols["right_n401"][0] == -math.inf and cols["right_n401"][-1] == 0
+        assert cols["left_n401"][0] == 0 and cols["left_n401"][-1] == math.inf
 
 
 class TestExp:
@@ -162,9 +214,20 @@ class TestExp:
         assert cols["continuous"][-1] == math.inf
         assert cols["right_closed"][-1] == math.inf
         assert cols["right_closed"][10] == pytest.approx(1.9**10)
+        # (1 - 3)^m is -2^1023 at m = 1023, then past the range with the sign of (-1)^m
+        code, out, _ = run(capsys, "exp", "--k", "-3", "--corr", "right", "--no-series", "--window=1023:1026")
+        assert code == 0
+        assert columns_of(out)["right_closed"] == [-(2.0**1023), math.inf, -math.inf, math.inf]
 
 
 class TestTrig:
+    def test_overflowing_sinh_keeps_its_sign(self, capsys):
+        # sinh(-900) and (1.5^-1800 - 0.5^-1800)/2, about -4e541, are both past the range
+        code, out, _ = run(capsys, "trig", "--k", "0.5", "--which", "sinh", "--corr", "right", "--window=-1800:-1798")
+        assert code == 0
+        cols = columns_of(out)
+        assert cols["right_sinh"] == cols["right_continuous"] == [-math.inf] * 3
+
     def test_symmetric_twelve_point_wave(self, capsys):
         code, out, _ = run(
             capsys, "trig", "--l", "12", "--sigma", "0.3", "--corr", "symmetric", "--window=-24:24"
@@ -281,6 +344,20 @@ class TestBounds:
         assert abs(cols["e_max_space_ev"][0] - 1.46e50) <= 0.02 * 1.46e50
         assert abs(cols["e_max_space_ev"][1] - 7.94e46) <= 0.02 * 7.94e46
         assert cols["e_binding_ev"][0] == cols["e_max_time_ev"][0]
+
+    @pytest.mark.parametrize(
+        "argv", [["--sigma-m", "1e-170"], ["--particle", "custom", "--mass", "1e-300", "--sigma-m", "1e-160"]]
+    )
+    def test_tiny_spacing_puts_the_space_ceiling_past_the_range(self, capsys, argv):
+        # hbar^2/(2 m sigma^2) is past 1e320 eV here, where sigma^2 alone underflows to 0
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 0
+        assert err == ""
+        cols = columns_of(out)
+        assert all(v == math.inf for v in cols["e_max_space_ev"])
+        default = columns_of(run(capsys, "bounds")[1])
+        assert cols["e_max_time_ev"] == default["e_max_time_ev"][: len(cols["particle"])]
+        assert cols["e_binding_ev"] == cols["e_max_time_ev"]
 
     def test_custom_particle_requires_a_mass(self, capsys):
         code, _, _ = run(capsys, "bounds", "--particle", "custom")

@@ -9,7 +9,6 @@ import pytest
 from umbralqm import (
     Correspondence,
     DeltaOperator,
-    EvaluationOverflow,
     Kind,
     Polynomial,
     SummationStatus,
@@ -168,10 +167,13 @@ class TestClosedFormValues:
                 else:
                     assert abs(sampled - closed) <= 1e-12 * abs(closed)
 
-    def test_float_mode_overflow_raises(self):
+    def test_float_mode_past_the_double_range_rounds_once(self):
+        # 400!/200! is 8e493; at m = -10 the degree-401 value is -(410!/9!) 1e-1604, about -2e-715
         c = Correspondence(Kind.RIGHT, 1.0)
-        with pytest.raises(EvaluationOverflow):
-            basic_polynomial_value(c, 200, 400)
+        assert basic_polynomial_value(c, 200, 400) == math.inf
+        assert basic_polynomial_value(c, 201, -400) == -math.inf
+        tiny = basic_polynomial_value(Correspondence(Kind.RIGHT, 1e-4), 401, -10)
+        assert tiny == 0.0 and math.copysign(1.0, tiny) == -1.0
 
     def test_log_mode_covers_the_overflow_range(self):
         c = Correspondence(Kind.RIGHT, 1.0)

@@ -15,7 +15,6 @@ from umbralqm import (
     Correspondence,
     DiscreteFunction,
     DomainError,
-    EvaluationOverflow,
     Kind,
     SummationStatus,
     WaveSpec,
@@ -28,9 +27,6 @@ from umbralqm import (
     momentum_to_wavelength,
     right,
     symmetric,
-    tabulate_exp,
-    tabulate_exp_series,
-    tabulate_trig,
     umbral_exp,
     umbral_exp_series,
     umbral_trig,
@@ -98,11 +94,12 @@ class TestUmbralExp:
         value = umbral_exp(symmetric(1), 0.5j, 1)
         assert abs(value - (0.5j + cmath.sqrt(1 - 0.25))) < 1e-15
 
-    def test_overflow_is_the_documented_exception(self):
-        with pytest.raises(EvaluationOverflow):
-            tabulate_exp(symmetric(0.2), 1, (-5000, 5000))
-        with pytest.raises(EvaluationOverflow):
-            tabulate_trig(right(0.2), 1.0, (-5000, 5000), "sinh")
+    def test_overflow_rounds_to_a_signed_inf(self):
+        # (0.2 + sqrt(1.04))^5000 is 1e436; right sinh at k sigma = 0.2, m = -5000 is -(0.8^-5000)/2
+        assert umbral_exp(symmetric(0.2), 1, 5000) == math.inf
+        assert umbral_exp(symmetric(0.2), 1, -5000) == 0.0
+        assert umbral_trig(right(0.2), 1.0, -5000, "sinh") == -math.inf
+        assert umbral_exp(right(1), -3.0, 1025) == -math.inf
 
     def test_mirror_identity_between_right_and_left(self):
         for ks in (-0.7, -0.3, 0.3, 0.7):
@@ -231,8 +228,10 @@ class TestUmbralExpSeries:
     )
     def test_status_is_the_theorem_and_value_the_closed_form(self, kind, sigma, ks, m):
         # rational sigma and k sigma with |k sigma| <= 0.95, summed exactly
-        value, status = umbral_exp_series(Correspondence(kind, sigma), ks / sigma, m, 1e-12)
+        c = Correspondence(kind, sigma)
+        value, status = umbral_exp_series(c, ks / sigma, m, 1e-12)
         assert status is status_rule(kind, ks * ks, m)
+        assert closed_form_status(c, ks / sigma, m) is status
         assert_rounds_to(value, series_oracle(kind, ks, m), 1e-12)
 
 
@@ -472,29 +471,6 @@ class TestDiscreteFunction:
         with pytest.raises(KeyError):
             f.value(1)
 
-    def test_statuses_align(self):
-        with pytest.raises(ValueError):
-            DiscreteFunction(1.0, 0, [1.0], [SummationStatus.CONVERGED] * 2)
+    def test_empty_window_is_rejected(self):
         with pytest.raises(ValueError):
             DiscreteFunction(1.0, 0, [])
-
-    def test_tabulated_exponential_statuses(self):
-        table = tabulate_exp(right(1), 0.5, (-2, 2))
-        assert table.status(1) is SummationStatus.EXACT_CUTOFF
-        assert table.status(0) is SummationStatus.EXACT_CUTOFF
-        assert table.status(-1) is SummationStatus.CONVERGED
-
-    def test_tabulated_series_matches_closed_forms(self):
-        closed = tabulate_exp(symmetric(1), 0.4, (-5, 5))
-        summed = tabulate_exp_series(symmetric(1), 0.4, (-5, 5))
-        for m in closed.indices():
-            assert abs(closed.value(m) - summed.value(m)) <= 1e-10 * abs(closed.value(m))
-
-    def test_tabulated_trig_moduli(self):
-        table = tabulate_trig(symmetric(1), 0.5, (0, 12), "sin")
-        assert table.moduli()[0] == 0.0
-        assert max(table.moduli()) <= 1.0 + 1e-12
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            tabulate_exp(right(1), 0.1, (3, 1))

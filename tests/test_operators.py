@@ -17,12 +17,15 @@ from umbralqm import (
     apply_beta,
     apply_delta,
     apply_xi,
+    basic_polynomial,
+    basic_polynomial_value,
     check_delta_conditions,
     commutator_residual,
     left,
     pincherle_derivative,
     right,
     symmetric,
+    umbral_exp,
 )
 from umbralqm import invariants
 
@@ -230,6 +233,15 @@ class TestCorrespondence:
 
     def test_huge_exact_sigma_is_finite(self):
         assert right(Fraction(10**400)).sigma_exact() == 10**400
+
+    def test_huge_exact_sigma_takes_only_the_exact_paths(self):
+        c, sigma = right(Fraction(10**400)), 10**400
+        assert basic_polynomial(c, 2) == Polynomial([0, -sigma, 1])
+        assert basic_polynomial_value(c, 2, 3) == 6 * sigma**2
+        with pytest.raises(ValueError, match="exact paths"):
+            c.sigma_float()
+        with pytest.raises(ValueError, match="exact paths"):
+            umbral_exp(c, 0.5, 3)
 
 
 class TestBetaAndXi:

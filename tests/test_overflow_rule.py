@@ -1,0 +1,121 @@
+"""One overflow rule: a float value past the double range is the exact value rounded once.
+
+That is a correctly signed inf, 0 or subnormal; a value within the range is
+the exact value to 1e-10 relative. The oracle is the closed form in mpmath at
+60 digits, converted with float().
+"""
+
+import math
+import sys
+
+import mpmath
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from umbralqm import Correspondence, Kind, basic_polynomial_value, umbral_exp, umbral_trig
+
+ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
+SIGMAS = (1e-3, 5e-4, 2e-3, 0.01, 0.3, 1.0, 3.0)
+
+
+def assert_rounded_once(value, exact):
+    """value is float(exact): the same inf or zero with its sign, else within 1e-10 (or one subnormal step)."""
+    want = float(exact)
+    assert math.copysign(1.0, value) == math.copysign(1.0, want), (value, want)
+    if math.isinf(want) or want == 0:
+        assert value == want, (value, want)
+    else:
+        assert abs(value - want) <= 1e-10 * abs(want) + 2**-1074, (value, want)
+
+
+def past_the_range(x) -> bool:
+    return not sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
+def root_product(kind, n, m):
+    """prod(m - r) over the roots r of the degree-n basic polynomial, in units of sigma, as an int."""
+    if kind is Kind.RIGHT:
+        return math.prod(m - i for i in range(n))
+    if kind is Kind.LEFT:
+        return math.prod(m + i for i in range(n))
+    return m * math.prod(m - (n - 2) + 2 * i for i in range(n - 1)) if n else 1
+
+
+def closed_exp(kind, ks, m):
+    """The closed-form exponential at the mpmath k sigma ks (real or complex)."""
+    if kind is Kind.RIGHT:
+        return (1 + ks) ** m
+    if kind is Kind.LEFT:
+        return (1 - ks) ** (-m)
+    return (ks + mpmath.sqrt(ks * ks + 1)) ** m
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@example(Kind.SYMMETRIC, 0.0005, (4800, 1))  # the running product underflowed to -0
+@example(Kind.RIGHT, 0.001, (3000, 3000))  # underflowed to 0.0; the value is 4.149e130
+@example(Kind.RIGHT, 1.0, (201, -400))
+@example(Kind.RIGHT, 0.001, (1276, 1341))  # dipped to 1.5e-323 and came back 29% low
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    sigma=st.sampled_from(SIGMAS),
+    cell=st.integers(0, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(-2 * n, 2 * n))),
+)
+def test_basic_polynomial_value_is_rounded_once(kind, sigma, cell):
+    n, m = cell
+    with mpmath.workdps(60):
+        exact = mpmath.mpf(root_product(kind, n, m)) * mpmath.mpf(sigma) ** n
+        assert_rounded_once(basic_polynomial_value(Correspondence(kind, sigma), n, m), exact)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@example(Kind.RIGHT, 1.0, -3.0, 1023)
+@example(Kind.RIGHT, 1.0, -3.0, 1024)
+@example(Kind.RIGHT, 1.0, -3.0, 1025)  # (-2)^1025: an unsigned inf before
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    sigma=st.sampled_from(SIGMAS),
+    ks=st.floats(-3, 3),
+    m=st.integers(-3000, 3000),
+)
+def test_umbral_exp_is_rounded_once(kind, sigma, ks, m):
+    k = ks / sigma
+    ks = k * sigma  # the double k sigma the closed form reads
+    with mpmath.workdps(60):
+        base_is_zero = (kind is Kind.RIGHT and ks == -1) or (kind is Kind.LEFT and ks == 1)
+        assume(not (base_is_zero and (m < 0 if kind is Kind.RIGHT else m > 0)))
+        assert_rounded_once(umbral_exp(Correspondence(kind, sigma), k, m), closed_exp(kind, mpmath.mpf(ks), m))
+
+
+# |k sigma| from where some |m| <= 9000 leaves the range; symmetric e(ik) is
+# unimodular, so only right and left circular cells do
+TRIG_CELLS = st.one_of(
+    st.tuples(
+        st.sampled_from((Kind.RIGHT, Kind.LEFT)),
+        st.sampled_from(("sin", "cos")),
+        st.floats(0.45, 1) | st.floats(-1, -0.45),
+    ),
+    st.tuples(
+        st.sampled_from(ALL_KINDS),
+        st.sampled_from(("sinh", "cosh")),
+        st.floats(0.1, 0.99) | st.floats(-0.99, -0.1),
+    ),
+)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@example((Kind.RIGHT, "sinh", 0.5), -1800)  # sinh(-900) and this cell read as an unsigned inf before
+@example((Kind.RIGHT, "sinh", 0.5), 1751)  # e(k) is past the range, sinh = e(k)/2 is not
+@example((Kind.RIGHT, "cos", 1.0), 2053)  # -(2^1026): the whole power overflows
+@given(cell=TRIG_CELLS, m=st.integers(-9000, 9000))
+def test_overflowing_trig_cells_are_rounded_once(cell, m):
+    kind, which, ks = cell
+    with mpmath.workdps(60):
+        if which in ("sin", "cos"):
+            z = closed_exp(kind, mpmath.mpc(0, ks), m)
+            exact, exponentials = (z.imag if which == "sin" else z.real), [abs(z)]
+        else:
+            ep, em = closed_exp(kind, mpmath.mpf(ks), m), closed_exp(kind, -mpmath.mpf(ks), m)
+            exact, exponentials = ((ep - em) if which == "sinh" else (ep + em)) / 2, [ep, em]
+        # cells whose value or exponentials leave the range; an exact zero (k sigma = 1) is not one
+        assume(exact != 0 and (past_the_range(exact) or max(map(float, exponentials)) == math.inf))
+        assert_rounded_once(umbral_trig(Correspondence(kind, 1.0), ks, m, which), exact)

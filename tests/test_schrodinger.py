@@ -2,12 +2,15 @@
 
 import math
 import statistics
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from umbralqm import (
     Correspondence,
     DiscreteFunction,
+    EV_J,
     DomainError,
     Kind,
     NonPhysicalStateError,
@@ -67,6 +70,10 @@ class TestPlaneWaves:
     def test_requires_an_amplitude(self):
         with pytest.raises(ValueError):
             PlaneWaveState(right(1), 0.5, 0.0, 0.0)
+
+    def test_reversed_window_is_rejected(self):
+        with pytest.raises(ValueError):
+            PlaneWaveState(right(1), 0.5).tabulate((3, 1))
 
     def test_constant_function_feels_only_the_potential(self):
         psi = DiscreteFunction(1.0, -4, [1.0] * 9)
@@ -142,6 +149,24 @@ class TestEnergyBounds:
     def test_scale_matches_space_bound(self):
         u = PhysicalUnits()
         assert energy_scale_ev(u) == energy_bounds(u).e_max_space_ev
+
+    @pytest.mark.parametrize(
+        "units",
+        [
+            PhysicalUnits(mass=1e-30, sigma_m=1e-150),  # 2 m sigma^2 underflows to 0; the bound is 3e280 eV
+            PhysicalUnits(sigma_m=1e200),  # sigma^2 overflows; the bound is 1e-420 eV
+            PhysicalUnits(tau_s=1e300),  # hbar/tau underflows to 0 before / EV_J; the bound is 6.6e-316 eV
+            PhysicalUnits(mass=1e-300, sigma_m=1e-160),  # the bound is 3e334 eV
+        ],
+    )
+    def test_bounds_are_the_exact_quotients_rounded_once(self, units):
+        hbar, mass, sigma, tau, ev = map(Fraction, (units.hbar, units.mass, units.sigma_m, units.tau_s, EV_J))
+        bounds = energy_bounds(units)
+        space, time = hbar**2 / (2 * mass * sigma**2 * ev), hbar / (tau * ev)
+        for value, exact in ((bounds.e_max_space_ev, space), (bounds.e_max_time_ev, time)):
+            with mpmath.workdps(40):
+                want = float(mpmath.mpf(exact.numerator) / exact.denominator)
+            assert value == want or abs(value - want) <= 1e-15 * want, (value, want)
 
     def test_units_must_be_positive(self):
         with pytest.raises(ValueError):
