@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 from . import __version__
 from .correspondences import SummationStatus, basic_polynomial_value
@@ -186,12 +187,39 @@ def parse_cell(text: str):
         return text
 
 
+_CHUNK_ROWS = 4096
+# `%` specs that spell a cell of exactly this type as format_cell does
+_SPECS = {float: "%.17g", int: "%d", str: "%s"}
+_BOOL_WORDS = ("false", "true")
+
+
+def _column_spelling(values):
+    """(spec, convert): `spec % convert(cell)` is format_cell(cell) for every cell of the column.
+
+    A column of one type in _SPECS passes its cells as they are; a bool
+    column is spelled by lookup; any other type, or a mix, goes through
+    format_cell cell by cell.
+    """
+    types = set(map(type, values))
+    kind = types.pop() if len(types) == 1 else None
+    if kind in _SPECS:
+        return _SPECS[kind], None
+    return "%s", _BOOL_WORDS.__getitem__ if kind is bool else format_cell
+
+
 def write_csv(table: Table, stream) -> None:
+    """Header, then one string per chunk of rows from a row template of column specs."""
     names = [name for name, _ in table.columns]
     stream.write(",".join(names) + "\n")
+    spellings = [_column_spelling(vals) for _, vals in table.columns]
+    template = ",".join(spec for spec, _ in spellings) + "\n"
     length = len(table.columns[0][1]) if table.columns else 0
-    for i in range(length):
-        stream.write(",".join(format_cell(vals[i]) for _, vals in table.columns) + "\n")
+    for start in range(0, length, _CHUNK_ROWS):
+        cells = []
+        for (_, vals), (_, convert) in zip(table.columns, spellings):
+            part = vals[start : start + _CHUNK_ROWS]
+            cells.append(part if convert is None else list(map(convert, part)))
+        stream.write(template * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def read_csv(stream) -> Table:

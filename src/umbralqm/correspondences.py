@@ -253,6 +253,8 @@ def _closed_base(kind: Kind, ks):
     if kind is Kind.LEFT:
         return 1 - ks, -1
     root = cmath.sqrt(ks * ks + 1) if isinstance(ks, complex) else math.sqrt(ks * ks + 1)
+    if ks.real < 0:  # ks + root cancels; (ks + root)(root - ks) = 1 and root - ks does not
+        return 1 / (root - ks), 1
     return ks + root, 1
 
 

@@ -178,11 +178,16 @@ class WaveSpec:
 
     def __post_init__(self):
         sigma = self.correspondence.sigma_float()
-        if not 0 < self.k * sigma <= 1:
+        s = self.k * sigma
+        if not 0 < s <= 1:
             raise DomainError("discrete waves require 0 < k sigma <= 1")
         if abs(self.wavelength - self.points_per_wavelength * sigma) > 1e-10 * self.wavelength:
             raise ValueError("wavelength and point count disagree")
-        if abs(momentum_to_wavelength(self.correspondence, self.k) - self.wavelength) > 1e-10 * self.wavelength:
+        # the rule, not its inverse: asin near k sigma = 1 magnifies one rounding of k sigma to 1e-8;
+        # a wavelength past the double range is inf and no longer fixes k
+        rule = lattice_dispersion(self.correspondence.kind)[0]
+        theta = 2 * math.pi * (sigma / self.wavelength)
+        if self.wavelength < math.inf and abs(rule(theta) - s) > 1e-10 * s:
             raise ValueError("momentum and wavelength disagree for this correspondence")
 
     @property

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, configuration, emitted data."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbralqm import invariants
-from umbralqm.cli import Table, main, read_csv, write_csv
+from umbralqm.cli import _CHUNK_ROWS, Table, format_cell, main, read_csv, write_csv
 from umbralqm.functions import DiscreteFunction
 from umbralqm.schrodinger import EnergyBounds
 
@@ -69,6 +70,7 @@ def cli_argvs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @example(["bounds", "--sigma-m=1e-170"])  # sigma^2 underflowed: a division by zero
 @example(["well", "--points=8", "--sigma=1e-300"])  # k^2 overflowed in the spectrum
+@example(["trig", "--l=4", "--sigma=107", "--corr=symmetric", "--window=0:1"])  # asin(k sigma) near 1
 @given(argv=cli_argvs())
 def test_random_and_non_finite_numbers_exit_0_or_2(argv):
     err = io.StringIO()
@@ -76,6 +78,96 @@ def test_random_and_non_finite_numbers_exit_0_or_2(argv):
         code = main(argv)
     assert code in (0, 2), (argv, err.getvalue())
     assert "internal error" not in err.getvalue(), argv
+
+
+def reference_csv(table):
+    """The CSV spelled cell by cell: header, then format_cell of each value joined by commas."""
+    rows = len(table.columns[0][1]) if table.columns else 0
+    lines = [",".join(name for name, _ in table.columns)]
+    lines += [",".join(format_cell(values[i]) for _, values in table.columns) for i in range(rows)]
+    return "".join(line + "\n" for line in lines)
+
+
+CELL_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300]) | st.floats()
+CELL_INTS = st.integers() | st.integers(-(2**80), 2**80)
+# cell pools of one type, and the mixes that no single `%` spec spells
+COLUMN_POOLS = st.sampled_from(
+    [
+        CELL_FLOATS,
+        CELL_INTS,
+        st.booleans(),
+        st.sampled_from(["", "100%", "%d%s"]) | st.text(),
+        st.none() | CELL_INTS,
+        st.none() | CELL_FLOATS,
+        CELL_INTS | CELL_FLOATS,
+        CELL_INTS | st.booleans(),
+    ]
+).flatmap(lambda cells: st.lists(cells, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.sampled_from([0, 1, 2, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]),
+    pools=st.lists(COLUMN_POOLS, max_size=5),
+)
+def test_csv_writer_spells_every_cell_as_format_cell(rows, pools):
+    columns = [(f"c{j}", [pool[i % len(pool)] for i in range(rows)]) for j, pool in enumerate(pools)]
+    table = Table("t", columns)
+    out = io.StringIO()
+    write_csv(table, out)
+    # lists of lines, so that a failure reports the first bad row without diffing the whole text
+    assert out.getvalue().split("\n") == reference_csv(table).split("\n")
+
+
+# sha256 of every file each argv writes, as a writer that spelled cell by cell
+# wrote them; the trig tables hold signed inf, -0, empty cells and bools, exp
+# holds status strings
+PINNED_CSV = [
+    (
+        ["well", "--points", "2000", "--levels", "1,3", "--sigma", "0.3", "--out", "well"],
+        {
+            "well_spectrum.csv": "1ea2a98c99e2a2ae6307cb0567dcba4d4adef9b76a001a9f785057cdb7b68488",
+            "well_wavefunction_left_n1.csv": "62dbd5143cf6ee7f5e386536377d7bc42334b1fc5c3edbe9632054fc2a085c7e",
+            "well_wavefunction_left_n3.csv": "1bbcebc08e993316cbe10229253634c918f4152701720cc097ca28e1695f970b",
+            "well_wavefunction_right_n1.csv": "11ee9b53128f8bda22fcd944813a695f986bb275c2c2337834070a88c3c42e52",
+            "well_wavefunction_right_n3.csv": "c795f5ce4c18173206459acc52d4ac6f8aa66da7a4c01c2e78af1d001c4f4bf0",
+            "well_wavefunction_symmetric_n1.csv": "ee8a5577d73c24dbd33f10b0b6a8dddd8e8274e6b055fd8dd5423d07fd2315ff",
+            "well_wavefunction_symmetric_n3.csv": "cb66e53d6aabb74645cdd2e5d42a91f709abf335049af6f4f76d6029b0e803a5",
+        },
+    ),
+    (
+        ["polys", "--n", "0,2,7", "--sigma", "0.2", "--window=-500:500", "--out", "polys.csv"],
+        {
+            "polys.csv": "d3af9816ebf3ae97e118f735495c890c0068a3f006cdddb7f54eda60b214e204",
+        },
+    ),
+    (
+        ["trig", "--l", "8", "--window=-3000:3000", "--out", "trig"],
+        {
+            "trig_samples.csv": "3fccc8681cd0f0d8495f831e5ee98a5cdee26ddc37787376deb0a300c98b3c9f",
+            "trig_wave_parameters.csv": "04b414f01a0363234e6a447afccc365888e984b2060fedddcf958114efe498cc",
+        },
+    ),
+    (
+        ["exp", "--k", "2", "--sigma", "0.1", "--window=-20:20", "--out", "exp.csv"],
+        {
+            "exp.csv": "5c075b6c312b5ab163da87ba448682eaa586f50175126789a14107fdf7e04f38",
+        },
+    ),
+    (
+        ["bounds", "--out", "bounds.csv"],
+        {
+            "bounds.csv": "017546af7b9c215fc0118d72c9cfafb8d4c37f74b1312c7be51da915c6ff1099",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digests", PINNED_CSV, ids=[argv[0] for argv, _ in PINNED_CSV])
+def test_csv_output_bytes_are_pinned(capsys, tmp_path, argv, digests):
+    code, _, err = run(capsys, *argv[:-1], str(tmp_path / argv[-1]))
+    assert code == 0, err
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()} == digests
 
 
 class TestTableIO:

@@ -340,10 +340,21 @@ class TestWaveRelations:
         assert WaveSpec.from_points(symmetric(1), 4).is_minimal
         assert WaveSpec.from_momentum(right(0.5), 2.0).is_minimal
 
+    @pytest.mark.parametrize("factory,lmin", [(symmetric, 4), (right, 8), (left, 8)])
+    def test_wave_spec_accepts_the_minimal_wave_at_every_spacing(self, factory, lmin):
+        # (1/sigma) sigma rounds to 0.9999999999999999 for 112 symmetric spacings here,
+        # which asin turned into a 1e-8 disagreement
+        for s in range(1, 1001):
+            assert WaveSpec.from_points(factory(s / 7), lmin).is_minimal
+
     def test_wave_spec_rejects_inconsistent_fields(self):
         c = symmetric(1)
         with pytest.raises(ValueError):
             WaveSpec(c, 0.5, 12, 13.0)
+        with pytest.raises(ValueError):
+            WaveSpec(c, 0.5, 13, 13.0)
+        with pytest.raises(ValueError):
+            WaveSpec(c, 0.5 * (1 + 1e-9), 12, 12.0)
         with pytest.raises(DomainError):
             WaveSpec.from_momentum(c, 1.5)
 

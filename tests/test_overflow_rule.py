@@ -18,14 +18,14 @@ ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 SIGMAS = (1e-3, 5e-4, 2e-3, 0.01, 0.3, 1.0, 3.0)
 
 
-def assert_rounded_once(value, exact):
-    """value is float(exact): the same inf or zero with its sign, else within 1e-10 (or one subnormal step)."""
+def assert_rounded_once(value, exact, rel=1e-10):
+    """value is float(exact): the same inf or zero with its sign, else within rel (or one subnormal step)."""
     want = float(exact)
     assert math.copysign(1.0, value) == math.copysign(1.0, want), (value, want)
     if math.isinf(want) or want == 0:
         assert value == want, (value, want)
     else:
-        assert abs(value - want) <= 1e-10 * abs(want) + 2**-1074, (value, want)
+        assert abs(value - want) <= rel * abs(want) + 2**-1074, (value, want)
 
 
 def past_the_range(x) -> bool:
@@ -84,6 +84,19 @@ def test_umbral_exp_is_rounded_once(kind, sigma, ks, m):
         base_is_zero = (kind is Kind.RIGHT and ks == -1) or (kind is Kind.LEFT and ks == 1)
         assume(not (base_is_zero and (m < 0 if kind is Kind.RIGHT else m > 0)))
         assert_rounded_once(umbral_exp(Correspondence(kind, sigma), k, m), closed_exp(kind, mpmath.mpf(ks), m))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(1.0, -1e4, -3)  # ks + sqrt(ks^2 + 1) cancelled: 4e-8 relative error
+@example(1.0, -1e8, 1)  # read as 0
+@example(1.0, -1e8, -1)  # 0 raised to a negative power
+@given(sigma=st.sampled_from(SIGMAS), ks=st.floats(-3, 8).map(lambda e: -(10**e)), m=st.integers(-50, 50))
+def test_symmetric_exp_at_negative_k_sigma_does_not_cancel(sigma, ks, m):
+    k = ks / sigma
+    ks = k * sigma
+    with mpmath.workdps(50):
+        exact = closed_exp(Kind.SYMMETRIC, mpmath.mpf(ks), m)
+        assert_rounded_once(umbral_exp(Correspondence(Kind.SYMMETRIC, sigma), k, m), exact, rel=1e-13)
 
 
 # |k sigma| from where some |m| <= 9000 leaves the range; symmetric e(ik) is
