@@ -469,7 +469,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
                     [
                         ("m", ms),
                         ("x", [m * cfg.sigma for m in ms]),
-                        ("psi", list(wf.samples)),
+                        ("psi", wf.values),
                     ],
                 )
             )

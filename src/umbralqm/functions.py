@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .correspondences import SummationStatus, exponential_series_exact
@@ -55,7 +56,9 @@ def umbral_exp(c: Correspondence, k, m: int):
     Symmetric: (k sigma + sqrt((k sigma)^2 + 1))^m with the principal root.
     A value past the double range is its correctly signed inf; a complex
     power that overflows gives each part as r cos(phi) or r sin(phi) from
-    log r and phi, so a part within the range stays finite.
+    log r and phi, so a part within the range stays finite. An imaginary base
+    i b (symmetric, k sigma = iy with |y| > 1) whose power leaves the normal
+    range is i^n b^n, exact in its zero part.
     """
     m = int(m)
     base, s = _closed_base(c.kind, k * c.sigma_float())
@@ -67,11 +70,18 @@ def umbral_exp(c: Correspondence, k, m: int):
     if not isinstance(base, complex):
         return _power(base, expo)
     try:
-        return base**expo
-    except OverflowError:
-        log_r, phi = expo * math.log(abs(base)), expo * cmath.phase(base)
-        parts = (math.cos(phi), math.sin(phi))
-        return complex(*(_signed_exp(t, log_r + math.log(abs(t))) if t else t for t in parts))
+        z = base**expo
+        # a finite power of an imaginary base below the normal range may be an intermediate's 1/inf
+        if cmath.isfinite(z) and not (base.real == 0 and abs(z) < sys.float_info.min):
+            return z
+    except (OverflowError, ZeroDivisionError):
+        pass
+    if base.real == 0:
+        b = _power(base.imag, expo)
+        return (complex(b, 0.0), complex(0.0, b), complex(-b, 0.0), complex(0.0, -b))[expo % 4]
+    log_r, phi = expo * math.log(abs(base)), expo * cmath.phase(base)
+    parts = (math.cos(phi), math.sin(phi))
+    return complex(*(_signed_exp(t, log_r + math.log(abs(t))) if t else t for t in parts))
 
 
 def umbral_exp_series(
@@ -181,13 +191,18 @@ class WaveSpec:
         s = self.k * sigma
         if not 0 < s <= 1:
             raise DomainError("discrete waves require 0 < k sigma <= 1")
-        if abs(self.wavelength - self.points_per_wavelength * sigma) > 1e-10 * self.wavelength:
+        if self.points_per_wavelength == math.inf:  # the count past the double range, as lambda/sigma must be
+            disagree = self.wavelength / sigma < math.inf
+        else:
+            disagree = abs(self.wavelength - self.points_per_wavelength * sigma) > 1e-10 * self.wavelength
+        if disagree:
             raise ValueError("wavelength and point count disagree")
         # the rule, not its inverse: asin near k sigma = 1 magnifies one rounding of k sigma to 1e-8;
-        # a wavelength past the double range is inf and no longer fixes k
+        # a wavelength past the double range is inf and no longer fixes k; a subnormal
+        # sigma/lambda is rounded to the 2^-1074 grid, which 2 pi widens to 4 steps
         rule = lattice_dispersion(self.correspondence.kind)[0]
         theta = 2 * math.pi * (sigma / self.wavelength)
-        if self.wavelength < math.inf and abs(rule(theta) - s) > 1e-10 * s:
+        if self.wavelength < math.inf and abs(rule(theta) - s) > 1e-10 * s + 2.0**-1071:
             raise ValueError("momentum and wavelength disagree for this correspondence")
 
     @property

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .correspondences import _to_float
 from .functions import DiscreteFunction, DomainError, _power, lattice_dispersion, umbral_exp, umbral_trig
-from .operators import Correspondence, Kind
+from .operators import Correspondence, DeltaOperator, Kind
 
 HBAR_JS = 1.054571817e-34  # CODATA 2018
 EV_J = 1.602176634e-19  # exact
@@ -136,33 +136,30 @@ class PlaneWaveState:
         return DiscreteFunction(self.correspondence.sigma_float(), lo, values)
 
 
-_STEP_SHRINK = {Kind.RIGHT: (0, 1), Kind.LEFT: (1, 0), Kind.SYMMETRIC: (1, 1)}
-
-
 def lattice_delta(c: Correspondence, f: DiscreteFunction) -> DiscreteFunction:
-    """Apply the difference operator to lattice samples; the window shrinks by the stencil."""
-    if abs(f.sigma - c.sigma_float()) > 1e-12 * c.sigma_float():
-        raise ValueError("sample spacing does not match the correspondence")
-    lo_cut, hi_cut = _STEP_SHRINK[c.kind]
-    lo, hi = f.m_min + lo_cut, f.m_max - hi_cut
-    if lo > hi:
-        raise WindowTooSmallError("window too small for one difference step")
+    """Apply the difference operator to lattice samples; the window shrinks by the stencil.
+
+    Every correspondence's delta is (T^hi - T^lo)/(N sigma) (`DeltaOperator`),
+    so the value at m is (f(m + hi) - f(m + lo))/(N sigma) on the points where
+    both samples exist.
+    """
     s = c.sigma_float()
-    values = []
-    for m in range(lo, hi + 1):
-        if c.kind is Kind.RIGHT:
-            values.append((f.value(m + 1) - f.value(m)) / s)
-        elif c.kind is Kind.LEFT:
-            values.append((f.value(m) - f.value(m - 1)) / s)
-        else:
-            values.append((f.value(m + 1) - f.value(m - 1)) / (2 * s))
-    return DiscreteFunction(f.sigma, lo, values)
+    if not abs(f.sigma - s) <= 1e-12 * s:
+        raise ValueError("sample spacing does not match the correspondence")
+    d = DeltaOperator.for_correspondence(c)
+    lo, hi = min(d.terms), max(d.terms)
+    if len(f.values) <= hi - lo:
+        raise WindowTooSmallError("window too small for one difference step")
+    step = d.normalizer * s
+    values = [(a - b) / step for a, b in zip(f.values[hi - lo :], f.values)]
+    return DiscreteFunction(f.sigma, f.m_min - lo, values)
 
 
 def apply_hamiltonian(c: Correspondence, V0: float, psi: DiscreteFunction) -> DiscreteFunction:
     """Apply H = -delta^2 + V0 to the samples; result lives on the interior window."""
     second = lattice_delta(c, lattice_delta(c, psi))
-    values = [-second.value(m) + V0 * psi.value(m) for m in second.indices()]
+    inner = psi.values[second.m_min - psi.m_min :]
+    values = [-d2 + V0 * v for d2, v in zip(second.values, inner)]
     return DiscreteFunction(psi.sigma, second.m_min, values)
 
 
@@ -233,36 +230,8 @@ def well_momentum(c: Correspondence, M: int, n: int) -> float:
     return lattice_dispersion(c.kind)[0](math.pi * n / M) / c.sigma_float()
 
 
-@dataclass(frozen=True)
-class WaveFunctionTable:
-    """Discrete well eigenfunction sampled on m = 0..M, with boundary diagnostics."""
-
-    kind: Kind
-    M: int
-    n: int
-    sigma: float
-    samples: tuple[float, ...]
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.samples)
-
-    @property
-    def argmax_m(self) -> int:
-        values = [abs(v) for v in self.samples]
-        return values.index(max(values))
-
-    @property
-    def boundary_residual_left(self) -> float:
-        return abs(self.samples[0])
-
-    @property
-    def boundary_residual_right(self) -> float:
-        return abs(self.samples[-1])
-
-
-def infinite_well_wavefunction(c: Correspondence, M: int, n: int) -> WaveFunctionTable:
-    """Discrete sine eigenfunction of level n on the well of M points.
+def infinite_well_wavefunction(c: Correspondence, M: int, n: int) -> DiscreteFunction:
+    """Discrete sine eigenfunction of level n on the well of M points, sampled on m = 0..M.
 
     Raises NonPhysicalStateError on the right/left tan pole (n = M/2) and
     DomainError for levels whose momentum exceeds the convergence boundary
@@ -271,8 +240,7 @@ def infinite_well_wavefunction(c: Correspondence, M: int, n: int) -> WaveFunctio
     if M < 2:
         raise ValueError("M must be >= 2")
     k = well_momentum(c, M, n)
-    samples = tuple(umbral_trig(c, k, m, "sin") for m in range(M + 1))
-    return WaveFunctionTable(c.kind, M, n, c.sigma_float(), samples)
+    return DiscreteFunction(c.sigma_float(), 0, [umbral_trig(c, k, m, "sin") for m in range(M + 1)])
 
 
 def well_state_count(c: Correspondence, M: int) -> tuple[int, int, int]:

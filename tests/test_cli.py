@@ -71,6 +71,7 @@ def cli_argvs(draw):
 @example(["bounds", "--sigma-m=1e-170"])  # sigma^2 underflowed: a division by zero
 @example(["well", "--points=8", "--sigma=1e-300"])  # k^2 overflowed in the spectrum
 @example(["trig", "--l=4", "--sigma=107", "--corr=symmetric", "--window=0:1"])  # asin(k sigma) near 1
+@example(["trig", "--k=1e-170", "--sigma=1e-140", "--window=0:1"])  # lambda/sigma overflowed: inf points
 @given(argv=cli_argvs())
 def test_random_and_non_finite_numbers_exit_0_or_2(argv):
     err = io.StringIO()

@@ -347,6 +347,15 @@ class TestWaveRelations:
         for s in range(1, 1001):
             assert WaveSpec.from_points(factory(s / 7), lmin).is_minimal
 
+    @pytest.mark.parametrize("factory", [symmetric, right, left])
+    @pytest.mark.parametrize("ks", [1e-310, 1e-320])
+    def test_wave_spec_accepts_a_point_count_past_the_double_range(self, factory, ks):
+        # lambda/sigma = 2 pi/(k sigma) overflows; so must the point count, which was checked as inf * sigma
+        for sigma in (1.0, 1e-140, 1e-300, 1e-5):
+            wave = WaveSpec.from_momentum(factory(sigma), ks / sigma)
+            assert wave.points_per_wavelength == math.inf
+            assert wave.wavelength / sigma == math.inf
+
     def test_wave_spec_rejects_inconsistent_fields(self):
         c = symmetric(1)
         with pytest.raises(ValueError):

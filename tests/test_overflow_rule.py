@@ -99,6 +99,50 @@ def test_symmetric_exp_at_negative_k_sigma_does_not_cancel(sigma, ks, m):
         assert_rounded_once(umbral_exp(Correspondence(Kind.SYMMETRIC, sigma), k, m), exact, rel=1e-13)
 
 
+def symmetric_base(ks):
+    """ks + root at an mpmath ks: root = sqrt(ks^2 + 1) > 0 for real ks, i sqrt(y^2 - 1) for ks = iy.
+
+    (ks + root)(root - ks) = 1, so the form that adds is taken: 50 digits do
+    not survive the cancellation of ks + root at ks = -1e200.
+    """
+    y = ks.imag
+    root = mpmath.mpc(0, mpmath.sqrt(y * y - 1)) if y else mpmath.sqrt(ks * ks + 1)
+    return ks + root if (ks * mpmath.conj(root)).real >= 0 else 1 / (root - ks)
+
+
+HUGE = st.floats(153, 300).map(lambda e: 10**e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(1e200, 1)  # ks^2 overflowed: inf
+@example(-1e200, 1)  # read as 0.0
+@example(-1e200, -1)  # 0 raised to a negative power
+@example(1e200j, 1)  # infj
+@example(-1e4j, 1)  # ks + root cancelled: 8.6e-9 relative error
+@example(-1e8j, 1)  # read as 0
+@example(1e160j, -2)  # the power's intermediate overflowed: 0 for -2.5e-321
+@given(
+    ks=st.one_of(
+        HUGE,
+        HUGE.map(lambda x: -x),
+        HUGE.map(lambda y: complex(0, y)),
+        HUGE.map(lambda y: complex(0, -y)),
+        st.floats(math.log10(1.5), 8).map(lambda e: complex(0, -(10**e))),
+    ),
+    m=st.integers(-3, 3),
+)
+def test_symmetric_exp_base_neither_overflows_nor_cancels(ks, m):
+    with mpmath.workdps(50):
+        exact = symmetric_base(mpmath.mpmathify(ks)) ** m
+        value = umbral_exp(Correspondence(Kind.SYMMETRIC, 1.0), ks, m)
+        # the base is real or imaginary, so each part of the power is exactly 0 or its value
+        for part, exact_part in ((value.real, exact.real), (value.imag, exact.imag)):
+            if exact_part == 0:
+                assert part == 0, (value, exact)
+            else:
+                assert_rounded_once(part, exact_part, rel=1e-13)
+
+
 # |k sigma| from where some |m| <= 9000 leaves the range; symmetric e(ik) is
 # unimodular, so only right and left circular cells do
 TRIG_CELLS = st.one_of(

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbralqm import (
     Correspondence,
@@ -18,6 +20,7 @@ from umbralqm import (
     PlaneWaveState,
     WindowTooSmallError,
     apply_hamiltonian,
+    basic_polynomial_value,
     energy_bounds,
     energy_scale_ev,
     infinite_well_max_energy_log10,
@@ -123,10 +126,76 @@ class TestPlaneWaves:
         with pytest.raises(WindowTooSmallError):
             apply_hamiltonian(symmetric(1), 0.0, psi)
 
-    def test_spacing_mismatch_rejected(self):
-        psi = DiscreteFunction(0.5, 0, [1.0] * 9)
+    @pytest.mark.parametrize("spacing", [0.5, math.nan, math.inf])
+    def test_spacing_mismatch_rejected(self, spacing):
+        psi = DiscreteFunction(spacing, 0, [1.0] * 9)
         with pytest.raises(ValueError):
             lattice_delta(right(1), psi)
+
+
+def reference_delta(c, f):
+    """The difference step spelled per kind, sample by sample (an independent stencil)."""
+    s = c.sigma_float()
+    if not abs(f.sigma - s) <= 1e-12 * s:
+        raise ValueError("sample spacing does not match the correspondence")
+    lo_cut, hi_cut = {Kind.RIGHT: (0, 1), Kind.LEFT: (1, 0), Kind.SYMMETRIC: (1, 1)}[c.kind]
+    lo, hi = f.m_min + lo_cut, f.m_max - hi_cut
+    if lo > hi:
+        raise WindowTooSmallError("window too small for one difference step")
+    values = []
+    for m in range(lo, hi + 1):
+        if c.kind is Kind.RIGHT:
+            values.append((f.value(m + 1) - f.value(m)) / s)
+        elif c.kind is Kind.LEFT:
+            values.append((f.value(m) - f.value(m - 1)) / s)
+        else:
+            values.append((f.value(m + 1) - f.value(m - 1)) / (2 * s))
+    return DiscreteFunction(f.sigma, lo, values)
+
+
+def reference_hamiltonian(c, V0, psi):
+    second = reference_delta(c, reference_delta(c, psi))
+    return DiscreteFunction(psi.sigma, second.m_min, [-second.value(m) + V0 * psi.value(m) for m in second.indices()])
+
+
+def outcome(op, *args):
+    """repr of the result, or the exception type: two stencils agree iff the outcomes are equal."""
+    try:
+        return repr(op(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+STENCIL_SPACINGS = (1.0, 0.3, 1e-300, 1e300)
+SPECIAL_SAMPLES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -2.5e-310])
+SAMPLES = SPECIAL_SAMPLES | st.floats() | st.complex_numbers() | st.builds(complex, SPECIAL_SAMPLES, SPECIAL_SAMPLES)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    sigma=st.sampled_from(STENCIL_SPACINGS),
+    spacing=st.sampled_from(STENCIL_SPACINGS),
+    m_min=st.integers(-5, 5),
+    values=st.lists(SAMPLES, min_size=1, max_size=12),
+    v0=SPECIAL_SAMPLES | st.floats(),
+)
+def test_stencil_matches_the_per_kind_formulas(kind, sigma, spacing, m_min, values, v0):
+    # one spacing in four matches: the rest must raise on both sides
+    c, f = Correspondence(kind, sigma), DiscreteFunction(spacing, m_min, values)
+    assert outcome(lattice_delta, c, f) == outcome(reference_delta, c, f)
+    assert outcome(apply_hamiltonian, c, v0, f) == outcome(reference_hamiltonian, c, v0, f)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_lattice_delta_lowers_the_basic_samples_exactly(kind):
+    # delta B_n = n B_(n-1) on the lattice; at sigma = 1 and |m| <= 30 every sample is an integer below 2**53
+    c = Correspondence(kind, 1)
+    for n in range(1, 11):
+        f = DiscreteFunction(1.0, -30, [basic_polynomial_value(c, n, m) for m in range(-30, 31)])
+        assert max(f.moduli()) < 2**53
+        lowered = lattice_delta(c, f)
+        assert lowered.values == [n * basic_polynomial_value(c, n - 1, m) for m in lowered.indices()]
 
 
 class TestEnergyBounds:
@@ -237,8 +306,9 @@ class TestWellSpectrum:
 class TestWellWavefunctions:
     def test_symmetric_ground_state_is_a_pure_sine(self):
         wf = infinite_well_wavefunction(symmetric(1), 8, 1)
+        assert (wf.sigma, wf.window) == (1.0, (0, 8))
         for m in range(9):
-            assert abs(wf.samples[m] - math.sin(math.pi * m / 8)) <= 1e-12
+            assert abs(wf.values[m] - math.sin(math.pi * m / 8)) <= 1e-12
 
     def test_boundary_conditions(self):
         for kind in ALL_KINDS:
@@ -249,22 +319,22 @@ class TestWellWavefunctions:
                     if not lv.convergent:
                         continue
                     wf = infinite_well_wavefunction(c, M, lv.n)
-                    assert wf.boundary_residual_left <= 1e-10 * wf.max_abs
-                    assert wf.boundary_residual_right <= 1e-10 * wf.max_abs
+                    assert abs(wf.values[0]) <= 1e-10 * max(wf.moduli())
+                    assert abs(wf.values[-1]) <= 1e-10 * max(wf.moduli())
 
     def test_right_envelope_is_asymmetric(self):
         wf = infinite_well_wavefunction(right(1), 8, 1)
         # envelope: psi(M-m) = psi(m) * sec(pi/8)^(M-2m); the peak pair (4,5)
         # ties exactly, so asymmetry shows against the (3,5) mirror pair
-        assert abs(wf.samples[5]) > 1.1 * abs(wf.samples[3])
-        assert wf.argmax_m in (4, 5)
+        assert abs(wf.values[5]) > 1.1 * abs(wf.values[3])
+        assert wf.moduli().index(max(wf.moduli())) in (4, 5)
         mirrored = infinite_well_wavefunction(left(1), 8, 1)
-        assert abs(mirrored.samples[3]) > 1.1 * abs(mirrored.samples[5])
+        assert abs(mirrored.values[3]) > 1.1 * abs(mirrored.values[5])
 
     def test_symmetric_envelope_is_symmetric(self):
         wf = infinite_well_wavefunction(symmetric(1), 8, 1)
         for m in range(9):
-            assert abs(abs(wf.samples[m]) - abs(wf.samples[8 - m])) <= 1e-12
+            assert abs(abs(wf.values[m]) - abs(wf.values[8 - m])) <= 1e-12
 
     def test_non_physical_state_rejected(self):
         with pytest.raises(NonPhysicalStateError):
@@ -288,11 +358,10 @@ class TestWellWavefunctions:
         for lv in spec.levels:
             if not lv.convergent:
                 continue
-            wf = infinite_well_wavefunction(c, M, lv.n)
-            psi = DiscreteFunction(1.0, 0, list(wf.samples))
+            psi = infinite_well_wavefunction(c, M, lv.n)
             out = apply_hamiltonian(c, 0.0, psi)
             resid = max(abs(out.value(m) - lv.energy * psi.value(m)) for m in out.indices())
-            assert resid <= 1e-9 * wf.max_abs
+            assert resid <= 1e-9 * max(psi.moduli())
 
 
 class TestWellContinuum:
