@@ -3,7 +3,7 @@
 Tabulates basic polynomials, discrete exponentials and trigonometric
 functions, infinite-well spectra/wavefunctions and energy bounds as CSV or
 JSON. Data goes to stdout or --out; diagnostics go to stderr. Exit codes:
-0 success, 2 validation error, 1 internal error.
+0 success, 2 validation error or an unwritable --out, 1 internal error.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .schrodinger import (
     infinite_well_wavefunction,
 )
 
-_KINDS = {"right": Kind.RIGHT, "left": Kind.LEFT, "symmetric": Kind.SYMMETRIC}
-_CORR_CHOICES = ("right", "left", "symmetric", "all")
+_KINDS = {kind.value: kind for kind in Kind}
+_CORR_CHOICES = (*_KINDS, "all")
 _FORMAT_CHOICES = ("csv", "json")
 
 _DEFAULTS = {
@@ -269,41 +269,52 @@ def _tables_to_json(command: str, cfg: RunConfig, tables: list[Table]) -> dict:
     }
 
 
+def _write(path: str | None, writer) -> None:
+    """writer(stream) on the file at path, or on stdout without one; an unopenable path is a usage error."""
+    if not path:
+        writer(sys.stdout)
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    with handle:
+        writer(handle)
+
+
 def emit(command: str, cfg: RunConfig, tables: list[Table], multi_table: bool = False) -> int:
+    """One JSON document, one CSV file per table, or the first table as CSV plus a note naming the rest."""
     if cfg.fmt == "json":
         text = json.dumps(_tables_to_json(command, cfg, tables), indent=2) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    if len(tables) == 1 and not multi_table:
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as handle:
-                write_csv(tables[0], handle)
-        else:
-            write_csv(tables[0], sys.stdout)
-        return 0
-    if cfg.out:
+        _write(cfg.out, lambda stream: stream.write(text))
+    elif cfg.out and (multi_table or len(tables) > 1):
         for table in tables:
-            path = f"{cfg.out}_{table.name}.csv"
-            with open(path, "w", encoding="utf-8") as handle:
-                write_csv(table, handle)
-        return 0
-    write_csv(tables[0], sys.stdout)
-    if len(tables) > 1:
-        omitted = ", ".join(t.name for t in tables[1:])
-        print(
-            f"note: tables omitted on csv stdout ({omitted}); pass --out BASE or --format json",
-            file=sys.stderr,
-        )
+            _write(f"{cfg.out}_{table.name}.csv", partial(write_csv, table))
+    else:
+        _write(cfg.out, partial(write_csv, tables[0]))
+        if len(tables) > 1:
+            omitted = ", ".join(t.name for t in tables[1:])
+            print(
+                f"note: tables omitted on csv stdout ({omitted}); pass --out BASE or --format json",
+                file=sys.stderr,
+            )
     return 0
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _table(name: str, names: str, rows) -> Table:
+    """A Table with the space-separated column names, filled from an iterable of rows."""
+    columns = [(column, []) for column in names.split()]
+    appends = [values.append for _, values in columns]
+    for row in rows:
+        for append, cell in zip(appends, row):
+            append(cell)
+    return Table(name, columns)
+
+
+def _axis(sigma: float, lo: int, hi: int) -> tuple[list[int], list]:
+    """The lattice indices lo..hi, and the m and x = m sigma columns over them."""
+    ms = list(range(lo, hi + 1))
+    return ms, [("m", ms), ("x", [m * sigma for m in ms])]
 
 
 def _continuous(fn, x: float) -> float:
@@ -329,12 +340,10 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
     degrees = _parse_int_list(args.n, "--n")
     if not degrees:
-        return _fail("--n must list at least one degree")
+        raise ConfigError("--n must list at least one degree")
     if any(n < 0 for n in degrees):
-        return _fail("polynomial degrees must be >= 0")
-    lo, hi = cfg.window
-    ms = list(range(lo, hi + 1))
-    columns = [("m", ms), ("x", [m * cfg.sigma for m in ms])]
+        raise ConfigError("polynomial degrees must be >= 0")
+    ms, columns = _axis(cfg.sigma, *cfg.window)
     for n in degrees:
         columns.append((f"continuous_n{n}", [_power(m * cfg.sigma, n) for m in ms]))
     for kind in cfg.kinds:
@@ -349,112 +358,74 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
     k = args.k
     if not math.isfinite(k):
-        return _fail(f"--k must be finite, got {k!r}")
+        raise ConfigError(f"--k must be finite, got {k!r}")
     with_series = not args.no_series
     # the right kind's m < 0 branch diverges iff |k sigma| >= 1, read as the series reads it
     diverges = closed_form_status(Correspondence(Kind.RIGHT, cfg.sigma), k, -1) is SummationStatus.DIVERGED
     if diverges and with_series:
-        return _fail(
+        raise ConfigError(
             f"|k sigma| = {abs(k) * cfg.sigma:g} >= 1: the series diverges; "
             "pass --no-series for closed forms only"
         )
     if not with_series:
         print("note: series columns disabled, emitting closed forms only", file=sys.stderr)
-    lo, hi = cfg.window
-    ms = list(range(lo, hi + 1))
-    columns = [
-        ("m", ms),
-        ("x", [m * cfg.sigma for m in ms]),
-        ("continuous", [_continuous(math.exp, k * m * cfg.sigma) for m in ms]),
-    ]
+    ms, columns = _axis(cfg.sigma, *cfg.window)
+    columns.append(("continuous", [_continuous(math.exp, k * m * cfg.sigma) for m in ms]))
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
         name = kind.value
         columns.append((f"{name}_closed", [umbral_exp(c, k, m) for m in ms]))
         if with_series:
-            values, statuses = [], []
-            for m in ms:
-                v, st = umbral_exp_series(c, k, m, cfg.tol)
-                values.append(v)
-                statuses.append(st.value)
-            columns.append((f"{name}_series", values))
-            columns.append((f"{name}_status", statuses))
+            series = (umbral_exp_series(c, k, m, cfg.tol) for m in ms)
+            rows = ((value, status.value) for value, status in series)
+            columns += _table("", f"{name}_series {name}_status", rows).columns
     return emit("exp", cfg, [Table("exponential", columns)])
 
 
 def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
     which = args.which
-    lo, hi = cfg.window
-    ms = list(range(lo, hi + 1))
-    waves = []
-    for kind in cfg.kinds:
-        c = Correspondence(kind, cfg.sigma)
-        if args.l is not None:
-            waves.append(WaveSpec.from_points(c, args.l))
-        else:
-            waves.append(WaveSpec.from_momentum(c, args.k))
-    samples = [("m", ms), ("x", [m * cfg.sigma for m in ms])]
+    wave_of, given = (WaveSpec.from_points, args.l) if args.l is not None else (WaveSpec.from_momentum, args.k)
+    waves = [wave_of(Correspondence(kind, cfg.sigma), given) for kind in cfg.kinds]
+    ms, samples = _axis(cfg.sigma, *cfg.window)
     continuous = _CONTINUOUS[which]
     for wave in waves:
         c, k = wave.correspondence, wave.k
         samples.append((f"{c.kind.value}_{which}", [umbral_trig(c, k, m, which) for m in ms]))
         samples.append((f"{c.kind.value}_continuous", [_continuous(continuous, k * m * cfg.sigma) for m in ms]))
-    parameters = [
-        ("correspondence", [w.correspondence.kind.value for w in waves]),
-        ("k", [w.k for w in waves]),
-        ("k_sigma", [w.k * cfg.sigma for w in waves]),
-        ("lambda", [w.wavelength for w in waves]),
-        ("points_per_wavelength", [w.points_per_wavelength for w in waves]),
-        ("is_minimal", [w.is_minimal for w in waves]),
-        ("amplitude_factor_per_period", [
-            None if w.correspondence.kind is Kind.SYMMETRIC else amplitude_growth(w.points_per_wavelength, 1)
-            for w in waves
-        ]),
-    ]
-    tables = [Table("samples", samples), Table("wave_parameters", parameters)]
-    return emit("trig", cfg, tables, multi_table=True)
+    rows = (
+        (w.correspondence.kind.value, w.k, w.k * cfg.sigma, w.wavelength, w.points_per_wavelength, w.is_minimal,
+         None if w.correspondence.kind is Kind.SYMMETRIC else amplitude_growth(w.points_per_wavelength, 1))
+        for w in waves
+    )
+    names = "correspondence k k_sigma lambda points_per_wavelength is_minimal amplitude_factor_per_period"
+    parameters = _table("wave_parameters", names, rows)
+    return emit("trig", cfg, [Table("samples", samples), parameters], multi_table=True)
 
 
 def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
     M = args.points
     if M < 2:
-        return _fail("--points must be >= 2")
+        raise ConfigError("--points must be >= 2")
     levels = _parse_int_list(args.levels, "--levels") if args.levels else []
     for n in levels:
         if not 1 <= n <= M - 1:
-            return _fail(f"level {n} outside [1, {M - 1}]")
+            raise ConfigError(f"level {n} outside [1, {M - 1}]")
 
-    spectrum_cols = {
-        "correspondence": [],
-        "n": [],
-        "k": [],
-        "energy": [],
-        "physical": [],
-        "convergent": [],
-        "degenerate_with": [],
-        "energy_continuous": [],
-    }
-    for kind in cfg.kinds:
-        c = Correspondence(kind, cfg.sigma)
-        spec = infinite_well_spectrum(c, M)
-        for lv in spec.levels:
-            spectrum_cols["correspondence"].append(kind.value)
-            spectrum_cols["n"].append(lv.n)
-            spectrum_cols["k"].append(lv.momentum)
-            spectrum_cols["energy"].append(lv.energy)
-            spectrum_cols["physical"].append(lv.physical)
-            spectrum_cols["convergent"].append(lv.convergent)
-            spectrum_cols["degenerate_with"].append(M - lv.n)
-            spectrum_cols["energy_continuous"].append(_power(lv.n * math.pi / (M * cfg.sigma), 2))
-    tables = [Table("spectrum", [(k, v) for k, v in spectrum_cols.items()])]
-
+    rows = (
+        (kind.value, lv.n, lv.momentum, lv.energy, lv.physical, lv.convergent, M - lv.n,
+         _power(lv.n * math.pi / (M * cfg.sigma), 2))
+        for kind in cfg.kinds
+        for lv in infinite_well_spectrum(Correspondence(kind, cfg.sigma), M).levels
+    )
+    names = "correspondence n k energy physical convergent degenerate_with energy_continuous"
+    tables = [_table("spectrum", names, rows)]
+    if levels:
+        _, axis = _axis(cfg.sigma, 0, M)
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
         for n in levels:
             try:
                 wf = infinite_well_wavefunction(c, M, n)
-            except NonPhysicalStateError as exc:
-                return _fail(str(exc))
             except DomainError:
                 print(
                     f"note: skipping {kind.value} level {n}: momentum beyond the "
@@ -462,17 +433,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 continue
-            ms = list(range(M + 1))
-            tables.append(
-                Table(
-                    f"wavefunction_{kind.value}_n{n}",
-                    [
-                        ("m", ms),
-                        ("x", [m * cfg.sigma for m in ms]),
-                        ("psi", wf.values),
-                    ],
-                )
-            )
+            tables.append(Table(f"wavefunction_{kind.value}_n{n}", [*axis, ("psi", wf.values)]))
     return emit("well", cfg, tables, multi_table=True)
 
 
@@ -481,20 +442,18 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     _positive("--tau-s", args.tau_s)
     if args.particle == "custom":
         if args.mass is None:
-            return _fail("--particle custom requires a positive --mass in kg")
+            raise ConfigError("--particle custom requires a positive --mass in kg")
         particles = [("custom", _positive("--mass", args.mass))]
     else:
         known = (("electron", ELECTRON_MASS_KG), ("proton", PROTON_MASS_KG))
         particles = [(name, mass) for name, mass in known if args.particle in (name, "both")]
-    columns = {name: [] for name in ("particle", "mass_kg", "e_max_time_ev", "e_max_space_ev", "e_binding_ev")}
-    for name, mass in particles:
-        bounds = energy_bounds(PhysicalUnits(mass=mass, sigma_m=args.sigma_m, tau_s=args.tau_s))
-        columns["particle"].append(name)
-        columns["mass_kg"].append(mass)
-        columns["e_max_time_ev"].append(bounds.e_max_time_ev)
-        columns["e_max_space_ev"].append(bounds.e_max_space_ev)
-        columns["e_binding_ev"].append(bounds.binding_ev)
-    return emit("bounds", cfg, [Table("bounds", [(k, v) for k, v in columns.items()])])
+    rows = (
+        (name, mass, b.e_max_time_ev, b.e_max_space_ev, b.binding_ev)
+        for name, mass in particles
+        for b in [energy_bounds(PhysicalUnits(mass=mass, sigma_m=args.sigma_m, tau_s=args.tau_s))]
+    )
+    table = _table("bounds", "particle mass_kg e_max_time_ev e_max_space_ev e_binding_ev", rows)
+    return emit("bounds", cfg, [table])
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=float, help="momentum")
     group.add_argument("--l", type=float, help="points per wavelength")
-    p.add_argument("--which", choices=("sin", "cos", "sinh", "cosh"), default="sin")
+    p.add_argument("--which", choices=tuple(_CONTINUOUS), default="sin")
     p.set_defaults(func=cmd_trig)
 
     p = add("well", help="infinite-well spectrum and wavefunctions")
@@ -589,7 +548,8 @@ def main(argv=None) -> int:
         WindowTooSmallError,
         InvalidDeltaError,
     ) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 1
     except Exception as exc:  # pragma: no cover

@@ -186,7 +186,12 @@ class WellSpectrum:
         return [(lv.n, self.M - lv.n) for lv in self.levels]
 
     def energy_of(self, n: int) -> float:
-        """Energy of level n for 1 <= n <= M-1; n and M-n are parity partners."""
+        """Energy of level n for 1 <= n <= M-1, folded onto min(n, M-n).
+
+        Level M-n has level n's energy. For right/left it is the same state,
+        psi_(M-n) = -psi_n; for symmetric it is the lattice doubler
+        (-1)^(m+1) psi_n, which infinite_well_wavefunction does not return yet.
+        """
         if not 1 <= n <= self.M - 1:
             raise ValueError("n must lie in [1, M-1]")
         folded = min(n, self.M - n)

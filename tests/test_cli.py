@@ -171,6 +171,94 @@ def test_csv_output_bytes_are_pinned(capsys, tmp_path, argv, digests):
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()} == digests
 
 
+# sha256 of stdout and of the files each argv writes, run in an empty working
+# directory (a JSON document records --out as given), and its exact stderr:
+# JSON on stdout and to a file, a single CSV table on stdout, a multi-table
+# command on CSV stdout with its note, and a multi-table command that has one table
+PINNED_STREAMS = [
+    (
+        ["exp", "--k", "2", "--sigma", "0.1", "--window=-20:20", "--format", "json"],
+        "5e67b55f6b14fe58dc95e2d0323cdf584a1134d15c477296f32bc69d2d04fc6e",
+        "",
+        {},
+    ),
+    (
+        ["well", "--points", "16", "--levels", "1,15", "--format", "json"],
+        "0662a7ea7a8f5441e5867e35c408f62b6fa75bd07c7ecb6218cf6ec42582af9e",
+        "",
+        {},
+    ),
+    (
+        ["polys", "--n", "2", "--window=-3:3"],
+        "fd742894afa964b8d98ac837e8266a2a7e2415165d9bb71c778e2f442d9b33b8",
+        "",
+        {},
+    ),
+    (
+        ["trig", "--l", "8", "--window=-3:3"],
+        "33c0f75268c6299b1bc429c331a94d324c18b90cb87b071277bc1bacaee876b8",
+        "note: tables omitted on csv stdout (wave_parameters); pass --out BASE or --format json\n",
+        {},
+    ),
+    (
+        ["exp", "--k", "0.5", "--format", "json", "--out", "e.json"],
+        hashlib.sha256(b"").hexdigest(),
+        "",
+        {"e.json": "b56176d2cb62c3e12c78eb55544f364d27588e2d185e0d7faa3b1fc066e4c38b"},
+    ),
+    (
+        ["well", "--points", "6", "--out", "base"],
+        hashlib.sha256(b"").hexdigest(),
+        "",
+        {"base_spectrum.csv": "e607a8fd4745a672a813c53bbcdcdfff0ca0ea40d5a635a6819f14e8343e1885"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stdout_digest,stderr,digests", PINNED_STREAMS, ids=[" ".join(argv) for argv, *_ in PINNED_STREAMS]
+)
+def test_stdout_and_json_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv, stdout_digest, stderr, digests):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert err == stderr
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()} == digests
+
+
+# one command per output shape, with the path it opens first for a given --out
+UNWRITABLE_OUT = [
+    (["polys", "--n", "1", "--window=0:2"], ""),
+    (["well", "--points", "8", "--levels", "1"], "_spectrum.csv"),
+    (["bounds", "--format", "json"], ""),
+]
+
+
+@pytest.mark.parametrize("argv,suffix", UNWRITABLE_OUT, ids=[argv[0] for argv, _ in UNWRITABLE_OUT])
+@pytest.mark.parametrize("blocker", ["missing directory", "existing directory"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, suffix, blocker):
+    if blocker == "missing directory":
+        base = tmp_path / "missing" / "out"
+    else:
+        base = tmp_path / "out"
+        (tmp_path / f"out{suffix}").mkdir()
+    code, out, err = run(capsys, *argv, "--out", str(base))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {base}{suffix}: ")
+    assert "internal error" not in err
+
+
+def test_broken_stdout_pipe_stays_exit_1(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["polys", "--n", "1", "--window=0:2"]) == 1
+
+
 class TestTableIO:
     def test_csv_round_trip_is_byte_identical(self):
         table = Table(
