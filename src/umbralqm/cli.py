@@ -282,14 +282,32 @@ def _write(path: str | None, writer) -> None:
         writer(handle)
 
 
+def _claim(paths: list[str]) -> None:
+    """Open every path for writing without truncating it; on a failure remove the files this call created."""
+    created = []
+    try:
+        for path in paths:
+            try:
+                open(path, "x", encoding="utf-8").close()
+                created.append(path)
+            except FileExistsError:
+                open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        for made in created:
+            os.remove(made)
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def emit(command: str, cfg: RunConfig, tables: list[Table], multi_table: bool = False) -> int:
     """One JSON document, one CSV file per table, or the first table as CSV plus a note naming the rest."""
     if cfg.fmt == "json":
         text = json.dumps(_tables_to_json(command, cfg, tables), indent=2) + "\n"
         _write(cfg.out, lambda stream: stream.write(text))
     elif cfg.out and (multi_table or len(tables) > 1):
-        for table in tables:
-            _write(f"{cfg.out}_{table.name}.csv", partial(write_csv, table))
+        paths = [f"{cfg.out}_{table.name}.csv" for table in tables]
+        _claim(paths)
+        for path, table in zip(paths, tables):
+            _write(path, partial(write_csv, table))
     else:
         _write(cfg.out, partial(write_csv, tables[0]))
         if len(tables) > 1:

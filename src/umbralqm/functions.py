@@ -141,7 +141,7 @@ def wavelength_to_momentum(c: Correspondence, l: float) -> float:
     boundary wave; anything shorter is rejected.
     """
     lmin = _MIN_POINTS[c.kind]
-    if l < lmin:
+    if not l >= lmin:
         raise DomainError(f"need at least {lmin:g} points per wavelength")
     return lattice_dispersion(c.kind)[0](2 * math.pi / l) / c.sigma_float()
 
@@ -158,23 +158,21 @@ def momentum_to_wavelength(c: Correspondence, k: float) -> float:
 
 def amplitude_growth(l: float, n: int) -> float:
     """Envelope factor sec(2 pi / l)^(l n) of right/left waves after n periods."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError("n must be >= 0")
-    if l <= 4:
+    if not l > 4:
         raise DomainError("growth factor is defined for l > 4")
-    cos_val = math.cos(2 * math.pi / l)
-    if cos_val == 0:
-        raise DomainError("secant pole")
-    return _power(1.0 / cos_val, l * n)
+    return _power(1.0 / math.cos(2 * math.pi / l), l * n)
 
 
 def amplitude_growth_log(l: float, n: int) -> float:
     """Natural log of amplitude_growth, for point counts far past the double range."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError("n must be >= 0")
-    if l <= 4:
+    if not l > 4:
         raise DomainError("growth factor is defined for l > 4")
-    return -l * n * math.log(math.cos(2 * math.pi / l))
+    log_cos = math.log(math.cos(2 * math.pi / l))
+    return -l * n * log_cos if log_cos else 0.0  # growth 1.0, also at l = inf where l * 0 is nan
 
 
 @dataclass(frozen=True)

@@ -163,28 +163,23 @@ def pincherle_derivative(op: Operator, p: Polynomial) -> Polynomial:
     return op(p.times_x()) - op(p).times_x()
 
 
-def _invert_average(g: list, u: int) -> None:
-    # Solve ((T_u + T_{-u})/2) q = g in place. On coefficient vectors the
-    # averaging operator is unit upper triangular with integer entries
-    # C(i, j) u^(i-j) at even gaps i - j, so back-substitution from the top
-    # degree stays in integers.
-    deg, step = len(g) - 1, u * u
-    for j in range(deg - 2, -1, -1):
-        acc, power = g[j], 1
-        for i in range(j + 2, deg + 1, 2):
-            power *= step
-            acc -= g[i] * comb(i, j) * power
-        g[j] = acc
-
-
 def apply_beta(c: Correspondence, p: Polynomial) -> Polynomial:
-    """Apply the beta operator of the correspondence (inverse Pincherle derivative of delta)."""
-    s = c.sigma_exact()
-    if c.kind is Kind.RIGHT:
-        return p.shift(-s)
-    if c.kind is Kind.LEFT:
-        return p.shift(s)
-    return scaled_integer_map(p, s, _invert_average)
+    """Apply the beta operator: the inverse of the Pincherle derivative of c's delta.
+
+    On the integers of `scaled_integer_map` that derivative, sum_n (n a_n / N) T^(n sigma), is
+    the unit upper triangular C(i, j) u^(i-j) mu_(i-j). Its moments mu_k = sum_n n^(k+1) a_n / N
+    are integers (1 for right, (-1)^k for left, 1 at even k and 0 at odd k for symmetric), so
+    back-substitution from the top degree stays in integers.
+    """
+    d = DeltaOperator.for_correspondence(c)
+    terms = [(n, int(a)) for n, a in d.terms.items()]
+
+    def invert(g: list, u: int) -> None:
+        weights = [u**k * sum(n ** (k + 1) * a for n, a in terms) // d.normalizer for k in range(len(g))]
+        for j in range(len(g) - 2, -1, -1):  # u^k mu_k at gap k; rows above j are solved
+            g[j] -= sum(comb(i, j) * weights[i - j] * g[i] for i in range(j + 1, len(g)) if weights[i - j])
+
+    return scaled_integer_map(p, d.sigma, invert)
 
 
 def apply_xi(c: Correspondence, p: Polynomial) -> Polynomial:

@@ -1,31 +1,37 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficient vectors are tuples of `fractions.Fraction` indexed by degree, so
-every operator identity in this package can be checked with no rounding
-anywhere. The zero polynomial has degree -1 by convention, which keeps the
-degree bookkeeping of difference operators uniform.
+Coefficients, indexed by degree, are integers over one positive denominator in
+lowest terms, read as `fractions.Fraction`s through `coeffs`, so every operator
+identity in this package can be checked with no rounding anywhere. The zero
+polynomial has degree -1 by convention, which keeps degree bookkeeping uniform.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 
 
-def _frac(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _reduced(nums: list, den: int) -> "Polynomial":
+    """The polynomial sum_i nums[i] x^i / den, for den > 0: trimmed and reduced by one gcd."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    p = object.__new__(Polynomial)
+    p._num, p._den = (tuple(nums), den) if g == 1 else (tuple(n // g for n in nums), den // g)
+    return p
 
 
 class Polynomial:
     """Immutable polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+    def __new__(cls, coeffs=()):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -46,34 +52,30 @@ class Polynomial:
         return cls((0,) * degree + (coefficient,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self._den) for n in self._num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return not self._num
 
     def max_abs_coefficient(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+        return Fraction(max(map(abs, self._num), default=0), self._den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        den = lcm(self._den, other._den)
+        a = [n * (den // self._den) for n in self._num]
+        b = [n * (den // other._den) for n in other._num]
+        return _reduced([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _reduced([-n for n in self._num], self._den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -82,44 +84,47 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
+            out = [0] * (len(self._num) + len(other._num) - 1)
+            for i, a in enumerate(self._num):
                 if not a:
                     continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        scale = _frac(other)
-        return Polynomial(tuple(c * scale for c in self.coeffs))
+                for j, b in enumerate(other._num, i):
+                    out[j] += a * b
+            return _reduced(out, self._den * other._den)
+        scale = Fraction(other)
+        return _reduced([n * scale.numerator for n in self._num], self._den * scale.denominator)
 
     __rmul__ = __mul__
 
     def times_x(self) -> "Polynomial":
         """Multiply by the coordinate, i.e. apply the operator X."""
-        if self.is_zero:
-            return self
-        return Polynomial((Fraction(0),) + self.coeffs)
+        return _reduced([0, *self._num], self._den)
 
     def shift(self, s) -> "Polynomial":
         """Translate the argument: p(x) -> p(x + s), expanded exactly."""
         return scaled_integer_map(self, s, _taylor_shift)
 
     def __call__(self, point):
-        """Evaluate by Horner's rule; exact at rational points."""
-        acc = 0
-        for a in reversed(self.coeffs):
-            acc = acc * point + a
-        return acc
+        """Evaluate by Horner's rule; at an int or Fraction point, on the integers with one division."""
+        if not isinstance(point, (int, Fraction)) or self.is_zero:
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = acc * point + c
+            return acc
+        a, b = point.numerator, point.denominator
+        acc, power = self._num[-1], 1
+        for n in reversed(self._num[:-1]):
+            power *= b
+            acc = acc * a + n * power
+        return Fraction(acc, self._den * power)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
@@ -128,19 +133,18 @@ class Polynomial:
 def scaled_integer_map(p: Polynomial, s, kernel) -> Polynomial:
     """Apply an operator f(s d/dx) to p by running an integer kernel.
 
-    With D the common denominator of p's coefficients and s = u/v in lowest
-    terms, g(y) = D v^deg p(y/v) has integer coefficients and f(s d/dx) p
-    becomes f(u d/dy) g. `kernel(g, u)` rewrites the list g in place as that
-    image in integers, keeping the degree; only the output is gcd-reduced.
+    With p = sum_i n_i x^i / D and s = u/v in lowest terms, g(y) = D v^deg p(y/v)
+    has the integer coefficients n_i v^(deg-i), and f(s d/dx) p becomes
+    f(u d/dy) g. `kernel(g, u)` rewrites the list g in place as that image in
+    integers, keeping the degree; the output is reduced once.
     """
-    s = _frac(s)
+    s = Fraction(s)
     if p.is_zero or not s:
         return p
-    common = lcm(*(c.denominator for c in p.coeffs))
-    scales = [common * s.denominator ** (p.degree - i) for i in range(p.degree + 1)]
-    g = [c.numerator * (d // c.denominator) for c, d in zip(p.coeffs, scales)]
+    powers = [s.denominator**k for k in range(p.degree + 1)]
+    g = [n * w for n, w in zip(p._num, reversed(powers))]
     kernel(g, s.numerator)
-    return Polynomial([Fraction(h, d) for h, d in zip(g, scales)])
+    return _reduced([h * w for h, w in zip(g, powers)], p._den * powers[-1])
 
 
 def _taylor_shift(g: list, u: int) -> None:

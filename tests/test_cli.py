@@ -250,6 +250,21 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, suffix, blocker
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_multi_table_out_that_fails_writes_nothing(capsys, tmp_path, existing):
+    # the third of four tables cannot be opened; the first two must not be written either
+    (tmp_path / "w_wavefunction_left_n1.csv").mkdir()
+    if existing:
+        (tmp_path / "w_spectrum.csv").write_bytes(b"kept\n")
+    code, out, err = run(capsys, "well", "--points", "8", "--levels", "1", "--out", str(tmp_path / "w"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path / 'w_wavefunction_left_n1.csv'}: ")
+    left = {p.name for p in tmp_path.iterdir()}
+    assert left == {"w_wavefunction_left_n1.csv", *(["w_spectrum.csv"] if existing else [])}
+    if existing:
+        assert (tmp_path / "w_spectrum.csv").read_bytes() == b"kept\n"
+
+
 def test_broken_stdout_pipe_stays_exit_1(monkeypatch):
     class ClosedPipe(io.StringIO):
         def write(self, text):
@@ -284,6 +299,13 @@ class TestTableIO:
         second = io.StringIO()
         write_csv(parsed, second)
         assert first.getvalue() == second.getvalue()
+
+    @pytest.mark.parametrize(
+        "text, message", [("", "empty csv input"), ("\n\n", "empty csv input"), ("a,b\n1\n", "ragged csv row")]
+    )
+    def test_empty_or_ragged_input_is_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_csv(io.StringIO(text))
 
     def test_seventeen_digit_floats_round_trip(self):
         value = 0.1 + 0.2
@@ -332,6 +354,11 @@ class TestPolys:
     def test_bad_degree_list(self, capsys):
         code, _, _ = run(capsys, "polys", "--n", "2;3")
         assert code == 2
+
+    def test_empty_degree_list(self, capsys):
+        code, _, err = run(capsys, "polys", "--n", ",")
+        assert code == 2
+        assert err.startswith("error: --n must list at least one degree")
 
     def test_values_past_the_double_range_are_signed_inf(self, capsys):
         # 10^401 and 410!/9! (2e889) are past the range: right B_401(-10) = -(410!/9!), left B_401(10) = 410!/9!
@@ -606,6 +633,31 @@ class TestFormatsAndConfig:
         code, _, err = run(capsys, "polys", "--n", "1")
         assert code == 2
         assert "unknown key" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sigma = abc\n", "bad numeric configuration value: could not convert string to float: 'abc'"),
+            ("# setup\nsigma 0.5\n", "{path}:2: expected key = value"),
+            ("corr = up\n", "corr must be one of ('right', 'left', 'symmetric', 'all')"),
+            ("format = xml\n", "format must be one of ('csv', 'json')"),
+        ],
+    )
+    def test_bad_config_file_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch, text, message):
+        config = tmp_path / "umbralqm.conf"
+        config.write_text(text)
+        monkeypatch.setenv("UMBRALQM_CONFIG", str(config))
+        code, out, err = run(capsys, "polys", "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(path=config)}\n"
+
+    @pytest.mark.parametrize("target", ["missing.conf", "."])
+    def test_unreadable_config_file_is_a_usage_error(self, capsys, tmp_path, monkeypatch, target):
+        path = tmp_path / target
+        monkeypatch.setenv("UMBRALQM_CONFIG", str(path))
+        code, out, err = run(capsys, "polys", "--n", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {path}: ")
 
     @pytest.mark.parametrize("flag", ["sigma", "tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])

@@ -255,6 +255,15 @@ class TestUmbralTransform:
         # (1 + k sigma)^m with k sigma = -1: the |m| + 1 terms cancel exactly
         assert exponential_series_exact(c, k, m, 1e-12) == (0.0, SummationStatus.EXACT_CUTOFF)
 
+    @pytest.mark.parametrize(
+        "c, k, m",
+        [(right(0.9999999999999998), -1.0000000000000002, -3), (left(0.9999999999999998), 1.0000000000000002, 3)],
+    )
+    def test_k_sigma_inside_the_disk_that_rounds_to_the_pole_is_unsummed(self, c, k, m):
+        # |k sigma| < 1 exactly, but the double base 1 + k sigma (1 - k sigma) is 0
+        value, status = exponential_series_exact(c, k, m, 1e-12)
+        assert math.isnan(value) and status is SummationStatus.UNSUMMED
+
     def test_divergence_outside_the_disk(self):
         _, status = exponential_series_exact(right(1), 2, -1, 1e-12)
         assert status is SummationStatus.DIVERGED

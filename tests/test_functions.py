@@ -90,6 +90,10 @@ class TestUmbralExp:
         with pytest.raises(DomainError):
             umbral_exp(right(1), -1.0, -1)
 
+    def test_zero_base_non_negative_power(self):
+        assert umbral_exp(right(1.0), -1.0, 0) == 1.0
+        assert umbral_exp(right(1.0), -1.0, 3) == 0.0
+
     def test_complex_momentum_uses_principal_branch(self):
         value = umbral_exp(symmetric(1), 0.5j, 1)
         assert abs(value - (0.5j + cmath.sqrt(1 - 0.25))) < 1e-15
@@ -320,6 +324,8 @@ class TestWaveRelations:
             wavelength_to_momentum(symmetric(1), 3.9)
         with pytest.raises(DomainError):
             wavelength_to_momentum(right(1), 7.9)
+        with pytest.raises(DomainError):
+            wavelength_to_momentum(right(1), math.nan)
 
     def test_momentum_domain(self):
         with pytest.raises(DomainError):
@@ -391,6 +397,18 @@ class TestAmplitudeGrowth:
             amplitude_growth(4.0, 1)
         with pytest.raises(DomainError):
             amplitude_growth_log(3.0, 1)
+
+    @pytest.mark.parametrize("growth", [amplitude_growth, amplitude_growth_log])
+    def test_nan_is_rejected(self, growth):
+        with pytest.raises(DomainError):
+            growth(math.nan, 1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            growth(8, math.nan)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_infinite_wavelength_does_not_grow(self, n):
+        assert amplitude_growth(math.inf, n) == 1.0
+        assert repr(amplitude_growth_log(math.inf, n)) == "0.0"
 
 
 class TestAdditionLaws:

@@ -301,6 +301,13 @@ class TestWellSpectrum:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             infinite_well_spectrum(right(1), 1)
+        with pytest.raises(ValueError, match="M must be >= 2"):
+            infinite_well_wavefunction(right(1), 1, 1)
+
+    @pytest.mark.parametrize("n", [0, 8])
+    def test_energy_of_rejects_levels_outside_the_well(self, n):
+        with pytest.raises(ValueError, match=r"\[1, M-1\]"):
+            infinite_well_spectrum(symmetric(1), 8).energy_of(n)
 
 
 class TestWellWavefunctions:
@@ -399,3 +406,7 @@ class TestMaxEnergyEstimate:
         M = round(5.29177210903e-11 / 1.62e-35)
         log10_e = infinite_well_max_energy_log10(PhysicalUnits(), M)
         assert 70 < log10_e < 120
+
+    def test_minimum_size(self):
+        with pytest.raises(ValueError, match="M must be >= 3"):
+            infinite_well_max_energy_log10(PhysicalUnits(), 2)
