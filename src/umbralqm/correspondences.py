@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import mul
 
 from .operators import Correspondence, Kind
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _reduced
 
 _TERM_BUDGET = 40_000  # most terms one series cell may sum; see the README numerical notes
 _SPLIT_LEAF = 32  # chain runs this short are multiplied out in a loop
@@ -90,8 +90,8 @@ def basic_polynomial(c: Correspondence, n: int) -> Polynomial:
         coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
     if lead:
         coeffs.insert(0, 0)
-    sigma = c.sigma_exact()
-    return Polynomial([a * sigma ** (n - j) for j, a in enumerate(coeffs)])
+    u, v = c.sigma_exact().as_integer_ratio()  # a_j sigma^(n-j) = a_j u^(n-j) v^j / v^n
+    return _reduced([a * u ** (n - j) * v**j for j, a in enumerate(coeffs)], v**n)
 
 
 def zeros_of_basic_polynomial(c: Correspondence, n: int) -> list[int]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, inf
+from math import inf
 from typing import Callable, Mapping, Union
 
-from .polynomials import Polynomial, scaled_integer_map
+from .polynomials import Polynomial, _exact, shift_sum
 
 Operator = Callable[[Polynomial], Polynomial]
 
@@ -90,7 +90,7 @@ class DeltaOperator:
             raise ValueError("normalizer must be a positive integer")
         if not 0 < self.sigma < inf:
             raise ValueError("sigma must be positive and finite")
-        cleaned = {int(n): Fraction(a) for n, a in self.terms.items() if a}
+        cleaned = {int(n): _exact(a) for n, a in self.terms.items() if a}
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "normalizer", int(self.normalizer))
         object.__setattr__(self, "sigma", Fraction(self.sigma))
@@ -152,10 +152,7 @@ def apply_delta(d: DeltaOperator, p: Polynomial) -> Polynomial:
             f"delta conditions violated: sum={report.coefficient_sum}, "
             f"moment={report.weighted_sum}, normalizer={report.normalizer}"
         )
-    acc = Polynomial.zero()
-    for n, a in d.terms.items():
-        acc = acc + p.shift(n * d.sigma) * a
-    return acc * (Fraction(1) / (d.normalizer * d.sigma))
+    return shift_sum(p, d.sigma, {n: a / (d.normalizer * d.sigma) for n, a in d.terms.items()})
 
 
 def pincherle_derivative(op: Operator, p: Polynomial) -> Polynomial:
@@ -164,22 +161,12 @@ def pincherle_derivative(op: Operator, p: Polynomial) -> Polynomial:
 
 
 def apply_beta(c: Correspondence, p: Polynomial) -> Polynomial:
-    """Apply the beta operator: the inverse of the Pincherle derivative of c's delta.
+    """Apply beta, the inverse of the Pincherle derivative sum_n (n a_n / N) T^(n sigma) of c's delta.
 
-    On the integers of `scaled_integer_map` that derivative, sum_n (n a_n / N) T^(n sigma), is
-    the unit upper triangular C(i, j) u^(i-j) mu_(i-j). Its moments mu_k = sum_n n^(k+1) a_n / N
-    are integers (1 for right, (-1)^k for left, 1 at even k and 0 at odd k for symmetric), so
-    back-substitution from the top degree stays in integers.
+    Its moments are integers: 1 for right, (-1)^k for left, 1 and 0 at even and odd k for symmetric.
     """
     d = DeltaOperator.for_correspondence(c)
-    terms = [(n, int(a)) for n, a in d.terms.items()]
-
-    def invert(g: list, u: int) -> None:
-        weights = [u**k * sum(n ** (k + 1) * a for n, a in terms) // d.normalizer for k in range(len(g))]
-        for j in range(len(g) - 2, -1, -1):  # u^k mu_k at gap k; rows above j are solved
-            g[j] -= sum(comb(i, j) * weights[i - j] * g[i] for i in range(j + 1, len(g)) if weights[i - j])
-
-    return scaled_integer_map(p, d.sigma, invert)
+    return shift_sum(p, d.sigma, {n: n * a / d.normalizer for n, a in d.terms.items()}, inverse=True)
 
 
 def apply_xi(c: Correspondence, p: Polynomial) -> Polynomial:

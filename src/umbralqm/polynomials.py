@@ -9,8 +9,17 @@ polynomial has degree -1 by convention, which keeps degree bookkeeping uniform.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd, lcm
+from itertools import accumulate, repeat, zip_longest
+from math import comb, gcd, lcm
+from operator import mul
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction; one ValueError for NaN, an infinity or any other non-rational."""
+    try:
+        return x if isinstance(x, Fraction) else Fraction(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"exact arithmetic needs a finite rational, not {x!r}") from None
 
 
 def _reduced(nums: list, den: int) -> "Polynomial":
@@ -29,13 +38,9 @@ class Polynomial:
     __slots__ = ("_num", "_den")
 
     def __new__(cls, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -91,7 +96,7 @@ class Polynomial:
                 for j, b in enumerate(other._num, i):
                     out[j] += a * b
             return _reduced(out, self._den * other._den)
-        scale = Fraction(other)
+        scale = _exact(other)
         return _reduced([n * scale.numerator for n in self._num], self._den * scale.denominator)
 
     __rmul__ = __mul__
@@ -102,7 +107,7 @@ class Polynomial:
 
     def shift(self, s) -> "Polynomial":
         """Translate the argument: p(x) -> p(x + s), expanded exactly."""
-        return scaled_integer_map(self, s, _taylor_shift)
+        return shift_sum(self, s, {1: 1})
 
     def __call__(self, point):
         """Evaluate by Horner's rule; at an int or Fraction point, on the integers with one division."""
@@ -130,26 +135,34 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
 
-def scaled_integer_map(p: Polynomial, s, kernel) -> Polynomial:
-    """Apply an operator f(s d/dx) to p by running an integer kernel.
+def shift_sum(p: Polynomial, s, terms, inverse: bool = False) -> Polynomial:
+    """Apply S = sum_n a_n T^(n s), or S^-1, to p exactly; T^(n s) p(x) = p(x + n s).
 
-    With p = sum_i n_i x^i / D and s = u/v in lowest terms, g(y) = D v^deg p(y/v)
-    has the integer coefficients n_i v^(deg-i), and f(s d/dx) p becomes
-    f(u d/dy) g. `kernel(g, u)` rewrites the list g in place as that image in
-    integers, keeping the degree; the output is reduced once.
+    `terms` maps integer offsets n to int or Fraction weights a_n. With s = u/v, T^(n s)
+    shifts g(y) = D v^deg p(y/v), whose coefficients are the integers n_i v^(deg-i), by n u:
+    one Horner triangle per term, the a_n over one denominator. S^-1 needs integer moments
+    mu_k = sum_n n^k a_n with mu_0 = 1; it solves C(i, j) u^(i-j) mu_(i-j) from the top down.
     """
-    s = Fraction(s)
-    if p.is_zero or not s:
+    s = _exact(s)
+    if p.is_zero:
         return p
-    powers = [s.denominator**k for k in range(p.degree + 1)]
+    den = lcm(*(a.denominator for a in terms.values()))
+    ints = {n: a.numerator * (den // a.denominator) for n, a in terms.items()}
+    u, deg = s.numerator, p.degree
+    powers = list(accumulate(repeat(s.denominator, deg), mul, initial=1))
     g = [n * w for n, w in zip(p._num, reversed(powers))]
-    kernel(g, s.numerator)
-    return _reduced([h * w for h, w in zip(g, powers)], p._den * powers[-1])
-
-
-def _taylor_shift(g: list, u: int) -> None:
-    # g(y) -> g(y + u) by deg passes of synthetic division (Horner's triangle).
-    deg = len(g) - 1
-    for i in range(deg):
-        for j in range(deg - 1, i - 1, -1):
-            g[j] += u * g[j + 1]
+    if inverse:
+        moments = [u**k * sum(n**k * a for n, a in ints.items()) // den for k in range(deg + 1)]
+        for j in range(deg - 1, -1, -1):  # rows above j are solved
+            g[j] -= sum(comb(i, j) * moments[i - j] * g[i] for i in range(j + 1, deg + 1) if moments[i - j])
+        out, den = g, 1
+    else:
+        out = [0] * (deg + 1)
+        for n, a in ints.items():
+            h, w = [a * c for c in g], n * u
+            for i in range(deg if w else 0):  # h(y) -> h(y + w), one synthetic division per pass
+                acc = h[deg]
+                for j in range(deg - 1, i - 1, -1):
+                    h[j] = acc = h[j] + w * acc
+            out = [c + x for c, x in zip(out, h)]
+    return _reduced([c * w for c, w in zip(out, powers)], p._den * powers[-1] * den)

@@ -67,7 +67,7 @@ def cli_argvs(draw):
     return argv
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @example(["bounds", "--sigma-m=1e-170"])  # sigma^2 underflowed: a division by zero
 @example(["well", "--points=8", "--sigma=1e-300"])  # k^2 overflowed in the spectrum
 @example(["trig", "--l=4", "--sigma=107", "--corr=symmetric", "--window=0:1"])  # asin(k sigma) near 1
@@ -106,7 +106,7 @@ COLUMN_POOLS = st.sampled_from(
 ).flatmap(lambda cells: st.lists(cells, min_size=1, max_size=6))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     rows=st.sampled_from([0, 1, 2, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]),
     pools=st.lists(COLUMN_POOLS, max_size=5),

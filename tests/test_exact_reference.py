@@ -1,18 +1,21 @@
-"""The integer-over-denominator `Polynomial` and the stencil-derived beta against Fraction references.
+"""The integer `Polynomial` and the shift-sum operators against Fraction references.
 
 `FractionPolynomial` keeps every coefficient as a reduced `Fraction` and runs
 each operation coefficient by coefficient in `Fraction` arithmetic; the
 reference beta formulas are the per-kind closed forms: a shift by -sigma
-(right), by +sigma (left) and the inverse of the shift average (symmetric).
+(right), by +sigma (left) and the inverse of the shift average (symmetric),
+and the reference delta is the stencil's sum of shifted copies
+sum_n a_n p(x + n sigma) / (N sigma).
 """
 
 import math
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from umbralqm import Kind, Polynomial, apply_beta
+from umbralqm import DeltaOperator, Kind, Polynomial, apply_beta, apply_delta
 from umbralqm.operators import Correspondence
 
 
@@ -97,7 +100,7 @@ scalars = st.one_of(
     st.sampled_from([0.2, -0.2, 0.1, 2.5, -1e-3, 1 / 3, 0.0]),
 )
 points = st.one_of(scalars, st.floats(min_value=-3, max_value=3, allow_nan=False))
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 
 def assert_same(p, ref):
@@ -159,7 +162,7 @@ def test_product_with_the_zero_polynomial_is_zero():
     assert (Polynomial() * p) == Polynomial() == p * 0
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=60), max_size=41),
     st.sampled_from(list(Kind)),
@@ -176,3 +179,50 @@ def test_beta_matches_the_per_kind_formulas(coeffs, kind, sigma):
         Kind.SYMMETRIC: lambda: ref.invert_shift_average(sigma),
     }[kind]()
     assert_same(apply_beta(Correspondence(kind, sigma), Polynomial(coeffs)), expected)
+
+
+@st.composite
+def stencils(draw):
+    """A valid delta stencil on offsets in [-3, 3]: weights summing to 0, N from the first moment."""
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=5, unique=True))
+    weights = [draw(st.fractions(-5, 5, max_denominator=12)) for _ in offsets[1:]]
+    terms = dict(zip(offsets[1:], weights))
+    terms[offsets[0]] = -sum(weights, Fraction(0))
+    moment = sum(n * a for n, a in terms.items())
+    assume(moment != 0)
+    normalizer = math.ceil(abs(moment))
+    return {n: a * normalizer / moment for n, a in terms.items()}, normalizer
+
+
+THREE_POINT_FORWARD = ({0: Fraction(-3, 2), 1: Fraction(2), 2: Fraction(-1, 2)}, 1)
+SIGMAS = [1, Fraction(1, 3), Fraction(2, 7), Fraction(0.2)]
+
+
+@settings(max_examples=60)
+@given(
+    stencils(),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=60), max_size=41),
+    st.sampled_from(SIGMAS),
+)
+@example(THREE_POINT_FORWARD, [Fraction(1, k + 1) for k in range(41)], Fraction(0.2))
+@example(THREE_POINT_FORWARD, [Fraction(k - 20, 3 + k % 7) for k in range(41)], Fraction(2, 7))
+def test_delta_matches_the_sum_of_shifted_copies(stencil, coeffs, sigma):
+    terms, normalizer = stencil
+    ref = FractionPolynomial(coeffs)
+    expected = FractionPolynomial()
+    for n, a in terms.items():
+        expected = expected + ref.shift(n * sigma) * a
+    d = DeltaOperator(terms, normalizer, sigma)
+    assert_same(apply_delta(d, Polynomial(coeffs)), expected * (Fraction(1, normalizer) / sigma))
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+@pytest.mark.parametrize("coeffs", [[], [Fraction(-7, 3)]], ids=["zero", "constant"])
+def test_zero_and_constants_through_shift_delta_and_beta(coeffs, sigma):
+    p = Polynomial(coeffs)
+    assert p.shift(sigma) == p.shift(-0.2) == p
+    assert apply_delta(DeltaOperator(*THREE_POINT_FORWARD, sigma), p) == Polynomial()
+    for kind in Kind:
+        c = Correspondence(kind, sigma)
+        assert apply_delta(DeltaOperator.for_correspondence(c), p) == Polynomial()
+        assert apply_beta(c, p) == p

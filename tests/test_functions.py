@@ -219,7 +219,7 @@ class TestUmbralExpSeries:
         assert math.isnan(value)
         assert time.perf_counter() - start < 1.0
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @example(Kind.RIGHT, Fraction(1, 3), Fraction(19, 20), -300)
     @example(Kind.LEFT, Fraction(9), Fraction(-19, 20), 300)
     @example(Kind.SYMMETRIC, Fraction(2, 7), Fraction(19, 20), -300)

@@ -54,7 +54,7 @@ shifts = st.one_of(
     st.fractions(min_value=-5, max_value=5, max_denominator=40),
     st.sampled_from([0.2, -0.2, 0.1, 2.5, -1e-3, 1 / 3]),
 )
-PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=50)
 
 
 def random_polynomial(rng, max_degree=8):
@@ -84,6 +84,23 @@ class TestPolynomial:
         p = Polynomial([1, 1])  # 1 + x
         assert p * p == Polynomial([1, 2, 1])
         assert p + Polynomial([-1, -1]) == Polynomial()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda x: Polynomial([1, x]),
+            lambda x: Polynomial([1, 2]) * x,
+            lambda x: x * Polynomial([1, 2]),
+            lambda x: Polynomial([1, 2]).shift(x),
+            lambda x: Polynomial().shift(x),
+            lambda x: DeltaOperator({1: x, 0: -x}, 1, 1),
+        ],
+        ids=["coefficient", "times", "rtimes", "shift", "zero-shift", "stencil"],
+    )
+    def test_non_finite_exact_input_is_a_value_error(self, use, bad):
+        with pytest.raises(ValueError, match="finite rational"):
+            use(bad)
 
     @pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, [1, 2]])
     def test_sum_and_difference_reject_non_polynomials(self, other):
@@ -296,6 +313,7 @@ class TestBetaAndXi:
         for n in range(33):
             p = Polynomial.monomial(n)
             assert pincherle_derivative(d, apply_beta(c, p)) == p
+            assert apply_beta(c, pincherle_derivative(d, p)) == p
 
 
 class TestCommutator:

@@ -50,7 +50,7 @@ def closed_exp(kind, ks, m):
     return (ks + mpmath.sqrt(ks * ks + 1)) ** m
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250)
 @example(Kind.SYMMETRIC, 0.0005, (4800, 1))  # the running product underflowed to -0
 @example(Kind.RIGHT, 0.001, (3000, 3000))  # underflowed to 0.0; the value is 4.149e130
 @example(Kind.RIGHT, 1.0, (201, -400))
@@ -67,7 +67,7 @@ def test_basic_polynomial_value_is_rounded_once(kind, sigma, cell):
         assert_rounded_once(basic_polynomial_value(Correspondence(kind, sigma), n, m), exact)
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250)
 @example(Kind.RIGHT, 1.0, -3.0, 1023)
 @example(Kind.RIGHT, 1.0, -3.0, 1024)
 @example(Kind.RIGHT, 1.0, -3.0, 1025)  # (-2)^1025: an unsigned inf before
@@ -86,7 +86,7 @@ def test_umbral_exp_is_rounded_once(kind, sigma, ks, m):
         assert_rounded_once(umbral_exp(Correspondence(kind, sigma), k, m), closed_exp(kind, mpmath.mpf(ks), m))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @example(1.0, -1e4, -3)  # ks + sqrt(ks^2 + 1) cancelled: 4e-8 relative error
 @example(1.0, -1e8, 1)  # read as 0
 @example(1.0, -1e8, -1)  # 0 raised to a negative power
@@ -113,7 +113,7 @@ def symmetric_base(ks):
 HUGE = st.floats(153, 300).map(lambda e: 10**e)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @example(1e200, 1)  # ks^2 overflowed: inf
 @example(-1e200, 1)  # read as 0.0
 @example(-1e200, -1)  # 0 raised to a negative power
@@ -159,7 +159,7 @@ TRIG_CELLS = st.one_of(
 )
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250)
 @example((Kind.RIGHT, "sinh", 0.5), -1800)  # sinh(-900) and this cell read as an unsigned inf before
 @example((Kind.RIGHT, "sinh", 0.5), 1751)  # e(k) is past the range, sinh = e(k)/2 is not
 @example((Kind.RIGHT, "cos", 1.0), 2053)  # -(2^1026): the whole power overflows

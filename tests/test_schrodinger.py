@@ -171,7 +171,7 @@ SPECIAL_SAMPLES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e3
 SAMPLES = SPECIAL_SAMPLES | st.floats() | st.complex_numbers() | st.builds(complex, SPECIAL_SAMPLES, SPECIAL_SAMPLES)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(
     kind=st.sampled_from(ALL_KINDS),
     sigma=st.sampled_from(STENCIL_SPACINGS),
