@@ -18,16 +18,16 @@ from functools import partial
 from itertools import chain
 
 from . import __version__
-from .correspondences import SummationStatus, basic_polynomial_value
+from .correspondences import SummationStatus, basic_polynomial_column
 from .functions import (
     DomainError,
     WaveSpec,
     _power,
     amplitude_growth,
     closed_form_status,
-    umbral_exp,
+    umbral_exp_column,
     umbral_exp_series,
-    umbral_trig,
+    umbral_trig_column,
 )
 from .operators import Correspondence, InvalidDeltaError, Kind
 from .schrodinger import (
@@ -40,7 +40,7 @@ from .schrodinger import (
     WindowTooSmallError,
     energy_bounds,
     infinite_well_spectrum,
-    infinite_well_wavefunction,
+    well_momentum,
 )
 
 _KINDS = {kind.value: kind for kind in Kind}
@@ -63,10 +63,22 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class Table:
-    name: str
-    columns: list  # ordered (name, values) pairs
+    """A named table of ordered (name, values) columns.
+
+    The columns may be given as a function that returns them: it runs on the
+    first read of `columns`, so a table that is never written is never built.
+    """
+
+    def __init__(self, name: str, columns):
+        self.name = name
+        self._columns = columns
+
+    @property
+    def columns(self) -> list:
+        if callable(self._columns):
+            self._columns = self._columns()
+        return self._columns
 
 
 @dataclass
@@ -319,14 +331,14 @@ def emit(command: str, cfg: RunConfig, tables: list[Table], multi_table: bool = 
     return 0
 
 
-def _table(name: str, names: str, rows) -> Table:
-    """A Table with the space-separated column names, filled from an iterable of rows."""
+def _columns(names: str, rows) -> list:
+    """Columns with the space-separated names, filled from an iterable of rows."""
     columns = [(column, []) for column in names.split()]
     appends = [values.append for _, values in columns]
     for row in rows:
         for append, cell in zip(appends, row):
             append(cell)
-    return Table(name, columns)
+    return columns
 
 
 def _axis(sigma: float, lo: int, hi: int) -> tuple[list[int], list]:
@@ -366,10 +378,7 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
         columns.append((f"continuous_n{n}", [_power(m * cfg.sigma, n) for m in ms]))
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
-        for n in degrees:
-            columns.append(
-                (f"{kind.value}_n{n}", [basic_polynomial_value(c, n, m) for m in ms])
-            )
+        columns += [(f"{kind.value}_n{n}", list(basic_polynomial_column(c, n, ms))) for n in degrees]
     return emit("polys", cfg, [Table("basic_polynomials", columns)])
 
 
@@ -392,11 +401,11 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
         name = kind.value
-        columns.append((f"{name}_closed", [umbral_exp(c, k, m) for m in ms]))
+        columns.append((f"{name}_closed", list(umbral_exp_column(c, k, ms))))
         if with_series:
             series = (umbral_exp_series(c, k, m, cfg.tol) for m in ms)
             rows = ((value, status.value) for value, status in series)
-            columns += _table("", f"{name}_series {name}_status", rows).columns
+            columns += _columns(f"{name}_series {name}_status", rows)
     return emit("exp", cfg, [Table("exponential", columns)])
 
 
@@ -408,7 +417,7 @@ def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
     continuous = _CONTINUOUS[which]
     for wave in waves:
         c, k = wave.correspondence, wave.k
-        samples.append((f"{c.kind.value}_{which}", [umbral_trig(c, k, m, which) for m in ms]))
+        samples.append((f"{c.kind.value}_{which}", list(umbral_trig_column(c, k, ms, which))))
         samples.append((f"{c.kind.value}_continuous", [_continuous(continuous, k * m * cfg.sigma) for m in ms]))
     rows = (
         (w.correspondence.kind.value, w.k, w.k * cfg.sigma, w.wavelength, w.points_per_wavelength, w.is_minimal,
@@ -416,7 +425,7 @@ def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
         for w in waves
     )
     names = "correspondence k k_sigma lambda points_per_wavelength is_minimal amplitude_factor_per_period"
-    parameters = _table("wave_parameters", names, rows)
+    parameters = Table("wave_parameters", partial(_columns, names, rows))
     return emit("trig", cfg, [Table("samples", samples), parameters], multi_table=True)
 
 
@@ -429,21 +438,28 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
         if not 1 <= n <= M - 1:
             raise ConfigError(f"level {n} outside [1, {M - 1}]")
 
-    rows = (
-        (kind.value, lv.n, lv.momentum, lv.energy, lv.physical, lv.convergent, M - lv.n,
-         _power(lv.n * math.pi / (M * cfg.sigma), 2))
-        for kind in cfg.kinds
-        for lv in infinite_well_spectrum(Correspondence(kind, cfg.sigma), M).levels
-    )
-    names = "correspondence n k energy physical convergent degenerate_with energy_continuous"
-    tables = [_table("spectrum", names, rows)]
+    spectra = [infinite_well_spectrum(Correspondence(kind, cfg.sigma), M) for kind in cfg.kinds]
+    ns = spectra[0].n
+
+    def stacked(field: str) -> list:
+        return list(chain.from_iterable(getattr(sp, field) for sp in spectra))
+
+    columns = [
+        ("correspondence", list(chain.from_iterable([sp.kind.value] * len(ns) for sp in spectra))),
+        ("n", list(ns) * len(spectra)),
+        ("k", stacked("momentum")),
+        *((field, stacked(field)) for field in ("energy", "physical", "convergent")),
+        ("degenerate_with", [M - n for n in ns] * len(spectra)),
+        ("energy_continuous", [_power(n * math.pi / (M * cfg.sigma), 2) for n in ns] * len(spectra)),
+    ]
+    tables = [Table("spectrum", columns)]
     if levels:
-        _, axis = _axis(cfg.sigma, 0, M)
+        ms, axis = _axis(cfg.sigma, 0, M)
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
         for n in levels:
-            try:
-                wf = infinite_well_wavefunction(c, M, n)
+            try:  # the domain is checked here; the samples are computed only if the table is written
+                psi = umbral_trig_column(c, well_momentum(c, M, n), ms, "sin")
             except DomainError:
                 print(
                     f"note: skipping {kind.value} level {n}: momentum beyond the "
@@ -451,7 +467,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 continue
-            tables.append(Table(f"wavefunction_{kind.value}_n{n}", [*axis, ("psi", wf.values)]))
+            tables.append(Table(f"wavefunction_{kind.value}_n{n}", lambda psi=psi: [*axis, ("psi", list(psi))]))
     return emit("well", cfg, tables, multi_table=True)
 
 
@@ -470,7 +486,7 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
         for name, mass in particles
         for b in [energy_bounds(PhysicalUnits(mass=mass, sigma_m=args.sigma_m, tau_s=args.tau_s))]
     )
-    table = _table("bounds", "particle mass_kg e_max_time_ev e_max_space_ev e_binding_ev", rows)
+    table = Table("bounds", _columns("particle mass_kg e_max_time_ev e_max_space_ev e_binding_ev", rows))
     return emit("bounds", cfg, [table])
 
 

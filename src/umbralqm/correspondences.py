@@ -20,12 +20,14 @@ from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
+from typing import Iterator
 
 from .operators import Correspondence, Kind
 from .polynomials import Polynomial, _reduced
 
 _TERM_BUDGET = 40_000  # most terms one series cell may sum; see the README numerical notes
 _SPLIT_LEAF = 32  # chain runs this short are multiplied out in a loop
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 class SummationStatus(Enum):
@@ -109,28 +111,50 @@ def zeros_of_basic_polynomial(c: Correspondence, n: int) -> list[int]:
     return sorted(zeros)
 
 
-def basic_polynomial_value(c: Correspondence, n: int, m: int):
-    """Closed-form value of the degree-n basic polynomial at the point m*sigma.
+def _float_values(c: Correspondence, n: int, lead: bool, rest: range, ms):
+    """basic_polynomial_value at a float sigma for each m of the sequence ms.
 
-    With an int or Fraction sigma the result is an exact Fraction; with a
+    sigma, the zeros and whether a running product can leave the normal range
+    are found once. Off the zeros each of the at most n factors has a
+    magnitude in [sigma, (max |m| + n) sigma], so the products stay in range
+    when those bounds to the n-th power do, with e to spare for the rounding.
+    """
+    zeros = {0, *rest} if lead else set(rest)
+    sigma, lo = float(c.sigma), sys.float_info.min
+    log_sigma, top = math.log(sigma), max(map(abs, ms), default=0) + n
+    risky = n and (n * log_sigma < _LOG_MIN + 1 or n * (log_sigma + math.log(top)) > _LOG_MAX - 1)
+    for m in ms:
+        if m in zeros:
+            yield 0.0
+            continue
+        acc = m * sigma if lead else 1.0
+        for r in rest:
+            acc *= (m - r) * sigma
+            if risky and not lo <= abs(acc) < math.inf:
+                acc = _signed_exp(*basic_polynomial_value_log(c, n, m))
+                break
+        yield acc
+
+
+def basic_polynomial_column(c: Correspondence, n: int, ms) -> Iterator:
+    """basic_polynomial_value(c, n, m) for each int m of ms, lazily.
+
+    With an int or Fraction sigma each value is an exact Fraction; with a
     float sigma it is a float computed as an iterative product, +0.0 at the
     zeros. Once the running product leaves the normal double range the value
     is re-derived from basic_polynomial_value_log and rounded once: +-inf,
     +-0.0 or a subnormal past the range.
     """
     lead, rest = _roots(c.kind, n)
-    m = int(m)
-    if isinstance(c.sigma, (int, Fraction)):
-        return Fraction(c.sigma) ** n * math.prod((m - r for r in rest), start=m if lead else 1)
-    if (lead and m == 0) or m in rest:
-        return 0.0
-    sigma = float(c.sigma)
-    acc = m * sigma if lead else 1.0
-    for r in rest:
-        acc *= (m - r) * sigma
-        if not sys.float_info.min <= abs(acc) < math.inf:
-            return _signed_exp(*basic_polynomial_value_log(c, n, m))
-    return acc
+    if not isinstance(c.sigma, (int, Fraction)):
+        return _float_values(c, n, lead, rest, ms)
+    scale = Fraction(c.sigma) ** n
+    return (scale * math.prod((m - r for r in rest), start=m if lead else 1) for m in ms)
+
+
+def basic_polynomial_value(c: Correspondence, n: int, m: int):
+    """Closed-form value of the degree-n basic polynomial at the point m*sigma: basic_polynomial_column at m."""
+    return next(basic_polynomial_column(c, n, (int(m),)))
 
 
 def _signed_exp(sign: float, mag: float) -> float:

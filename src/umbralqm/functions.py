@@ -12,6 +12,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterator
 
 from .correspondences import SummationStatus, exponential_series_exact
 from .correspondences import _closed_base, _momentum_ratio, _series_status, _signed_exp
@@ -49,8 +51,43 @@ def _power(x: float, n) -> float:
         return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
-def umbral_exp(c: Correspondence, k, m: int):
-    """Closed-form discrete exponential at lattice index m.
+def _complex_past_range(base: complex, expo: int) -> complex:
+    """base**expo for a complex base whose power the double arithmetic cannot give.
+
+    An imaginary base i b gives i^n b^n, exact in its zero part. Any other base
+    gives each part as r cos(phi) or r sin(phi) from log r and phi, so a part
+    within the range stays finite.
+    """
+    if base.real == 0:
+        b = _power(base.imag, expo)
+        return (complex(b, 0.0), complex(0.0, b), complex(-b, 0.0), complex(0.0, -b))[expo % 4]
+    log_r, phi = expo * math.log(abs(base)), expo * cmath.phase(base)
+    parts = (math.cos(phi), math.sin(phi))
+    return complex(*(_signed_exp(t, log_r + math.log(abs(t))) if t else t for t in parts))
+
+
+def _zero_power(expo: int) -> float:
+    if expo < 0:
+        raise DomainError("closed form is 0 raised to a negative power")
+    return 1.0 if expo == 0 else 0.0
+
+
+def _complex_powers(base: complex, s: int, ms):
+    """base**(s*m) for each m; a power that fails or leaves the range goes through _complex_past_range."""
+    imaginary, tiny, isfinite = base.real == 0, sys.float_info.min, cmath.isfinite
+    for m in ms:
+        expo = s * m
+        try:
+            z = base**expo
+            # a finite power of an imaginary base below the normal range may be an intermediate's 1/inf
+            ok = isfinite(z) and not (imaginary and abs(z) < tiny)
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        yield z if ok else _complex_past_range(base, expo)
+
+
+def umbral_exp_column(c: Correspondence, k, ms) -> Iterator:
+    """umbral_exp(c, k, m) for each int m of ms, lazily; the closed base is computed once.
 
     Right: (1 + k sigma)^m, Left: (1 - k sigma)^(-m),
     Symmetric: (k sigma + sqrt((k sigma)^2 + 1))^m with the principal root.
@@ -60,28 +97,17 @@ def umbral_exp(c: Correspondence, k, m: int):
     i b (symmetric, k sigma = iy with |y| > 1) whose power leaves the normal
     range is i^n b^n, exact in its zero part.
     """
-    m = int(m)
     base, s = _closed_base(c.kind, k * c.sigma_float())
-    expo = s * m
     if base == 0:
-        if expo < 0:
-            raise DomainError("closed form is 0 raised to a negative power")
-        return 1.0 if expo == 0 else 0.0
+        return (_zero_power(s * m) for m in ms)
     if not isinstance(base, complex):
-        return _power(base, expo)
-    try:
-        z = base**expo
-        # a finite power of an imaginary base below the normal range may be an intermediate's 1/inf
-        if cmath.isfinite(z) and not (base.real == 0 and abs(z) < sys.float_info.min):
-            return z
-    except (OverflowError, ZeroDivisionError):
-        pass
-    if base.real == 0:
-        b = _power(base.imag, expo)
-        return (complex(b, 0.0), complex(0.0, b), complex(-b, 0.0), complex(0.0, -b))[expo % 4]
-    log_r, phi = expo * math.log(abs(base)), expo * cmath.phase(base)
-    parts = (math.cos(phi), math.sin(phi))
-    return complex(*(_signed_exp(t, log_r + math.log(abs(t))) if t else t for t in parts))
+        return (_power(base, s * m) for m in ms)
+    return _complex_powers(base, s, ms)
+
+
+def umbral_exp(c: Correspondence, k, m: int):
+    """Closed-form discrete exponential at lattice index m: umbral_exp_column at one point."""
+    return next(umbral_exp_column(c, k, (int(m),)))
 
 
 def umbral_exp_series(
@@ -102,14 +128,27 @@ def closed_form_status(c: Correspondence, k, m: int) -> SummationStatus:
     return _series_status(c.kind, *_momentum_ratio(k, c.sigma), int(m))
 
 
-def umbral_trig(c: Correspondence, k: float, m: int, which: str) -> float:
-    """Discrete sin/cos/sinh/cosh built from the discrete exponential.
+def _hyperbolic(c: Correspondence, k: float, ms, sinh: bool):
+    """sinh or cosh from the e(k) and e(-k) columns; where one is inf, half the large one from its log."""
+    for m, ep, em in zip(ms, umbral_exp_column(c, k, ms), umbral_exp_column(c, -k, ms)):
+        value = (ep - em) / 2 if sinh else (ep + em) / 2
+        if math.isinf(value):
+            big = k if math.isinf(ep) else -k
+            base, s = _closed_base(c.kind, big * c.sigma_float())
+            sign = -1.0 if sinh and big != k else 1.0
+            value = _signed_exp(sign, s * m * math.log(base) - math.log(2))
+        yield value
+
+
+def umbral_trig_column(c: Correspondence, k: float, ms, which: str) -> Iterator[float]:
+    """umbral_trig(c, k, m, which) for each int m of the sequence ms, lazily.
 
     sin and cos admit |k sigma| <= 1 (the boundary is the minimal wave) and
     are the imaginary and real parts of e(ik), since e(-ik) is its conjugate.
     sinh and cosh require |k sigma| < 1; where one of e(k), e(-k) is past the
     double range the other is at most 1, so the value is the half of the
-    large one, rounded once from its log.
+    large one, rounded once from its log. The domain is checked before any
+    cell is computed.
     """
     if which not in _TRIG_NAMES:
         raise ValueError(f"which must be one of {_TRIG_NAMES}")
@@ -118,19 +157,16 @@ def umbral_trig(c: Correspondence, k: float, m: int, which: str) -> float:
     if which in ("sin", "cos"):
         if ks > 1.0:
             raise DomainError("sin/cos require |k sigma| <= 1")
-        z = umbral_exp(c, complex(0.0, k), m)
-        return z.imag if which == "sin" else z.real
+        part = attrgetter("imag" if which == "sin" else "real")
+        return map(part, umbral_exp_column(c, complex(0.0, k), ms))
     if ks >= 1.0:
         raise DomainError("sinh/cosh require |k sigma| < 1")
-    ep = umbral_exp(c, k, m)
-    em = umbral_exp(c, -k, m)
-    value = (ep - em) / 2 if which == "sinh" else (ep + em) / 2
-    if math.isinf(value):
-        big = k if math.isinf(ep) else -k
-        base, s = _closed_base(c.kind, big * c.sigma_float())
-        sign = -1.0 if which == "sinh" and big != k else 1.0
-        value = _signed_exp(sign, s * int(m) * math.log(base) - math.log(2))
-    return value
+    return _hyperbolic(c, k, ms, which == "sinh")
+
+
+def umbral_trig(c: Correspondence, k: float, m: int, which: str) -> float:
+    """Discrete sin/cos/sinh/cosh built from the discrete exponential: umbral_trig_column at one point."""
+    return next(umbral_trig_column(c, k, (int(m),), which))
 
 
 def wavelength_to_momentum(c: Correspondence, l: float) -> float:

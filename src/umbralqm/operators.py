@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import inf
 from typing import Callable, Mapping, Union
 
@@ -108,9 +109,27 @@ class DeltaOperator:
         return cls({1: Fraction(1), -1: Fraction(-1)}, 2, sigma)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def for_correspondence(cls, c: Correspondence) -> "DeltaOperator":
         builder = {Kind.RIGHT: cls.right, Kind.LEFT: cls.left, Kind.SYMMETRIC: cls.symmetric}
         return builder[c.kind](c.sigma_exact())
+
+    @cached_property
+    def delta_weights(self) -> dict[int, Fraction]:
+        """The shift-sum weights a_n/(N sigma) of delta; an InvalidDeltaError if the delta conditions fail."""
+        report = check_delta_conditions(self)
+        if not report.passed:
+            raise InvalidDeltaError(
+                f"delta conditions violated: sum={report.coefficient_sum}, "
+                f"moment={report.weighted_sum}, normalizer={report.normalizer}"
+            )
+        u, v = self.sigma.numerator, self.sigma.denominator
+        return {n: Fraction(a.numerator * v, a.denominator * self.normalizer * u) for n, a in self.terms.items()}
+
+    @cached_property
+    def pincherle_weights(self) -> dict[int, Fraction]:
+        """The shift-sum weights n a_n / N of delta's Pincherle derivative, the inverse of beta."""
+        return {n: Fraction(n * a.numerator, a.denominator * self.normalizer) for n, a in self.terms.items()}
 
     def __call__(self, p: Polynomial) -> Polynomial:
         return apply_delta(self, p)
@@ -146,13 +165,7 @@ def check_delta_conditions(d: DeltaOperator) -> DeltaConditionReport:
 
 def apply_delta(d: DeltaOperator, p: Polynomial) -> Polynomial:
     """Apply (1/(N sigma)) sum_n a_n T^{n sigma} to p, exactly."""
-    report = check_delta_conditions(d)
-    if not report.passed:
-        raise InvalidDeltaError(
-            f"delta conditions violated: sum={report.coefficient_sum}, "
-            f"moment={report.weighted_sum}, normalizer={report.normalizer}"
-        )
-    return shift_sum(p, d.sigma, {n: a / (d.normalizer * d.sigma) for n, a in d.terms.items()})
+    return shift_sum(p, d.sigma, d.delta_weights)
 
 
 def pincherle_derivative(op: Operator, p: Polynomial) -> Polynomial:
@@ -166,7 +179,7 @@ def apply_beta(c: Correspondence, p: Polynomial) -> Polynomial:
     Its moments are integers: 1 for right, (-1)^k for left, 1 and 0 at even and odd k for symmetric.
     """
     d = DeltaOperator.for_correspondence(c)
-    return shift_sum(p, d.sigma, {n: n * a / d.normalizer for n, a in d.terms.items()}, inverse=True)
+    return shift_sum(p, d.sigma, d.pincherle_weights, inverse=True)
 
 
 def apply_xi(c: Correspondence, p: Polynomial) -> Polynomial:

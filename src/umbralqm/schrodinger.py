@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .correspondences import _to_float
-from .functions import DiscreteFunction, DomainError, _power, lattice_dispersion, umbral_exp, umbral_trig
+from .functions import DiscreteFunction, DomainError, _power, lattice_dispersion, umbral_exp_column, umbral_trig_column
 from .operators import Correspondence, DeltaOperator, Kind
 
 HBAR_JS = 1.054571817e-34  # CODATA 2018
@@ -107,8 +108,7 @@ def separate(
     if abs(E) * tau >= 1:
         raise DomainError("time evolution requires |E tau| < 1")
     c = Correspondence(kind, tau)
-    ik = complex(0.0, E)
-    return DiscreteFunction(tau, 0, [umbral_exp(c, ik, n) for n in range(n_steps + 1)])
+    return DiscreteFunction(tau, 0, list(umbral_exp_column(c, complex(0.0, E), range(n_steps + 1))))
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,19 @@ class PlaneWaveState:
         if self.amplitude_forward == 0 and self.amplitude_backward == 0:
             raise ValueError("at least one amplitude must be nonzero")
 
-    def sample(self, m: int) -> complex:
+    def _samples(self, ms) -> list:
+        """The state at each int m of the sequence ms, from the e(+-ik) or e(+-k) columns."""
         c = self.correspondence
         kk = complex(0.0, self.k) if self.oscillatory else complex(self.k)
-        return self.amplitude_forward * umbral_exp(c, kk, m) + self.amplitude_backward * umbral_exp(c, -kk, m)
+        forward, backward = umbral_exp_column(c, kk, ms), umbral_exp_column(c, -kk, ms)
+        return [self.amplitude_forward * f + self.amplitude_backward * b for f, b in zip(forward, backward)]
+
+    def sample(self, m: int) -> complex:
+        return self._samples((int(m),))[0]
 
     def tabulate(self, window: tuple[int, int]) -> DiscreteFunction:
         lo, hi = window
-        values = [self.sample(m) for m in range(lo, hi + 1)]
-        return DiscreteFunction(self.correspondence.sigma_float(), lo, values)
+        return DiscreteFunction(self.correspondence.sigma_float(), lo, self._samples(range(lo, hi + 1)))
 
 
 def lattice_delta(c: Correspondence, f: DiscreteFunction) -> DiscreteFunction:
@@ -174,16 +178,31 @@ class WellLevel:
 
 @dataclass(frozen=True)
 class WellSpectrum:
-    """Quantized levels of the infinite well with M lattice points (L = M sigma)."""
+    """Quantized levels of the infinite well with M lattice points (L = M sigma).
+
+    One column per WellLevel field over the levels n = 1..M//2; `levels`
+    reads them as rows.
+    """
 
     kind: Kind
     M: int
     sigma: float
-    levels: tuple[WellLevel, ...]
+    momentum: tuple[float, ...]
+    energy: tuple[float, ...]
+    physical: tuple[bool, ...]
+    convergent: tuple[bool, ...]
+
+    @property
+    def n(self) -> range:
+        return range(1, len(self.energy) + 1)
+
+    @cached_property
+    def levels(self) -> tuple[WellLevel, ...]:
+        return tuple(map(WellLevel, self.n, self.momentum, self.energy, self.physical, self.convergent))
 
     @property
     def degeneracy_pairs(self) -> list[tuple[int, int]]:
-        return [(lv.n, self.M - lv.n) for lv in self.levels]
+        return [(n, self.M - n) for n in self.n]
 
     def energy_of(self, n: int) -> float:
         """Energy of level n for 1 <= n <= M-1, folded onto min(n, M-n).
@@ -195,7 +214,7 @@ class WellSpectrum:
         if not 1 <= n <= self.M - 1:
             raise ValueError("n must lie in [1, M-1]")
         folded = min(n, self.M - n)
-        return self.levels[folded - 1].energy
+        return self.energy[folded - 1]
 
 
 def _tan_pole_level(kind: Kind, M: int):
@@ -215,15 +234,15 @@ def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:
         raise ValueError("M must be >= 2")
     s = c.sigma_float()
     (rule, _), pole = lattice_dispersion(c.kind), _tan_pole_level(c.kind, M)
-    levels = []
-    for n in range(1, M // 2 + 1):
-        if n == pole:
-            levels.append(WellLevel(n, math.inf, math.inf, False, False))
-            continue
-        ks = rule(math.pi * n / M)
-        convergent = c.kind is Kind.SYMMETRIC or ks < 1.0 - _BOUNDARY_EPS
-        levels.append(WellLevel(n, ks / s, _power(ks / s, 2), True, convergent))
-    return WellSpectrum(c.kind, M, s, tuple(levels))
+    ns = range(1, M // 2 + 1)
+    ks = [math.inf if n == pole else rule(math.pi * n / M) for n in ns]  # the pole level: inf, inf
+    momentum = tuple(k / s for k in ks)
+    if c.kind is Kind.SYMMETRIC:
+        convergent = (True,) * len(ns)
+    else:
+        convergent = tuple(k < 1.0 - _BOUNDARY_EPS for k in ks)
+    physical = tuple(n != pole for n in ns)
+    return WellSpectrum(c.kind, M, s, momentum, tuple(_power(k, 2) for k in momentum), physical, convergent)
 
 
 def well_momentum(c: Correspondence, M: int, n: int) -> float:
@@ -244,17 +263,14 @@ def infinite_well_wavefunction(c: Correspondence, M: int, n: int) -> DiscreteFun
     """
     if M < 2:
         raise ValueError("M must be >= 2")
-    k = well_momentum(c, M, n)
-    return DiscreteFunction(c.sigma_float(), 0, [umbral_trig(c, k, m, "sin") for m in range(M + 1)])
+    psi = umbral_trig_column(c, well_momentum(c, M, n), range(M + 1), "sin")
+    return DiscreteFunction(c.sigma_float(), 0, list(psi))
 
 
 def well_state_count(c: Correspondence, M: int) -> tuple[int, int, int]:
     """(total, physical, convergent) level counts of the M-point well."""
     spectrum = infinite_well_spectrum(c, M)
-    total = len(spectrum.levels)
-    physical = sum(1 for lv in spectrum.levels if lv.physical)
-    convergent = sum(1 for lv in spectrum.levels if lv.convergent)
-    return total, physical, convergent
+    return len(spectrum.energy), sum(spectrum.physical), sum(spectrum.convergent)
 
 
 def infinite_well_max_energy_log10(u: PhysicalUnits, M: int) -> float:

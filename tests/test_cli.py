@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from umbralqm import invariants
+from umbralqm import cli, invariants
 from umbralqm.cli import _CHUNK_ROWS, Table, format_cell, main, read_csv, write_csv
 from umbralqm.functions import DiscreteFunction
 from umbralqm.schrodinger import EnergyBounds
@@ -211,6 +211,42 @@ PINNED_STREAMS = [
         hashlib.sha256(b"").hexdigest(),
         "",
         {"base_spectrum.csv": "e607a8fd4745a672a813c53bbcdcdfff0ca0ea40d5a635a6819f14e8343e1885"},
+    ),
+    # the past-the-range rules: right/left wavefunctions whose envelope nears
+    # 1e135-1e150, with the levels past k sigma = 1 skipped by name, and
+    # basic polynomial columns whose running products overflow and underflow
+    (
+        ["well", "--points", "1000", "--levels", "1,249,499,501,751", "--format", "json"],
+        "d91214e470381d2af56a28ded4db6d3e09b24c7e3a240ea28d29f0df41ae3108",
+        "".join(
+            f"note: skipping {kind} level {n}: momentum beyond the k sigma = 1 convergence boundary\n"
+            for kind in ("right", "left")
+            for n in (499, 501)
+        ),
+        {},
+    ),
+    (
+        ["polys", "--n", "3,90", "--sigma", "1e150", "--window=-50:50"],
+        "1a9e4d7adc1bace140b3c452dbd910d3f40362dafd55dbff430dba288bb68406",
+        "",
+        {},
+    ),
+    (
+        ["polys", "--n", "0,2,7,40", "--sigma", "1e-200", "--window=-300:300"],
+        "7cbd096142557375a9d13c087b01078194ebc204623f3fae3da3b51cb491bb52",
+        "",
+        {},
+    ),
+    # a well on csv stdout: the spectrum, a note per level past k sigma = 1, and the omitted tables named
+    (
+        ["well", "--points", "16", "--levels", "1,5,15"],
+        "7863a70d52c12d3a34682f8853d1cfa4d28c1f2f605a2ec2c46abd106b1186ab",
+        "note: skipping right level 5: momentum beyond the k sigma = 1 convergence boundary\n"
+        "note: skipping left level 5: momentum beyond the k sigma = 1 convergence boundary\n"
+        "note: tables omitted on csv stdout (wavefunction_right_n1, wavefunction_right_n15, "
+        "wavefunction_left_n1, wavefunction_left_n15, wavefunction_symmetric_n1, wavefunction_symmetric_n5, "
+        "wavefunction_symmetric_n15); pass --out BASE or --format json\n",
+        {},
     ),
 ]
 
@@ -521,6 +557,32 @@ class TestWell:
         assert cols["m"] == list(range(9))
         for m in range(9):
             assert abs(cols["psi"][m] - math.sin(math.pi * m / 8)) <= 1e-10
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_wavefunction_samples_are_computed_only_for_written_tables(self, capsys, tmp_path, monkeypatch, out):
+        calls, cells = [], []
+        column = cli.umbral_trig_column
+
+        def counted(*args):
+            calls.append(args)
+            return map(lambda value: cells.append(value) or value, column(*args))
+
+        monkeypatch.setattr(cli, "umbral_trig_column", counted)
+        argv = ["well", "--points", "2000", "--levels", "1,700"] + (["--out", str(tmp_path / "w")] if out else [])
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0
+        # one domain check per kind and level, whether or not the table is written;
+        # level 700 is past k sigma = 1 for right and left, and so skipped
+        assert len(calls) == 6
+        assert err.count("note: skipping") == 2
+        assert len(cells) == (4 * 2001 if out else 0)
+        if out:
+            assert len(list(tmp_path.iterdir())) == 5
+        else:
+            assert "tables omitted" in err
+            monkeypatch.chdir(tmp_path)
+            assert run(capsys, *argv, "--out", "w")[0] == 0
+            assert (tmp_path / "w_spectrum.csv").read_text(encoding="utf-8") == stdout
 
     def test_symmetric_tracks_the_continuous_energies_more_closely(self, capsys):
         code, out, _ = run(capsys, "well", "--points", "8", "--corr", "all")
