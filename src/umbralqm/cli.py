@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 
 from . import __version__
 from .correspondences import SummationStatus, basic_polynomial_column
@@ -38,9 +38,9 @@ from .schrodinger import (
     NonPhysicalStateError,
     PhysicalUnits,
     WindowTooSmallError,
+    _well_column,
     energy_bounds,
     infinite_well_spectrum,
-    well_momentum,
 )
 
 _KINDS = {kind.value: kind for kind in Kind}
@@ -453,21 +453,15 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
         ("energy_continuous", [_power(n * math.pi / (M * cfg.sigma), 2) for n in ns] * len(spectra)),
     ]
     tables = [Table("spectrum", columns)]
-    if levels:
-        ms, axis = _axis(cfg.sigma, 0, M)
-    for kind in cfg.kinds:
-        c = Correspondence(kind, cfg.sigma)
-        for n in levels:
-            try:  # the domain is checked here; the samples are computed only if the table is written
-                psi = umbral_trig_column(c, well_momentum(c, M, n), ms, "sin")
-            except DomainError:
-                print(
-                    f"note: skipping {kind.value} level {n}: momentum beyond the "
-                    "k sigma = 1 convergence boundary",
-                    file=sys.stderr,
-                )
-                continue
-            tables.append(Table(f"wavefunction_{kind.value}_n{n}", lambda psi=psi: [*axis, ("psi", list(psi))]))
+    axis = _axis(cfg.sigma, 0, M)[1] if levels else []
+    for kind, n in product(cfg.kinds, levels):
+        try:  # the level is checked here; the samples are computed only if the table is written
+            psi = _well_column(Correspondence(kind, cfg.sigma), M, n)
+        except DomainError:
+            note = f"note: skipping {kind.value} level {n}: momentum beyond the k sigma = 1 convergence boundary"
+            print(note, file=sys.stderr)
+            continue
+        tables.append(Table(f"wavefunction_{kind.value}_n{n}", lambda psi=psi: [*axis, ("psi", list(psi))]))
     return emit("well", cfg, tables, multi_table=True)
 
 

@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from .correspondences import _to_float
-from .functions import DiscreteFunction, DomainError, _power, lattice_dispersion, umbral_exp_column, umbral_trig_column
+from .functions import DiscreteFunction, DomainError, _power, lattice_dispersion, umbral_exp_column
 from .operators import Correspondence, DeltaOperator, Kind
 
 HBAR_JS = 1.054571817e-34  # CODATA 2018
@@ -24,11 +25,6 @@ ELECTRON_MASS_KG = 9.1093837015e-31
 PROTON_MASS_KG = 1.67262192369e-27
 PLANCK_LENGTH_M = 1.62e-35
 PLANCK_TIME_S = 5.39e-44
-
-# Momenta within one part in 1e12 of the k*sigma = 1 boundary count as
-# boundary waves: the tan rule lands there only through rounding
-# (tan(pi/4) != 1 in doubles) and must not be classified as convergent.
-_BOUNDARY_EPS = 1e-12
 
 
 class WindowTooSmallError(ValueError):
@@ -217,54 +213,63 @@ class WellSpectrum:
         return self.energy[folded - 1]
 
 
-def _tan_pole_level(kind: Kind, M: int):
-    """The level at theta = pi/2, where tan has its pole: n = M/2 for right/left and even M."""
-    return M // 2 if kind is not Kind.SYMMETRIC and M % 2 == 0 else None
+def _level_classes(kind: Kind, M: int, ns):
+    """The class of each level n of ns, lazily, from the integers: level n's phase per point is pi n/M.
+
+    Every symmetric level (k sigma = sin <= 1) is "convergent". Right/left compare |tan| with 1 through
+    q = 4 min(n, M-n) against M: "convergent" below, "boundary" (minimal wave) at q = M, "pole" at 2M, else "beyond".
+    """
+    symmetric = kind is Kind.SYMMETRIC
+    for n in ns:
+        q = 0 if symmetric else 4 * (n if 2 * n < M else M - n)
+        yield "convergent" if q < M else "boundary" if q == M else "pole" if q == 2 * M else "beyond"
+
+
+def _momenta(c: Correspondence, M: int, ns):
+    """rule(pi n/M)/sigma for each level n of ns, lazily: the momentum column of the M >= 2 point well."""
+    if M < 2:
+        raise ValueError("M must be >= 2")
+    s, rule = c.sigma_float(), lattice_dispersion(c.kind)[0]
+    return (rule(math.pi * n / M) / s for n in ns)
 
 
 def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:
-    """All floor(M/2) candidate levels under the correspondence's quantum rule.
+    """All floor(M/2) candidate levels, k_n = tan(pi n/M)/sigma (right/left) or sin(pi n/M)/sigma (symmetric).
 
-    Right/left: k_n = tan(pi n / M)/sigma, with the n = M/2 state flagged
-    non-physical (tan pole). Symmetric: k_n = sin(pi n / M)/sigma, always
-    bounded by 1/sigma; the k sigma = 1 boundary state counts as convergent
-    because its closed form is defined.
+    The flags are _level_classes': the right/left pole n = M/2 is non-physical (momentum inf), and
+    the k sigma = 1 boundary counts as convergent only for symmetric, whose closed form is defined.
     """
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    s = c.sigma_float()
-    (rule, _), pole = lattice_dispersion(c.kind), _tan_pole_level(c.kind, M)
     ns = range(1, M // 2 + 1)
-    ks = [math.inf if n == pole else rule(math.pi * n / M) for n in ns]  # the pole level: inf, inf
-    momentum = tuple(k / s for k in ks)
-    if c.kind is Kind.SYMMETRIC:
-        convergent = (True,) * len(ns)
-    else:
-        convergent = tuple(k < 1.0 - _BOUNDARY_EPS for k in ks)
-    physical = tuple(n != pole for n in ns)
-    return WellSpectrum(c.kind, M, s, momentum, tuple(_power(k, 2) for k in momentum), physical, convergent)
+    classes = list(_level_classes(c.kind, M, ns))
+    momentum = tuple(math.inf if cls == "pole" else k for k, cls in zip(_momenta(c, M, ns), classes))
+    flags = tuple(cls != "pole" for cls in classes), tuple(cls == "convergent" for cls in classes)
+    return WellSpectrum(c.kind, M, c.sigma_float(), momentum, tuple(_power(k, 2) for k in momentum), *flags)
 
 
 def well_momentum(c: Correspondence, M: int, n: int) -> float:
-    """Quantized momentum of level n (1 <= n <= M-1) under the correspondence's rule."""
+    """Quantized momentum of level n (1 <= n <= M-1): the spectrum's momentum column at one level."""
+    momenta = _momenta(c, M, (n,))
     if not 1 <= n <= M - 1:
         raise ValueError("n must lie in [1, M-1]")
-    if n == _tan_pole_level(c.kind, M):
+    if next(_level_classes(c.kind, M, (n,))) == "pole":
         raise NonPhysicalStateError(f"level n={n} of M={M} sits on the tan pole")
-    return lattice_dispersion(c.kind)[0](math.pi * n / M) / c.sigma_float()
+    return next(momenta)
+
+
+def _well_column(c: Correspondence, M: int, n: int):
+    """infinite_well_wavefunction's samples, lazily, after the level's checks: the imaginary part of e(ik)."""
+    k = well_momentum(c, M, n)
+    if next(_level_classes(c.kind, M, (n,))) == "beyond":
+        raise DomainError(f"level n={n} of M={M} lies beyond the k sigma = 1 convergence boundary")
+    return map(attrgetter("imag"), umbral_exp_column(c, complex(0.0, k), range(M + 1)))
 
 
 def infinite_well_wavefunction(c: Correspondence, M: int, n: int) -> DiscreteFunction:
     """Discrete sine eigenfunction of level n on the well of M points, sampled on m = 0..M.
 
-    Raises NonPhysicalStateError on the right/left tan pole (n = M/2) and
-    DomainError for levels whose momentum exceeds the convergence boundary
-    |k sigma| = 1 (these exist formally but have no convergent series).
+    Raises NonPhysicalStateError on the tan pole and DomainError past the k sigma = 1 boundary (_level_classes).
     """
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    psi = umbral_trig_column(c, well_momentum(c, M, n), range(M + 1), "sin")
-    return DiscreteFunction(c.sigma_float(), 0, list(psi))
+    return DiscreteFunction(c.sigma_float(), 0, list(_well_column(c, M, n)))
 
 
 def well_state_count(c: Correspondence, M: int) -> tuple[int, int, int]:
@@ -276,11 +281,11 @@ def well_state_count(c: Correspondence, M: int) -> tuple[int, int, int]:
 def infinite_well_max_energy_log10(u: PhysicalUnits, M: int) -> float:
     """log10 of the top tan-rule well energy in eV, assembled in log space.
 
-    The top state n = (M-1)/2 sits next to the tan pole; its momentum is
-    cot(pi/(2M))/sigma, evaluated through the complement so the result stays
+    The top physical level n is M//2, or M/2 - 1 below the pole of an even M. Its momentum,
+    cot(pi (M - 2n)/(2M))/sigma, is evaluated through the complement so the result stays
     accurate for lattice counts far beyond double resolution of pi/2.
     """
     if M < 3:
         raise ValueError("M must be >= 3")
-    cot = 1.0 / math.tan(math.pi / (2 * M))
-    return math.log10(energy_scale_ev(u)) + 2 * math.log10(cot)
+    top = M // 2 - (next(_level_classes(Kind.RIGHT, M, (M // 2,))) == "pole")
+    return math.log10(energy_scale_ev(u)) + 2 * math.log10(1.0 / math.tan(math.pi * (M - 2 * top) / (2 * M)))

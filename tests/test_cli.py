@@ -561,13 +561,13 @@ class TestWell:
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
     def test_wavefunction_samples_are_computed_only_for_written_tables(self, capsys, tmp_path, monkeypatch, out):
         calls, cells = [], []
-        column = cli.umbral_trig_column
+        column = cli._well_column
 
         def counted(*args):
             calls.append(args)
             return map(lambda value: cells.append(value) or value, column(*args))
 
-        monkeypatch.setattr(cli, "umbral_trig_column", counted)
+        monkeypatch.setattr(cli, "_well_column", counted)
         argv = ["well", "--points", "2000", "--levels", "1,700"] + (["--out", str(tmp_path / "w")] if out else [])
         code, stdout, err = run(capsys, *argv)
         assert code == 0
@@ -583,6 +583,21 @@ class TestWell:
             monkeypatch.chdir(tmp_path)
             assert run(capsys, *argv, "--out", "w")[0] == 0
             assert (tmp_path / "w_spectrum.csv").read_text(encoding="utf-8") == stdout
+
+    @pytest.mark.parametrize(
+        "argv, levels",
+        [
+            (["--points", "8", "--levels", "2,6", "--corr", "right"], ["right_n2", "right_n6"]),
+            (["--points", "52", "--levels", "13"], ["right_n13", "left_n13", "symmetric_n13"]),
+            (["--points", "52", "--levels", "39", "--sigma", "0.3"], ["right_n39", "left_n39", "symmetric_n39"]),
+        ],
+    )
+    def test_levels_on_the_k_sigma_1_boundary_are_emitted(self, capsys, argv, levels):
+        # 4n = M and 4n = 3M are the minimal wave, |k sigma| = 1 exactly, however k * sigma rounds
+        code, out, err = run(capsys, "well", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        names = [table["name"] for table in json.loads(out)["data"]["tables"]]
+        assert names == ["spectrum"] + [f"wavefunction_{level}" for level in levels]
 
     def test_symmetric_tracks_the_continuous_energies_more_closely(self, capsys):
         code, out, _ = run(capsys, "well", "--points", "8", "--corr", "all")
@@ -822,3 +837,28 @@ class TestCheck:
         lines = out.splitlines()
         assert len(lines) == 9
         assert [line for line in lines if not line.startswith("ok   ")] == [f"FAIL {expected}"]
+
+    @pytest.mark.parametrize(
+        "dependency, replacement, check, detail",
+        [
+            ("commutator_residual", lambda c, degree: 1, "heisenberg",
+             "nonzero commutator residual for right, sigma=1"),
+            ("apply_delta", lambda d, p: p, "lowering", "lowering failed for right, sigma=1/3, n=1"),
+            ("wavelength_to_momentum", lambda c, l: 0.5, "waves", "wavelength round trip failed for right, l=12.0"),
+            ("well_state_count", lambda c, M: (0, 0, 0), "well_counts", "right well counts changed"),
+            ("energy_bounds", lambda units: EnergyBounds(1.22e28, math.nan), "bound_targets",
+             "electron space bound off target"),
+            ("zeros_of_basic_polynomial", lambda c, n: [], "zero_pattern", "symmetric zero pattern changed"),
+        ],
+        ids=["heisenberg", "lowering", "waves", "well_counts", "bound_targets", "zero_pattern"],
+    )
+    def test_each_failure_detail_is_the_line_check_prints(
+        self, capsys, monkeypatch, dependency, replacement, check, detail
+    ):
+        monkeypatch.setattr(invariants, dependency, replacement)
+        target = getattr(invariants, check)
+        (name, run_check), = [(n, f) for n, f in invariants.cli_checks(1.0) if getattr(f, "func", f) is target]
+        assert run_check() == detail
+        code, out, _ = run(capsys, "check")
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("ok   ")] == [f"FAIL {name}: {detail}"]

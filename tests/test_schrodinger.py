@@ -1,6 +1,7 @@
 """Time separation, constant-potential eigenchecks, energy bounds, infinite well."""
 
 import math
+import random
 import statistics
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from umbralqm import (
     well_state_count,
     PROTON_MASS_KG,
 )
+from umbralqm.schrodinger import _level_classes
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 
@@ -77,6 +79,14 @@ class TestPlaneWaves:
     def test_reversed_window_is_rejected(self):
         with pytest.raises(ValueError):
             PlaneWaveState(right(1), 0.5).tabulate((3, 1))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("oscillatory", [True, False], ids=["oscillatory", "evanescent"])
+    def test_sample_is_the_tabulated_cell(self, kind, oscillatory):
+        state = PlaneWaveState(Correspondence(kind, 0.3), 1.7, 0.8, -0.25j, oscillatory=oscillatory)
+        table = state.tabulate((-40, 40))
+        for m in range(-40, 41):
+            assert repr(state.sample(m)) == repr(table.value(m))
 
     def test_constant_function_feels_only_the_potential(self):
         psi = DiscreteFunction(1.0, -4, [1.0] * 9)
@@ -293,6 +303,21 @@ class TestWellSpectrum:
                 spec = infinite_well_spectrum(symmetric(sigma), M)
                 assert all(lv.energy <= 1 / sigma**2 + 1e-12 for lv in spec.levels)
 
+    @pytest.mark.parametrize("kind", (Kind.RIGHT, Kind.LEFT))
+    def test_convergent_levels_are_the_float_rule_for_every_small_well(self, kind):
+        # the float rule the integer one replaced: tan(pi n/M) below 1 by more than 1e-12
+        for M in range(2, 801):
+            spec = infinite_well_spectrum(Correspondence(kind, 0.3), M)
+            want = [n != M / 2 and math.tan(math.pi * n / M) < 1.0 - 1e-12 for n in spec.n]
+            assert list(spec.convergent) == want, M
+
+    def test_level_classes_are_the_float_rule_next_to_a_quarter_of_huge_wells(self):
+        rng = random.Random(15)
+        for M in (rng.randrange(4, 10**10) for _ in range(2000)):
+            ns = range(M // 4 - 2, M // 4 + 3)
+            floated = [math.tan(math.pi * n / M) < 1.0 - 1e-12 for n in ns]
+            assert [cls == "convergent" for cls in _level_classes(Kind.RIGHT, M, ns)] == floated, M
+
     def test_well_momentum_pole(self):
         with pytest.raises(NonPhysicalStateError):
             well_momentum(right(1), 8, 4)
@@ -351,6 +376,25 @@ class TestWellWavefunctions:
         with pytest.raises(DomainError):
             infinite_well_wavefunction(right(1), 8, 3)  # tan(3 pi/8) > 1
 
+    @pytest.mark.parametrize("kind", (Kind.RIGHT, Kind.LEFT))
+    @pytest.mark.parametrize("sigma", [1.0, 0.2, 0.3, 0.7, 2.0, 3.3, 1e-300, 1e300, 1.7e308], ids=repr)
+    @pytest.mark.parametrize("M", [4, 8, 52, 200, 1000])
+    def test_boundary_levels_are_the_minimal_wave_whatever_k_sigma_rounds_to(self, kind, sigma, M):
+        # 4n = M and 4n = 3M have |k sigma| = 1 exactly: both are emitted, as one state up to sign;
+        # at k sigma = 1, e(ik) is (1 + i)^m (right) or ((1 + i)/2)^m (left)
+        c = Correspondence(kind, sigma)
+        low, high = infinite_well_wavefunction(c, M, M // 4), infinite_well_wavefunction(c, M, 3 * M // 4)
+        base = 1 + 1j if kind is Kind.RIGHT else (1 + 1j) / 2
+        want = [(base**m).imag for m in range(M + 1)]
+        top = max(map(abs, want))
+        assert all(abs(v - w) <= 1e-10 * top for v, w in zip(low.values, want))
+        assert all(abs(v + w) <= 1e-10 * top for v, w in zip(high.values, want))
+
+    def test_the_eight_point_minimal_wave_at_level_six(self):
+        wf = infinite_well_wavefunction(right(1.0), 8, 6)
+        assert wf.window == (0, 8)
+        assert abs(wf.values[2] + 2.0) <= 1e-15  # e(-i) = (1 - i)^m, imag part -2 at m = 2
+
     def test_level_range_validated(self):
         with pytest.raises(ValueError):
             infinite_well_wavefunction(symmetric(1), 8, 0)
@@ -400,6 +444,13 @@ class TestMaxEnergyEstimate:
         M = 51
         direct = energy_scale_ev(u) * math.tan(math.pi * (M - 1) / (2 * M)) ** 2
         assert abs(infinite_well_max_energy_log10(u, M) - math.log10(direct)) < 1e-9
+
+    @pytest.mark.parametrize("M", [3, 4, 50, 51, 1000, 1001])
+    def test_top_energy_is_the_spectrum_top_physical_level(self, M):
+        u = PhysicalUnits()
+        spec = infinite_well_spectrum(right(1.0), M)
+        top = max(e for e, physical in zip(spec.energy, spec.physical) if physical)
+        assert abs(infinite_well_max_energy_log10(u, M) - math.log10(energy_scale_ev(u) * top)) < 1e-9
 
     def test_bohr_scale_well_is_astronomically_bounded(self):
         # electron in a well of one Bohr radius, Planck-length lattice
