@@ -26,7 +26,7 @@ from .functions import (
     amplitude_growth,
     closed_form_status,
     umbral_exp_column,
-    umbral_exp_series,
+    umbral_exp_series_column,
     umbral_trig_column,
 )
 from .operators import Correspondence, InvalidDeltaError, Kind
@@ -180,25 +180,6 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def parse_cell(text: str):
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text == "-0":
-        return -0.0  # str() never writes an int as "-0"; format_cell does for -0.0
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 _CHUNK_ROWS = 4096
 # `%` specs that spell a cell of exactly this type as format_cell does
 _SPECS = {float: "%.17g", int: "%d", str: "%s"}
@@ -232,21 +213,6 @@ def write_csv(table: Table, stream) -> None:
             part = vals[start : start + _CHUNK_ROWS]
             cells.append(part if convert is None else list(map(convert, part)))
         stream.write(template * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
-
-
-def read_csv(stream) -> Table:
-    lines = [line.rstrip("\n") for line in stream if line.strip() != ""]
-    if not lines:
-        raise ValueError("empty csv input")
-    names = lines[0].split(",")
-    columns = [(name, []) for name in names]
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise ValueError("ragged csv row")
-        for (_, vals), cell in zip(columns, cells):
-            vals.append(parse_cell(cell))
-    return Table("", columns)
 
 
 def _json_value(v):
@@ -403,8 +369,7 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
         name = kind.value
         columns.append((f"{name}_closed", list(umbral_exp_column(c, k, ms))))
         if with_series:
-            series = (umbral_exp_series(c, k, m, cfg.tol) for m in ms)
-            rows = ((value, status.value) for value, status in series)
+            rows = ((value, status.value) for value, status in umbral_exp_series_column(c, k, ms, cfg.tol))
             columns += _columns(f"{name}_series {name}_status", rows)
     return emit("exp", cfg, [Table("exponential", columns)])
 

@@ -6,8 +6,10 @@ form, the exact, float and log-magnitude lattice values and the zero sets
 all derive from that one root description. The exponential series engine
 sums k^n/n! * sigma^n * L_n(m) exactly, where the root product
 L_n(m) = prod(m - r) is an integer advanced by _lattice_steps: its status is
-the convergence theorem, its sum a binary split to a certified term count;
-complex momenta sum in Gaussian integers.
+the convergence theorem, its sum exact to a certified term count; complex
+momenta sum in Gaussian integers. A column's first cell is a binary split;
+each later one walks from the cells before it by the delta recurrence of the
+truncated sum, to the same integers. A finite sum is the binomial theorem.
 """
 
 from __future__ import annotations
@@ -201,9 +203,9 @@ def basic_polynomial_value_log(c: Correspondence, n: int, m: int) -> tuple[float
 class _GaussianInt:
     """Exact Gaussian integer re + i*im, the numerator of a complex momentum's series.
 
-    It supports what the exact engine does to its numerators: adding another
-    Gaussian integer, multiplying by an int or another Gaussian integer,
-    small powers and the zero test.
+    It supports what the exact engine does to its numerators: adding,
+    subtracting and multiplying ints and Gaussian integers, the exact
+    quotient by a divisor, powers and the zero test.
     """
 
     __slots__ = ("re", "im")
@@ -211,8 +213,18 @@ class _GaussianInt:
     def __init__(self, re: int, im: int):
         self.re, self.im = re, im
 
-    def __add__(self, other: _GaussianInt):
-        return _GaussianInt(self.re + other.re, self.im + other.im)
+    def __add__(self, other):
+        if isinstance(other, _GaussianInt):
+            return _GaussianInt(self.re + other.re, self.im + other.im)
+        return _GaussianInt(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _GaussianInt(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, _GaussianInt):
@@ -221,10 +233,22 @@ class _GaussianInt:
             )
         return _GaussianInt(self.re * other, self.im * other)
 
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient by an int or Gaussian integer that divides self."""
+        if isinstance(other, _GaussianInt):
+            return self * _GaussianInt(other.re, -other.im) // _norm(other)
+        return _GaussianInt(self.re // other, self.im // other)
+
     def __pow__(self, n: int):
-        out = _GaussianInt(1, 0)
-        for _ in range(n):
-            out *= self
+        out, base = _GaussianInt(1, 0), self
+        while n:
+            if n & 1:
+                out *= base
+            n >>= 1
+            if n:
+                base *= base
         return out
 
     def __bool__(self) -> bool:
@@ -351,6 +375,16 @@ def _merge(left, right):
     return A1 * A2, B1 * B2, T1 * B2 + A1 * T2
 
 
+def _unmerge(whole, right):
+    """The left run of _merge(left, right), divided out exactly; None where right's A is 0, so left's is lost."""
+    A, B, T = whole
+    A2, B2, T2 = right
+    if not A2:
+        return None
+    A1 = A // A2
+    return A1, B // B2, (T - A1 * T2) // B2
+
+
 def _split(ratio, run: range):
     """Binary splitting over the chain indices of a nonempty run; ratio(run) = (p_n, q_n) lists.
 
@@ -369,10 +403,189 @@ def _split(ratio, run: range):
     return A, B, T
 
 
+def _resized(kind: Kind, P, Q: int, m: int, chains, N0: int, N1: int):
+    """The chains of the sum of the first N0 terms at m, moved to N1 terms.
+
+    Chain i holds the terms n = i mod step as (A, B, T): A/B the first term
+    not summed (P^e L_e(m) / (Q^e e!) at its next index e), T/B the chain's
+    sum. The split of the run between N0 and N1 is merged in, or divided out;
+    None where a divided run holds a zero factor. The integers depend on
+    (m, N1) only, however they were reached.
+    """
+    step = len(chains)
+    Ps, Qs = P**step, Q**step
+
+    def ratio(run: range):  # p_n = P^step L_(n+step)/L_n, q_n = Q^step (n+1)...(n+step)
+        rising = map(math.perm, range(run.start + step, run.stop + step, step), repeat(step))
+        return [Ps * s for s in _lattice_steps(kind, m, run)], [Qs * f for f in rising]
+
+    lo, hi = min(N0, N1), max(N0, N1)
+    out = []
+    for i, chain in enumerate(chains):
+        run = range(lo + (i - lo) % step, hi, step)
+        if run:
+            chain = (_merge if N1 > N0 else _unmerge)(chain, _split(ratio, run))
+            if chain is None:
+                return None
+        out.append(chain)
+    return out
+
+
+def _first_order_step(P, Q: int, m: int, N: int, chain, up: bool):
+    """The right chain at m + 1 (up) or m - 1 from the chain at m, both with N terms; None at a zero divisor.
+
+    The truncated sum S_N obeys S_N(m+1) = S_N(m) + (P/Q) S_(N-1)(m), from
+    L_n(m+1) - L_n(m) = n L_(n-1)(m). In the integers B = Q^N N!,
+    A = P^N L_N(m): T(m+1) = (Q+P) T(m)/Q - N A(m)/(m-N+1), and
+    A(m+1) = A(m) (m+1)/(m-N+1). Down is that step solved for T(m-1).
+    """
+    A, B, T = chain
+    if up:
+        d = m - N + 1
+        return (A * (m + 1) // d, B, (Q + P) * T // Q - N * A // d) if d else None
+    if not m:
+        return None
+    return A * (m - N) // m, B, Q * (T + N * A // m) // (Q + P)
+
+
+def _second_order_step(P, Q: int, m: int, N: int, before, here):
+    """The symmetric chains at m + 1 from those at m - 1 and m, all with N terms; None at a zero divisor.
+
+    S_N(m+1) = S_N(m-1) + 2 (P/Q) S_(N-1)(m), from L_n(m+1) - L_n(m-1) =
+    2n L_(n-1)(m), taken chain by chain: a parity's sum at m + 1 is its sum at
+    m - 1 plus 2P/Q times the other parity's at m, less the term N - 1. The A
+    follow from L_n(m-1) m = (m-1)(m-n+1) L_(n-1)(m) and
+    L_n(m+1) m = (m+1)(m+n-1) L_(n-1)(m); where the first is 0 = 0 at
+    m = N - 1, L_m(m) = 2^(m-1) m! instead.
+    """
+    low = (m - 1) * (m - N + 1)
+    if N < 1 or not m or not low and m != N - 1:
+        return None
+    i = N % 2  # the chain whose next index is N; the other's is N + 1
+    (Ai, Bi, Ti), (_, Bj, Tj) = before[i], before[1 - i]
+    g = Ai * m // low if low else P**N * (math.factorial(m) << (m - 1))  # P^N L_(N-1)(m)
+    Ti += 2 * P * here[1 - i][2] // (Q * Q * (N + 1)) - 2 * N * g
+    Tj += 2 * P * (N + 1) * here[i][2]
+    chains = [None, None]
+    chains[i] = g * ((m + 1) * (m + N - 1)) // m, Bi, Ti
+    chains[1 - i] = P * here[i][0] * ((m + 1) * (m + N)) // m, Bj, Tj
+    return chains
+
+
+class _Walk:
+    """The exact chains of a column's last summed cells, walked to the next cell.
+
+    A cell at (m, N) takes the chains of the last cell at m, or of the last
+    cells one step away, moved to N; the latter then step to m by the delta
+    recurrence of the truncated sum. Right/left step from one cell (left at
+    (m, P) has the chains of right at (-m, -P)); symmetric, whose recurrence
+    has second order, from two (down at (m, P) is up at (-m, -P)). Where no
+    cell is at hand, a move would divide by 0, or the moved run is longer
+    than N, the chains are split afresh.
+    """
+
+    def __init__(self, kind: Kind, P, Q: int):
+        self.kind, self.P, self.Q = kind, P, Q
+        self.cells = []  # (m, N, chains) of the last one or two summed cells, adjacent, the newest last
+
+    def chains(self, m: int, N: int):
+        kind, P, Q, cells = self.kind, self.P, self.Q, self.cells
+        order = 2 if kind is Kind.SYMMETRIC else 1
+        if cells and cells[-1][0] == m:
+            use = cells[-1:]
+        elif len(cells) >= order and m - cells[-1][0] in (1, -1) and (
+            order == 1 or m - cells[-1][0] == cells[-1][0] - cells[-2][0]
+        ):
+            use = cells[-order:]
+        else:
+            use = []
+        # a cell moves to N unless the run to move is longer than N itself
+        moved = [_resized(kind, P, Q, mc, ch, Nc, N) if abs(N - Nc) <= N else None for mc, Nc, ch in use]
+        chains = None
+        if use and None not in moved:
+            m1 = use[-1][0]
+            if m1 == m:
+                chains = moved[-1]
+            elif kind is Kind.SYMMETRIC:
+                s = 1 if m > m1 else -1
+                chains = _second_order_step(s * P, Q, s * m1, N, *moved)
+            else:
+                s = 1 if kind is Kind.RIGHT else -1
+                step = _first_order_step(s * P, Q, s * m1, N, moved[0][0], s * (m - m1) > 0)
+                chains = step and [step]
+            if chains is not None and m1 != m:
+                cells[-1] = (m1, N, moved[-1])
+        if chains is None:
+            starts = [(P**i * L, Q**i, P * 0) for i, L in enumerate(_lattice_chains(kind, m))]
+            chains = _resized(kind, P, Q, m, starts, 0, N)
+        if cells and cells[-1][0] == m:
+            cells.pop()
+        self.cells = (cells[-1:] if cells and abs(m - cells[-1][0]) == 1 else []) + [(m, N, chains)]
+        return chains
+
+
+def _cutoff_sum(kind: Kind, P, Q: int, m: int):
+    """An exact_cutoff cell rounded once: sum_n C(|m|, n) (+-P/Q)^n = (Q +- P)^|m| / Q^|m|, + for right."""
+    base = Q + (P if kind is Kind.RIGHT else -P)
+    return _to_float(base ** abs(m), Q ** abs(m))
+
+
+def exponential_series_column(c: Correspondence, k, ms, tol: float) -> Iterator:
+    """exponential_series_exact(c, k, m, tol) for each int m of ms, lazily, as (value, status).
+
+    Each cell has its own status, first N, doubling loop and acceptance
+    test; only the way to the exact chains differs: from the last summed
+    cells by the delta recurrence where one step reaches the cell, else a
+    fresh split (see _Walk). The chains are the same integers either way, so
+    every value is the same. An exact_cutoff cell is the binomial theorem.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return _series_cells(c.kind, *_momentum_ratio(k, c.sigma), ms, tol)
+
+
+def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
+    """The cells of exponential_series_column at k sigma = P/Q, each as exponential_series_exact describes."""
+    log_q, accept = _log_abs(P) - math.log(Q), math.log(tol / (1 + tol))
+    walk, closed = _Walk(kind, P, Q), None
+    for m in ms:
+        m = int(m)
+        status = _series_status(kind, P, Q, m)
+        if status is SummationStatus.EXACT_CUTOFF and P and abs(m) >= _TERM_BUDGET:
+            yield math.nan, SummationStatus.UNSUMMED  # |m| + 1 terms, past the budget
+            continue
+        if status is SummationStatus.EXACT_CUTOFF:
+            yield _cutoff_sum(kind, P, Q, m), status
+            continue
+        if status is not SummationStatus.CONVERGED:
+            yield math.nan, status
+            continue
+        if closed is None:
+            closed = _closed_base(kind, _to_float(P, Q))
+        base, sign = closed
+        if not base:  # k sigma rounds to -1 (right) or 1 (left): some 1e16 terms
+            yield math.nan, SummationStatus.UNSUMMED
+            continue
+        N = _term_count(kind, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)))
+        while N <= _TERM_BUDGET:
+            chains = walk.chains(m, N)
+            num, den = P * 0, 1
+            for _, B, T in chains:
+                num, den = num * B + T * den, den * B
+            log_sum = _log_abs(num) - math.log(den)
+            tail = _log_tail(kind, log_q, m, N, [_log_abs(A) - math.log(B) for A, B, _ in chains])
+            if tail == -math.inf or tail - log_sum <= accept:  # a finite sum may be exactly 0
+                yield _to_float(num, den), status
+                break
+            N = max(_term_count(kind, log_q, m, accept - math.log(4) + log_sum), 2 * N)
+        else:
+            yield math.nan, SummationStatus.UNSUMMED
+
+
 def exponential_series_exact(
     c: Correspondence, k, m: int, tol: float
 ) -> tuple[complex, SummationStatus]:
-    """Sum k^n/n! times the basic values at m exactly; (value, status).
+    """Sum k^n/n! times the basic values at m exactly; (value, status): exponential_series_column at m.
 
     The status is the theorem of _series_status. The first N terms, N chosen
     from the term magnitudes and the closed form's size, are summed by binary
@@ -381,45 +594,4 @@ def exponential_series_exact(
     sum correctly rounded (+-inf or 0.0 past the double range; complex for a
     complex k); nan when diverged or `unsummed` (over _TERM_BUDGET terms).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = int(m)
-    kind = c.kind
-    P, Q = _momentum_ratio(k, c.sigma)
-    status = _series_status(kind, P, Q, m)
-    if status not in (SummationStatus.EXACT_CUTOFF, SummationStatus.CONVERGED):
-        return math.nan, status
-    log_q, accept = _log_abs(P) - math.log(Q), math.log(tol / (1 + tol))
-    if status is SummationStatus.EXACT_CUTOFF:
-        N = abs(m) + 1 if P else 1
-    else:
-        base, sign = _closed_base(kind, _to_float(P, Q))
-        if not base:  # k sigma rounds to -1 (right) or 1 (left): some 1e16 terms
-            return math.nan, SummationStatus.UNSUMMED
-        N = _term_count(kind, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)))
-
-    starts = _lattice_chains(kind, m)
-    step = len(starts)
-    Ps, Qs = P**step, Q**step
-
-    def ratio(run: range):  # p_n = P^step L_(n+step)/L_n, q_n = Q^step (n+1)...(n+step)
-        rising = map(math.perm, range(run.start + step, run.stop + step, step), repeat(step))
-        return [Ps * s for s in _lattice_steps(kind, m, run)], [Qs * f for f in rising]
-
-    # chain i holds the terms n = i mod step as (A, B, T): A/B the first term
-    # not summed yet (P^i L_i(m) / Q^i at the start), T/B the sum so far
-    chains = [(P**i * L, Q**i, P * 0) for i, L in enumerate(starts)]
-    done = 0
-    while N <= _TERM_BUDGET:
-        runs = [range(done + (i - done) % step, N, step) for i in range(step)]
-        chains = [_merge(chain, _split(ratio, run)) if run else chain for chain, run in zip(chains, runs)]
-        done = N
-        num, den = P * 0, 1
-        for _, B, T in chains:
-            num, den = num * B + T * den, den * B
-        log_sum = _log_abs(num) - math.log(den)
-        tail = _log_tail(kind, log_q, m, N, [_log_abs(A) - math.log(B) for A, B, _ in chains])
-        if tail == -math.inf or tail - log_sum <= accept:  # a finite sum may be exactly 0
-            return _to_float(num, den), status
-        N = max(_term_count(kind, log_q, m, accept - math.log(4) + log_sum), 2 * N)
-    return math.nan, SummationStatus.UNSUMMED
+    return next(exponential_series_column(c, k, (m,), tol))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator
 
-from .correspondences import SummationStatus, exponential_series_exact
+from .correspondences import SummationStatus, exponential_series_column
 from .correspondences import _closed_base, _momentum_ratio, _series_status, _signed_exp
 from .operators import Correspondence, Kind
 
@@ -110,17 +110,26 @@ def umbral_exp(c: Correspondence, k, m: int):
     return next(umbral_exp_column(c, k, (int(m),)))
 
 
+def umbral_exp_series_column(c: Correspondence, k, ms, tol: float = 1e-12) -> Iterator:
+    """umbral_exp_series(c, k, m, tol) for each int m of ms, lazily, as (value, status).
+
+    The exact engine's column: a cell next to the last summed one is walked
+    to by the delta recurrence of the truncated sum, not summed afresh.
+    """
+    return exponential_series_column(c, k, ms, tol)
+
+
 def umbral_exp_series(
     c: Correspondence, k, m: int, tol: float = 1e-12
 ) -> tuple[complex, SummationStatus]:
-    """Discrete exponential summed from the series k^n/n! times the basic values.
+    """Discrete exponential from the series k^n/n! times the basic values: umbral_exp_series_column at one point.
 
     The exact engine survives the catastrophic cancellation of the
     alternating branches. A float k or sigma is read as its shortest decimal,
     so 0.2 sums as 1/5; a complex k with a nonzero imaginary part sums in
     Gaussian integers and gives a complex.
     """
-    return exponential_series_exact(c, k, m, tol)
+    return next(umbral_exp_series_column(c, k, (int(m),), tol))
 
 
 def closed_form_status(c: Correspondence, k, m: int) -> SummationStatus:

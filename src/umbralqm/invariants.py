@@ -17,8 +17,8 @@ from .correspondences import basic_polynomial, basic_polynomial_value, zeros_of_
 from .functions import (
     minimum_wavelength_points,
     momentum_to_wavelength,
-    umbral_exp,
-    umbral_exp_series,
+    umbral_exp_column,
+    umbral_exp_series_column,
     wavelength_to_momentum,
 )
 from .operators import Correspondence, DeltaOperator, Kind, apply_delta, commutator_residual
@@ -71,12 +71,13 @@ def closed_vs_product(degree: int, window: int, sigmas):
 
 def exp_series(momenta, window: int):
     """Series sums (tol 1e-12) equal the closed forms to 1e-10 relative, sigma 1, |m| <= window."""
-    for kind, ks, m in product(Kind, momenta, range(-window, window + 1)):
+    ms = range(-window, window + 1)
+    for kind, ks in product(Kind, momenta):
         c = Correspondence(kind, 1)
-        closed = umbral_exp(c, ks, m)
-        summed, _ = umbral_exp_series(c, ks, m, 1e-12)
-        if not abs(summed - closed) <= 1e-10 * abs(closed):
-            return f"series mismatch at {kind.value}, k sigma={ks}, m={m}"
+        cells = zip(ms, umbral_exp_column(c, ks, ms), umbral_exp_series_column(c, ks, ms, 1e-12))
+        for m, closed, (summed, _) in cells:
+            if not abs(summed - closed) <= 1e-10 * abs(closed):
+                return f"series mismatch at {kind.value}, k sigma={ks}, m={m}"
     return None
 
 

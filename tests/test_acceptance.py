@@ -9,6 +9,7 @@ import math
 import statistics
 import time
 
+from csv_reader import read_csv
 from umbralqm import (
     Correspondence,
     Kind,
@@ -27,7 +28,7 @@ from umbralqm import (
     PROTON_MASS_KG,
 )
 from umbralqm import invariants
-from umbralqm.cli import main as cli_main, read_csv
+from umbralqm.cli import main as cli_main
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csv_reader import read_csv
 from umbralqm import cli, invariants
-from umbralqm.cli import _CHUNK_ROWS, Table, format_cell, main, read_csv, write_csv
+from umbralqm.cli import _CHUNK_ROWS, Table, format_cell, main, write_csv
 from umbralqm.functions import DiscreteFunction
 from umbralqm.schrodinger import EnergyBounds
 
@@ -246,6 +247,27 @@ PINNED_STREAMS = [
         "note: tables omitted on csv stdout (wavefunction_right_n1, wavefunction_right_n15, "
         "wavefunction_left_n1, wavefunction_left_n15, wavefunction_symmetric_n1, wavefunction_symmetric_n5, "
         "wavefunction_symmetric_n15); pass --out BASE or --format json\n",
+        {},
+    ),
+    # the series engine's heavy strata, pinned from the per-cell engine before
+    # the columns walked: right near k sigma = 1 (long sums toward m = 0), left
+    # with long sums, and a symmetric window far out where N = |m|
+    (
+        ["exp", "--k", "1", "--sigma", "0.9", "--window=-105:-82", "--format", "json"],
+        "89e197e96af65df263e164533cfc9d9f7dd6017b42f27db8c33328d618e4cfa7",
+        "",
+        {},
+    ),
+    (
+        ["exp", "--k", "2", "--sigma", "0.475", "--window=125:148", "--format", "json"],
+        "e7cc898072f88204ef68106b31faea4775840f400f487511f0c8ae68b54ccb82",
+        "",
+        {},
+    ),
+    (
+        ["exp", "--k", "0.25", "--sigma", "0.8", "--window=940:963", "--format", "json"],
+        "657c93c517d114aceb548a9a424da7d54cb4c0a2a8b02bd2111ceb0fe3005c98",
+        "",
         {},
     ),
 ]
@@ -820,7 +842,7 @@ class TestCheck:
             # a NaN fails every bound
             ("basic_polynomial_value", lambda c, n, m: math.nan,
              "closed form vs direct product: value mismatch at right, sigma=0.5, n=0, m=-12"),
-            ("umbral_exp_series", lambda c, ks, m, tol: (math.nan, None),
+            ("umbral_exp_series_column", lambda c, ks, ms, tol: [(math.nan, None)] * len(ms),
              "exponential series vs closed form: series mismatch at right, k sigma=-0.5, m=-10"),
             ("momentum_to_wavelength", lambda c, k: math.nan,
              "wavelength round trips and minimal waves: minimal wave mismatch for right"),

@@ -8,10 +8,16 @@ edges, so a bound that holds for one point but not for the window shows. A
 copy of the per-cell basic polynomial loop, with its range check on every
 step, and a copy of the per-level well loop are the references for the
 hoisted range check and the spectrum's columns.
+
+The exact series column walks from cell to cell by the delta recurrence of
+the truncated sum. A copy of the per-cell engine it replaced, one binary
+split from n = 0 per cell, is its reference, in windows that cross the
+origin, the term budget and the changes of status, and in any order of m.
 """
 
 import cmath
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -21,10 +27,12 @@ from umbralqm import (
     Correspondence,
     DomainError,
     Kind,
+    SummationStatus,
     WellLevel,
     basic_polynomial_column,
     basic_polynomial_value,
     basic_polynomial_value_log,
+    exponential_series_column,
     infinite_well_spectrum,
     umbral_exp,
     umbral_exp_column,
@@ -32,6 +40,7 @@ from umbralqm import (
     umbral_trig_column,
     well_state_count,
 )
+from umbralqm import correspondences as C
 from umbralqm.functions import lattice_dispersion
 
 KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
@@ -208,3 +217,177 @@ def test_well_spectrum_columns_are_the_per_level_loop(kind, sigma, M):
     assert spectrum.degeneracy_pairs == [(lv.n, M - lv.n) for lv in levels]
     physical, convergent = sum(lv.physical for lv in levels), sum(lv.convergent for lv in levels)
     assert well_state_count(c, M) == (len(levels), physical, convergent)
+
+
+# ---------------------------------------------------------------------------
+# the exact series column
+# ---------------------------------------------------------------------------
+
+
+def reference_series(c, k, m, tol):
+    """The per-cell engine the series column replaced: each cell summed from n = 0 by one binary split."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    m, kind = int(m), c.kind
+    P, Q = C._momentum_ratio(k, c.sigma)
+    status = C._series_status(kind, P, Q, m)
+    if status not in (SummationStatus.EXACT_CUTOFF, SummationStatus.CONVERGED):
+        return math.nan, status
+    log_q, accept = C._log_abs(P) - math.log(Q), math.log(tol / (1 + tol))
+    if status is SummationStatus.EXACT_CUTOFF:
+        N = abs(m) + 1 if P else 1
+    else:
+        base, sign = C._closed_base(kind, C._to_float(P, Q))
+        if not base:
+            return math.nan, SummationStatus.UNSUMMED
+        N = C._term_count(kind, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)))
+    starts = C._lattice_chains(kind, m)
+    step = len(starts)
+
+    def ratio(run):
+        rising = [math.perm(n + step, step) for n in run]
+        return [P**step * s for s in C._lattice_steps(kind, m, run)], [Q**step * f for f in rising]
+
+    chains = [(P**i * L, Q**i, P * 0) for i, L in enumerate(starts)]
+    done = 0
+    while N <= C._TERM_BUDGET:
+        runs = [range(done + (i - done) % step, N, step) for i in range(step)]
+        chains = [C._merge(ch, C._split(ratio, run)) if run else ch for ch, run in zip(chains, runs)]
+        done = N
+        num, den = P * 0, 1
+        for _, B, T in chains:
+            num, den = num * B + T * den, den * B
+        log_sum = C._log_abs(num) - math.log(den)
+        tail = C._log_tail(kind, log_q, m, N, [C._log_abs(A) - math.log(B) for A, B, _ in chains])
+        if tail == -math.inf or tail - log_sum <= accept:
+            return C._to_float(num, den), status
+        N = max(C._term_count(kind, log_q, m, accept - math.log(4) + log_sum), 2 * N)
+    return math.nan, SummationStatus.UNSUMMED
+
+
+def assert_series_column_is_per_cell(c, k, ms, tol=1e-12):
+    assert_column_is_scalar(
+        lambda ms: exponential_series_column(c, k, ms, tol), lambda m: reference_series(c, k, m, tol), ms
+    )
+
+
+# k sigma: real inside the disk, on and past its edge; imaginary (symmetric |k sigma| > 1 diverges) and off-axis
+SERIES_KS = (0.1, 0.5, 0.9, 0.95, -0.9, 1.0, -1.0, 1.5, 0.9j, -0.9j, 1.5j, -2.5j, 0.3 + 0.4j, -0.5 + 0.7j)
+
+
+@pytest.mark.parametrize("ks", SERIES_KS, ids=repr)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_series_column_across_the_origin_is_the_per_cell_engine(kind, ks):
+    # the statuses change at m = 0: cutoff on one side, converged, diverged or unsummed on the other
+    assert_series_column_is_per_cell(Correspondence(kind, 1), ks, range(-14, 15))
+
+
+@pytest.mark.parametrize("sigma", (1, 0.3, Fraction(2, 7)), ids=repr)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_series_column_far_out_is_the_per_cell_engine(kind, sigma):
+    # long sums: N falls by several terms per step toward m = 0, and symmetric N = |m| at small k sigma
+    c = Correspondence(kind, sigma)
+    for ks, lo in ((0.9, -60), (0.9, 40), (0.2, -230), (0.2, 205), (0.5j, 60), (0.3 + 0.4j, -50)):
+        assert_series_column_is_per_cell(c, ks / c.sigma_float(), range(lo, lo + 21))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_series_column_in_any_order_is_the_per_cell_engine(kind):
+    c = Correspondence(kind, 1)
+    orders = (
+        range(30, -31, -1),  # descending, across the origin
+        [7, 7, 8, 8, 8, 9, 7, 6, 6, 5],  # repeated, and turning back
+        [-20, -18, -17, 3, -16, -15, 0, 1, 2, 40, 39, -39],  # gaps, and one side to the other
+        [25],  # a single point
+        [],
+    )
+    for ks in (0.9, -0.5, 0.7j):
+        for ms in orders:
+            assert_series_column_is_per_cell(c, ks, ms)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_series_column_at_both_ends_of_the_tol_range_is_the_per_cell_engine(kind):
+    for tol in (1e-6, 1e-15):
+        assert_series_column_is_per_cell(Correspondence(kind, 1), 0.9, range(-45, 46), tol)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_series_column_that_doubles_its_count_is_the_per_cell_engine(kind, monkeypatch):
+    # a size hint 1e6^|m| too large picks too few terms in every cell, so each one
+    # extends its sum; the next cell then starts from the extended chains
+    ms = range(-45, -25) if kind is Kind.RIGHT else range(25, 45)
+    monkeypatch.setattr(C, "_closed_base", lambda kind, ks: (1e6 if ms[0] > 0 else 1e-6, 1))
+    counts = []
+    term_count = C._term_count
+    monkeypatch.setattr(C, "_term_count", lambda *args: counts.append(term_count(*args)) or counts[-1])
+    assert_series_column_is_per_cell(Correspondence(kind, Fraction(1, 2)), Fraction(8, 5), ms)
+    assert len(counts) >= 2 * 2 * len(ms)  # both engines count each cell at least twice
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_series_column_across_the_term_budget_is_the_per_cell_engine(kind, monkeypatch):
+    # with a budget of 300 terms the cells past |m| ~ 30 at k sigma 0.8 are unsummed, and so
+    # are the cutoff cells with more than 300 terms
+    monkeypatch.setattr(C, "_TERM_BUDGET", 300)
+    c = Correspondence(kind, 1)
+    for ks in (0.8, -0.8):
+        ms = [*range(-45, -20), *range(20, 46), 299, 300, 301, -299, -300, -301]
+        assert_series_column_is_per_cell(c, ks, ms)
+        assert SummationStatus.UNSUMMED in {status for _, status in exponential_series_column(c, ks, ms, 1e-12)}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_series_column_where_k_sigma_rounds_to_one_is_the_per_cell_engine(kind):
+    # |k sigma| < 1 exactly, but the double base 1 + k sigma (right) or 1 - k sigma (left) is 0
+    for sigma, k in ((0.9999999999999998, -1.0000000000000002), (0.9999999999999998, 1.0000000000000002)):
+        assert_series_column_is_per_cell(Correspondence(kind, sigma), k, range(-6, 7))
+
+
+def test_series_column_checks_tol_before_any_cell():
+    with pytest.raises(ValueError):
+        exponential_series_column(Correspondence(Kind.RIGHT, 1), 0.5, [], 0.0)
+
+
+@pytest.mark.parametrize("kind", (Kind.RIGHT, Kind.LEFT), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("ks", (0.37, -0.81, 0.6 - 0.3j, 1.7j, 2.0), ids=repr)
+def test_cutoff_cells_are_the_binomial_theorem(kind, ks):
+    # sum_(n <= |m|) C(|m|, n) (+-k sigma)^n: the per-cell split of |m| + 1 terms, by repr
+    c = Correspondence(kind, 1)
+    side = 1 if kind is Kind.RIGHT else -1
+    assert_series_column_is_per_cell(c, ks, [side * m for m in (0, 1, 2, 17, 150, 400)])
+
+
+def test_gaussian_power_is_repeated_multiplication():
+    z = C._GaussianInt(3, -7)
+    for n in (0, 1, 2, 5, 64, 101):
+        want = C._GaussianInt(1, 0)
+        for _ in range(n):
+            want = want * z
+        got = z**n
+        assert (got.re, got.im) == (want.re, want.im)
+
+
+def integers(chains):
+    """The chains' integers, Gaussian ones as (re, im) pairs."""
+    return [tuple((x.re, x.im) if isinstance(x, C._GaussianInt) else x for x in chain) for chain in chains]
+
+
+@pytest.mark.parametrize("ks", (Fraction(9, 10), Fraction(-1, 5), Fraction(7, 3), 0.3 + 0.4j, -0.7j), ids=repr)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_walked_chains_are_the_integers_of_a_fresh_split(kind, ks):
+    # every value rounds the same integers, so the walk must reach them exactly: a
+    # wrong last term moves a sum by less than its rounding, but not its integers.
+    # A seeded path of steps, turns, repeats and jumps, on both sides of m = 0, with
+    # N near |m| (where a symmetric chain ends) and far from it, rising and falling
+    rng = random.Random(f"{kind.value} {ks}")
+    P, Q = C._momentum_ratio(ks, 1)
+    walk, m, walked = C._Walk(kind, P, Q), -30, 0
+    for _ in range(400):
+        m += rng.choice((1, 1, 1, -1, 0, 2, -7)) if abs(m) < 40 else -m // 2
+        N = max(1, abs(m) + rng.choice((-3, -1, 0, 0, 1, 2, 5, 40)) if rng.random() < 0.8 else rng.randint(1, 90))
+        steps = len(walk.cells) and abs(m - walk.cells[-1][0]) == 1
+        got = walk.chains(m, N)
+        assert integers(got) == integers(C._Walk(kind, P, Q).chains(m, N)), (m, N)
+        walked += steps
+    assert walked > 150
