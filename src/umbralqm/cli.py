@@ -13,10 +13,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
+from typing import NamedTuple
 
+# Every package module loads with the CLI: the benchmark's span tracer (bench/spans.py)
+# looks each one up in sys.modules, so none may be imported lazily.
 from . import __version__
 from .correspondences import SummationStatus, basic_polynomial_column
 from .functions import (
@@ -81,8 +83,7 @@ class Table:
         return self._columns
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     sigma: float
     corr: str
     kinds: list

@@ -351,21 +351,35 @@ def _log_tail(kind: Kind, log_q: float, m: int, n: int, logs) -> float:
     return top + math.log(sum(math.exp(x - top) for x in logs)) - math.log1p(-r)
 
 
-def _term_count(kind: Kind, log_q: float, m: int, target: float) -> int:
+def _term_count(unit: Correspondence, log_q: float, m: int, target: float, start: int | None = None) -> int:
     """Fewest terms N whose tail, estimated with lgamma, is at most e^target; past the budget if none is.
 
-    The bound falls monotonically once finite, so bisection finds N in
-    O(log budget) evaluations.
+    unit is the correspondence at sigma 1. The bound falls monotonically once
+    finite, so bisection finds N in O(log budget) evaluations; from a start
+    near N, such as the last cell's, the search gallops out to a bracket of
+    N and bisects that, to the same N in O(log |N - start|).
     """
+    kind = unit.kind
     step = len(_lattice_chains(kind, m))
-    unit = Correspondence(kind, 1)
 
     def fits(n: int) -> bool:
         logs = [j * log_q + basic_polynomial_value_log(unit, j, m)[1] - math.lgamma(j + 1)
                 for j in range(n, n + step)]
         return _log_tail(kind, log_q, m, n, logs) <= target
 
-    return bisect_left(range(_TERM_BUDGET + 2), True, key=fits)
+    lo, hi = 0, _TERM_BUDGET + 2  # N is in lo..hi, and is _TERM_BUDGET + 2 where no count fits
+    if start is not None:  # gallop from start, doubling the step, to a bracket of N
+        gap = 1
+        if fits(start):
+            hi = start
+            while hi - gap >= 0 and fits(hi - gap):
+                hi, gap = hi - gap, 2 * gap
+            lo = max(0, hi - gap + 1)
+        else:
+            while start + gap < hi and not fits(start + gap):
+                start, gap = start + gap, 2 * gap
+            lo, hi = start + 1, min(hi, start + gap)
+    return bisect_left(range(_TERM_BUDGET + 2), True, lo, hi, key=fits)
 
 
 def _merge(left, right):
@@ -547,7 +561,7 @@ def exponential_series_column(c: Correspondence, k, ms, tol: float) -> Iterator:
 def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
     """The cells of exponential_series_column at k sigma = P/Q, each as exponential_series_exact describes."""
     log_q, accept = _log_abs(P) - math.log(Q), math.log(tol / (1 + tol))
-    walk, closed = _Walk(kind, P, Q), None
+    walk, closed, unit, last_N = _Walk(kind, P, Q), None, Correspondence(kind, 1), None
     for m in ms:
         m = int(m)
         status = _series_status(kind, P, Q, m)
@@ -566,7 +580,7 @@ def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
         if not base:  # k sigma rounds to -1 (right) or 1 (left): some 1e16 terms
             yield math.nan, SummationStatus.UNSUMMED
             continue
-        N = _term_count(kind, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)))
+        N = _term_count(unit, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)), last_N)
         while N <= _TERM_BUDGET:
             chains = walk.chains(m, N)
             num, den = P * 0, 1
@@ -576,8 +590,9 @@ def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
             tail = _log_tail(kind, log_q, m, N, [_log_abs(A) - math.log(B) for A, B, _ in chains])
             if tail == -math.inf or tail - log_sum <= accept:  # a finite sum may be exactly 0
                 yield _to_float(num, den), status
+                last_N = N
                 break
-            N = max(_term_count(kind, log_q, m, accept - math.log(4) + log_sum), 2 * N)
+            N = max(_term_count(unit, log_q, m, accept - math.log(4) + log_sum, N), 2 * N)
         else:
             yield math.nan, SummationStatus.UNSUMMED
 

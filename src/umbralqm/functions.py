@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator
 
@@ -220,33 +219,29 @@ def amplitude_growth_log(l: float, n: int) -> float:
     return -l * n * log_cos if log_cos else 0.0  # growth 1.0, also at l = inf where l * 0 is nan
 
 
-@dataclass(frozen=True)
 class WaveSpec:
     """A discrete wave: momentum, points per wavelength and wavelength, kept consistent."""
 
-    correspondence: Correspondence
-    k: float
-    points_per_wavelength: float
-    wavelength: float
-
-    def __post_init__(self):
-        sigma = self.correspondence.sigma_float()
-        s = self.k * sigma
+    def __init__(self, correspondence: Correspondence, k: float, points_per_wavelength: float, wavelength: float):
+        sigma = correspondence.sigma_float()
+        s = k * sigma
         if not 0 < s <= 1:
             raise DomainError("discrete waves require 0 < k sigma <= 1")
-        if self.points_per_wavelength == math.inf:  # the count past the double range, as lambda/sigma must be
-            disagree = self.wavelength / sigma < math.inf
+        if points_per_wavelength == math.inf:  # the count past the double range, as lambda/sigma must be
+            disagree = wavelength / sigma < math.inf
         else:
-            disagree = abs(self.wavelength - self.points_per_wavelength * sigma) > 1e-10 * self.wavelength
+            disagree = abs(wavelength - points_per_wavelength * sigma) > 1e-10 * wavelength
         if disagree:
             raise ValueError("wavelength and point count disagree")
         # the rule, not its inverse: asin near k sigma = 1 magnifies one rounding of k sigma to 1e-8;
         # a wavelength past the double range is inf and no longer fixes k; a subnormal
         # sigma/lambda is rounded to the 2^-1074 grid, which 2 pi widens to 4 steps
-        rule = lattice_dispersion(self.correspondence.kind)[0]
-        theta = 2 * math.pi * (sigma / self.wavelength)
-        if self.wavelength < math.inf and abs(rule(theta) - s) > 1e-10 * s + 2.0**-1071:
+        rule = lattice_dispersion(correspondence.kind)[0]
+        theta = 2 * math.pi * (sigma / wavelength)
+        if wavelength < math.inf and abs(rule(theta) - s) > 1e-10 * s + 2.0**-1071:
             raise ValueError("momentum and wavelength disagree for this correspondence")
+        self.correspondence, self.k = correspondence, k
+        self.points_per_wavelength, self.wavelength = points_per_wavelength, wavelength
 
     @property
     def is_minimal(self) -> bool:
@@ -263,54 +258,21 @@ class WaveSpec:
         return cls(c, k, l, l * c.sigma_float())
 
 
-@dataclass(frozen=True)
-class AdditionLawReport:
-    """Products probing the two exponential addition laws on the lattice."""
-
-    translation_product: float
-    translation_expected: float
-    two_constant_product: float
-    two_constant_expected: float
-
-    @property
-    def translation_residual(self) -> float:
-        return abs(self.translation_product - self.translation_expected)
-
-    @property
-    def two_constant_residual(self) -> float:
-        return abs(self.two_constant_product - self.two_constant_expected)
-
-
-def addition_law_check(
-    c: Correspondence, k: float, k2: float, m: int, n: int
-) -> AdditionLawReport:
-    """Check E(k,m)E(k,n) = E(k,m+n) and probe E(k,m)E(k2,m) vs E(k+k2,m).
-
-    The same-momentum translation law survives discretization; the
-    two-momentum law generically does not.
-    """
-    s = c.sigma_float()
-    if abs(k) * s >= 1 or abs(k2) * s >= 1:
-        raise DomainError("both momenta must satisfy |k sigma| < 1")
-    return AdditionLawReport(
-        umbral_exp(c, k, m) * umbral_exp(c, k, n),
-        umbral_exp(c, k, m + n),
-        umbral_exp(c, k, m) * umbral_exp(c, k2, m),
-        umbral_exp(c, k + k2, m),
-    )
-
-
-@dataclass
 class DiscreteFunction:
-    """Samples of a lattice function on a contiguous index window."""
+    """Samples of a lattice function on a contiguous index window; compared by value."""
 
-    sigma: float
-    m_min: int
-    values: list
-
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, sigma: float, m_min: int, values: list):
+        if not values:
             raise ValueError("window must contain at least one point")
+        self.sigma, self.m_min, self.values = sigma, m_min, values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sigma, self.m_min, self.values) == (other.sigma, other.m_min, other.values)
+
+    def __repr__(self):
+        return f"DiscreteFunction(sigma={self.sigma!r}, m_min={self.m_min!r}, values={self.values!r})"
 
     @property
     def m_max(self) -> int:

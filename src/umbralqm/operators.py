@@ -9,12 +9,11 @@ be verified exactly, coefficient by coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .polynomials import Polynomial, _exact, shift_sum
 
@@ -31,20 +30,39 @@ class Kind(Enum):
     SYMMETRIC = "symmetric"
 
 
-@dataclass(frozen=True)
 class Correspondence:
-    """One of the three lattice correspondences at spacing sigma.
+    """One of the three lattice correspondences at spacing sigma; an immutable value.
 
     sigma, positive and finite, may be an int, Fraction or float; exact code
     paths convert it with `Fraction`, which is lossless for all three.
     """
 
-    kind: Kind
-    sigma: Union[int, float, Fraction] = 1
+    __slots__ = ("kind", "sigma")
 
-    def __post_init__(self):
-        if not 0 < self.sigma < inf:
+    def __init__(self, kind: Kind, sigma: Union[int, float, Fraction] = 1):
+        if not 0 < sigma < inf:
             raise ValueError("sigma must be positive and finite")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sigma", sigma)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Correspondence, (self.kind, self.sigma)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.sigma) == (other.kind, other.sigma)
+
+    def __hash__(self):
+        return hash((self.kind, self.sigma))
+
+    def __repr__(self):
+        return f"Correspondence(kind={self.kind!r}, sigma={self.sigma!r})"
 
     def sigma_exact(self) -> Fraction:
         return Fraction(self.sigma)
@@ -72,7 +90,6 @@ def symmetric(sigma=1) -> Correspondence:
     return Correspondence(Kind.SYMMETRIC, sigma)
 
 
-@dataclass(frozen=True)
 class DeltaOperator:
     """Finite shift series (1/(N sigma)) sum_n a_n T^n acting on polynomials.
 
@@ -82,19 +99,14 @@ class DeltaOperator:
     `apply_delta` refuses to run with them.
     """
 
-    terms: Mapping[int, Fraction]
-    normalizer: int
-    sigma: Fraction
-
-    def __post_init__(self):
-        if int(self.normalizer) != self.normalizer or self.normalizer <= 0:
+    def __init__(self, terms: Mapping[int, Fraction], normalizer: int, sigma: Fraction):
+        if int(normalizer) != normalizer or normalizer <= 0:
             raise ValueError("normalizer must be a positive integer")
-        if not 0 < self.sigma < inf:
+        if not 0 < sigma < inf:
             raise ValueError("sigma must be positive and finite")
-        cleaned = {int(n): _exact(a) for n, a in self.terms.items() if a}
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "normalizer", int(self.normalizer))
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
+        self.terms = {int(n): _exact(a) for n, a in terms.items() if a}
+        self.normalizer = int(normalizer)
+        self.sigma = Fraction(sigma)
 
     @classmethod
     def right(cls, sigma=1) -> "DeltaOperator":
@@ -135,8 +147,7 @@ class DeltaOperator:
         return apply_delta(self, p)
 
 
-@dataclass(frozen=True)
-class DeltaConditionReport:
+class DeltaConditionReport(NamedTuple):
     """Both delta-condition sums, together with pass/fail flags."""
 
     coefficient_sum: Fraction

@@ -10,10 +10,10 @@ wanted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from .correspondences import _to_float
 from .functions import DiscreteFunction, DomainError, _power, lattice_dispersion, umbral_exp_column
@@ -35,23 +35,23 @@ class NonPhysicalStateError(ValueError):
     """The requested well level sits on the tan pole (infinite energy)."""
 
 
-@dataclass(frozen=True)
 class PhysicalUnits:
     """Laboratory constants for converting lattice results to eV."""
 
-    hbar: float = HBAR_JS
-    mass: float = ELECTRON_MASS_KG
-    sigma_m: float = PLANCK_LENGTH_M
-    tau_s: float = PLANCK_TIME_S
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        hbar: float = HBAR_JS,
+        mass: float = ELECTRON_MASS_KG,
+        sigma_m: float = PLANCK_LENGTH_M,
+        tau_s: float = PLANCK_TIME_S,
+    ):
+        self.hbar, self.mass, self.sigma_m, self.tau_s = hbar, mass, sigma_m, tau_s
         for name in ("hbar", "mass", "sigma_m", "tau_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class EnergyBounds:
+class EnergyBounds(NamedTuple):
     """The two lattice energy ceilings, in eV."""
 
     e_max_time_ev: float
@@ -107,19 +107,21 @@ def separate(
     return DiscreteFunction(tau, 0, list(umbral_exp_column(c, complex(0.0, E), range(n_steps + 1))))
 
 
-@dataclass(frozen=True)
 class PlaneWaveState:
     """A e(+ik) + B e(-ik) (oscillatory) or A e(+k) + B e(-k) (evanescent)."""
 
-    correspondence: Correspondence
-    k: float
-    amplitude_forward: complex = 1.0
-    amplitude_backward: complex = 0.0
-    oscillatory: bool = True
-
-    def __post_init__(self):
-        if self.amplitude_forward == 0 and self.amplitude_backward == 0:
+    def __init__(
+        self,
+        correspondence: Correspondence,
+        k: float,
+        amplitude_forward: complex = 1.0,
+        amplitude_backward: complex = 0.0,
+        oscillatory: bool = True,
+    ):
+        if amplitude_forward == 0 and amplitude_backward == 0:
             raise ValueError("at least one amplitude must be nonzero")
+        self.correspondence, self.k, self.oscillatory = correspondence, k, oscillatory
+        self.amplitude_forward, self.amplitude_backward = amplitude_forward, amplitude_backward
 
     def _samples(self, ms) -> list:
         """The state at each int m of the sequence ms, from the e(+-ik) or e(+-k) columns."""
@@ -163,8 +165,7 @@ def apply_hamiltonian(c: Correspondence, V0: float, psi: DiscreteFunction) -> Di
     return DiscreteFunction(psi.sigma, second.m_min, values)
 
 
-@dataclass(frozen=True)
-class WellLevel:
+class WellLevel(NamedTuple):
     n: int
     momentum: float
     energy: float
@@ -172,7 +173,6 @@ class WellLevel:
     convergent: bool
 
 
-@dataclass(frozen=True)
 class WellSpectrum:
     """Quantized levels of the infinite well with M lattice points (L = M sigma).
 
@@ -180,13 +180,18 @@ class WellSpectrum:
     reads them as rows.
     """
 
-    kind: Kind
-    M: int
-    sigma: float
-    momentum: tuple[float, ...]
-    energy: tuple[float, ...]
-    physical: tuple[bool, ...]
-    convergent: tuple[bool, ...]
+    def __init__(
+        self,
+        kind: Kind,
+        M: int,
+        sigma: float,
+        momentum: tuple[float, ...],
+        energy: tuple[float, ...],
+        physical: tuple[bool, ...],
+        convergent: tuple[bool, ...],
+    ):
+        self.kind, self.M, self.sigma = kind, M, sigma
+        self.momentum, self.energy, self.physical, self.convergent = momentum, energy, physical, convergent
 
     @property
     def n(self) -> range:

@@ -228,7 +228,7 @@ def reference_series(c, k, m, tol):
     """The per-cell engine the series column replaced: each cell summed from n = 0 by one binary split."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m, kind = int(m), c.kind
+    m, kind, unit = int(m), c.kind, Correspondence(c.kind, 1)
     P, Q = C._momentum_ratio(k, c.sigma)
     status = C._series_status(kind, P, Q, m)
     if status not in (SummationStatus.EXACT_CUTOFF, SummationStatus.CONVERGED):
@@ -240,7 +240,7 @@ def reference_series(c, k, m, tol):
         base, sign = C._closed_base(kind, C._to_float(P, Q))
         if not base:
             return math.nan, SummationStatus.UNSUMMED
-        N = C._term_count(kind, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)))
+        N = C._term_count(unit, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)))
     starts = C._lattice_chains(kind, m)
     step = len(starts)
 
@@ -261,7 +261,7 @@ def reference_series(c, k, m, tol):
         tail = C._log_tail(kind, log_q, m, N, [C._log_abs(A) - math.log(B) for A, B, _ in chains])
         if tail == -math.inf or tail - log_sum <= accept:
             return C._to_float(num, den), status
-        N = max(C._term_count(kind, log_q, m, accept - math.log(4) + log_sum), 2 * N)
+        N = max(C._term_count(unit, log_q, m, accept - math.log(4) + log_sum), 2 * N)
     return math.nan, SummationStatus.UNSUMMED
 
 
@@ -310,6 +310,26 @@ def test_series_column_in_any_order_is_the_per_cell_engine(kind):
 def test_series_column_at_both_ends_of_the_tol_range_is_the_per_cell_engine(kind):
     for tol in (1e-6, 1e-15):
         assert_series_column_is_per_cell(Correspondence(kind, 1), 0.9, range(-45, 46), tol)
+
+
+@pytest.mark.parametrize("ks", (0.1, 0.5, 0.9, 0.95, -0.9, 0.3j), ids=repr)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_term_count_from_any_start_is_the_bisection(kind, ks):
+    # the series column passes the last cell's count as the start: below, at or above this cell's
+    unit, (P, Q) = Correspondence(kind, 1), C._momentum_ratio(ks, 1)
+    log_q, (base, sign) = C._log_abs(P) - math.log(Q), C._closed_base(kind, C._to_float(P, Q))
+    checked = 0
+    for m in (-400, -41, -6, -1, 1, 6, 41, 400):
+        if C._series_status(kind, P, Q, m) is not SummationStatus.CONVERGED:
+            continue
+        for accept in (math.log(1e-6), math.log(1e-15), -1e6, math.inf):  # -1e6: no count fits; inf: N = 0
+            target = accept - math.log(4) + sign * m * math.log(abs(base))
+            N = C._term_count(unit, log_q, m, target)
+            starts = {0, 1, N // 2, *range(N - 4, N + 5), 2 * N + 3, C._TERM_BUDGET}
+            for start in sorted(n for n in starts if 0 <= n <= C._TERM_BUDGET):
+                assert C._term_count(unit, log_q, m, target, start) == N, (m, accept, start)
+            checked += N <= C._TERM_BUDGET
+    assert checked >= 4  # the grid reaches counts the budget holds
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)

@@ -1,6 +1,8 @@
 """Exact operator calculus: shifts, delta operators, Pincherle derivatives, beta/xi."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -259,6 +261,26 @@ class TestCorrespondence:
             c.sigma_float()
         with pytest.raises(ValueError, match="exact paths"):
             umbral_exp(c, 0.5, 3)
+
+    def test_equal_spacings_are_one_value_and_one_cache_entry(self):
+        a, b = right(1), right(1.0)
+        assert a == b and hash(a) == hash(b)
+        assert DeltaOperator.for_correspondence(a) is DeltaOperator.for_correspondence(b)
+        assert a != left(1) and a != right(2) and a != (Kind.RIGHT, 1)
+
+    def test_fields_cannot_be_assigned(self):
+        c = symmetric(Fraction(1, 3))
+        with pytest.raises(AttributeError):
+            c.sigma = 2
+        with pytest.raises(AttributeError):
+            c.kind = Kind.RIGHT
+        with pytest.raises(AttributeError):
+            del c.sigma
+        assert c == symmetric(Fraction(1, 3))
+
+    def test_copies_and_pickles_are_equal_values(self):
+        c = left(0.3)
+        assert copy.copy(c) == c and copy.deepcopy(c) == c and pickle.loads(pickle.dumps(c)) == c
 
 
 class TestBetaAndXi:
