@@ -277,6 +277,75 @@ def _claim(paths: list[str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _workers(tables: int) -> int:
+    """Processes that write `tables` files: one per CPU this process may run on, at most one per table.
+
+    One where os.fork is missing, and in a process that runs other threads,
+    whose locks a forked child could inherit held.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    return max(1, min(cpus, tables))
+
+
+def _take(queue: int, paths: list[str], tables: list[Table]) -> int:
+    """Write the table of each 4-byte index read from the queue pipe, until it is empty."""
+    while index := os.read(queue, 4):
+        i = int.from_bytes(index, "little")
+        _write(paths[i], partial(write_csv, tables[i]))
+    return 0
+
+
+def _write_tables(paths: list[str], tables: list[Table]) -> int:
+    """Each table to its path, by _workers processes that take indices from one pipe; the worst exit code.
+
+    Each file has one writer. A worker stops at its first error, after printing
+    the line main prints for it; the others go on taking tables.
+    """
+    workers = _workers(len(tables))
+    if workers == 1:
+        for path, table in zip(paths, tables):
+            _write(path, partial(write_csv, table))
+        return 0
+    sys.stdout.flush()
+    sys.stderr.flush()
+    queue, feed = os.pipe()
+    children, codes = [], []
+    try:
+        try:
+            for _ in range(workers - 1):
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: fewer workers
+                    break
+                if pid == 0:  # a child never returns into its caller
+                    code = 1
+                    try:
+                        os.close(feed)
+                        code = _exit_code(partial(_take, queue, paths, tables))
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(code)
+                children.append(pid)
+            # one write: up to PIPE_BUF bytes land at once and more in whole pages, so each read gets a whole index
+            os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(tables))))
+        finally:
+            os.close(feed)  # the queue ends once it is read empty
+        codes.append(_exit_code(partial(_take, queue, paths, tables)))
+    finally:
+        os.close(queue)
+        for pid in children:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status < 0:  # killed: its tables may be unwritten or cut short
+                print(f"internal error: a writer process was killed by signal {-status}", file=sys.stderr)
+                status = 1
+            codes.append(status)
+    return max(codes)
+
+
 def emit(command: str, cfg: RunConfig, tables: list[Table], multi_table: bool = False) -> int:
     """One JSON document, one CSV file per table, or the first table as CSV plus a note naming the rest."""
     if cfg.fmt == "json":
@@ -285,8 +354,7 @@ def emit(command: str, cfg: RunConfig, tables: list[Table], multi_table: bool = 
     elif cfg.out and (multi_table or len(tables) > 1):
         paths = [f"{cfg.out}_{table.name}.csv" for table in tables]
         _claim(paths)
-        for path, table in zip(paths, tables):
-            _write(path, partial(write_csv, table))
+        return _write_tables(paths, tables)
     else:
         _write(cfg.out, partial(write_csv, tables[0]))
         if len(tables) > 1:
@@ -526,15 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _exit_code(run) -> int:
+    """run(), or the exit code of the exception it raises, after printing that exception's stderr line."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = resolve_config(args)
-        return args.func(cfg, args)
+        return run()
     except (
         ConfigError,
         DomainError,
@@ -546,9 +609,18 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 1
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return _exit_code(lambda: args.func(resolve_config(args), args))
 
 
 def console_main() -> None:

@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import signal
+import threading
 from importlib import resources
 
 import jsonschema
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 from csv_reader import read_csv
 from umbralqm import cli, invariants
 from umbralqm.cli import _CHUNK_ROWS, Table, format_cell, main, write_csv
-from umbralqm.functions import DiscreteFunction
+from umbralqm.functions import DiscreteFunction, DomainError
+from umbralqm.operators import Kind
 from umbralqm.schrodinger import EnergyBounds
 
 
@@ -323,6 +327,155 @@ def test_multi_table_out_that_fails_writes_nothing(capsys, tmp_path, existing):
         assert (tmp_path / "w_spectrum.csv").read_bytes() == b"kept\n"
 
 
+def cpus(monkeypatch, count):
+    """Let this process run on `count` CPUs, as cli._workers reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_are_one_per_cpu_and_at_most_one_per_table(monkeypatch):
+    cpus(monkeypatch, 3)
+    assert [cli._workers(n) for n in range(1, 6)] == [1, 2, 3, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # cpu_count where affinity is missing
+    assert [cli._workers(n) for n in range(1, 6)] == [1, 2, 3, 3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._workers(5) == 1
+
+
+def test_one_worker_without_fork_or_beside_another_thread(monkeypatch):
+    cpus(monkeypatch, 4)
+    assert cli._workers(4) == 4
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert cli._workers(4) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert cli._workers(4) == 4
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert cli._workers(4) == 1
+
+
+PARALLEL_OUT = [["well", "--points", "2000", "--levels", "1,2,3"], ["trig", "--l", "12"]]
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="one writer without os.fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("argv", PARALLEL_OUT, ids=[argv[0] for argv in PARALLEL_OUT])
+def test_parallel_out_writes_the_serial_bytes(capfd, tmp_path, monkeypatch, argv):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    me, files = os.getpid(), {}
+    for workers in (1, 2, 4):
+        cpus(monkeypatch, workers)
+        forks.clear()
+        base = tmp_path / str(workers) / "o"
+        base.parent.mkdir()
+        code = main([*argv, "--out", str(base)])
+        if os.getpid() != me:  # a worker that returned into its caller
+            os._exit(99)
+        assert code == 0
+        assert_no_child_left()
+        files[workers] = {path.name: path.read_bytes() for path in base.parent.iterdir()}
+        assert len(forks) == min(workers, len(files[workers])) - 1
+    assert capfd.readouterr() == ("", "")
+    assert all(files[1].values())
+    assert files[2] == files[1] and files[4] == files[1]
+
+
+@needs_fork
+def test_a_fork_that_fails_leaves_fewer_workers(capfd, tmp_path, monkeypatch):
+    forks, fork = [], os.fork
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", second_fails)
+    argv = ["well", "--points", "2000", "--levels", "1,2", "--out"]
+    assert main([*argv, str(tmp_path / "few")]) == 0
+    assert_no_child_left()
+    assert len(forks) == 2
+    cpus(monkeypatch, 1)
+    assert main([*argv, str(tmp_path / "one")]) == 0
+    few, one = ({p.name[3:]: p.read_bytes() for p in tmp_path.glob(f"{base}_*")} for base in ("few", "one"))
+    assert len(one) == 7 and few == one
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_fork
+def test_a_killed_worker_is_an_internal_error(capfd, tmp_path, monkeypatch):
+    me, take = os.getpid(), cli._take
+
+    def killed_in_a_child(*args):
+        if os.getpid() != me:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return take(*args)
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_take", killed_in_a_child)
+    code = main(["trig", "--l", "12", "--out", str(tmp_path / "t")])
+    line = f"internal error: a writer process was killed by signal {int(signal.SIGKILL)}\n"
+    assert (code, capfd.readouterr()) == (1, ("", line))
+    assert_no_child_left()
+    assert all(path.stat().st_size for path in tmp_path.iterdir())  # the parent wrote every table
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (ZeroDivisionError("division by zero"), 1, "internal error: division by zero"),
+        (DomainError("bad"), 2, "error: bad"),
+    ],
+    ids=["internal", "usage"],
+)
+def test_a_failing_table_gives_mains_line_and_code(capfd, tmp_path, monkeypatch, workers, error, code, line):
+    argv = ["well", "--points", "2000", "--levels", "1,2", "--out"]
+    cpus(monkeypatch, 1)
+    assert main([*argv, str(tmp_path / "clean")]) == 0
+    clean = {path.name[len("clean"):]: path.read_bytes() for path in tmp_path.iterdir()}
+    column = cli._well_column
+
+    def broken(value):
+        raise error
+
+    def failing(c, M, n):
+        values = column(c, M, n)  # the level's domain check stays
+        return map(broken, values) if (c.kind, n) == (Kind.LEFT, 2) else values
+
+    monkeypatch.setattr(cli, "_well_column", failing)
+    cpus(monkeypatch, workers)
+    me = os.getpid()
+    got = main([*argv, str(tmp_path / "w")])
+    if os.getpid() != me:  # a worker that returned into its caller
+        os._exit(99)
+    assert (got, capfd.readouterr()) == (code, ("", line + "\n"))
+    assert_no_child_left()
+    files = {path.name[len("w"):]: path.read_bytes() for path in tmp_path.glob("w_*")}
+    # the tables in queue order: the one writer stops at the failing table, several writers finish the rest
+    levels = [f"_wavefunction_{kind}_n{n}.csv" for kind in ("right", "left", "symmetric") for n in (1, 2)]
+    order = ["_spectrum.csv", *levels]
+    assert sorted(files) == sorted(clean) == sorted(order)
+    failed = order.index("_wavefunction_left_n2.csv")
+    assert files[order[failed]] == b""
+    later = order[failed + 1 :]
+    assert later and all(files[name] == (b"" if workers == 1 else clean[name]) for name in later)
+    assert all(files[name] == clean[name] for name in order[:failed])
+
+
 def test_broken_stdout_pipe_stays_exit_1(monkeypatch):
     class ClosedPipe(io.StringIO):
         def write(self, text):
@@ -590,6 +743,7 @@ class TestWell:
             return map(lambda value: cells.append(value) or value, column(*args))
 
         monkeypatch.setattr(cli, "_well_column", counted)
+        monkeypatch.setattr(cli, "_workers", lambda tables: 1)  # count the cells of every table in this process
         argv = ["well", "--points", "2000", "--levels", "1,700"] + (["--out", str(tmp_path / "w")] if out else [])
         code, stdout, err = run(capsys, *argv)
         assert code == 0

@@ -50,14 +50,15 @@ def test_readme_plot_recipes_run_and_write_the_files_they_name(tmp_path, monkeyp
     capsys.readouterr()
 
 
-def test_the_cli_loads_every_package_module_and_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, since pytest itself imports both
+def test_the_cli_loads_every_package_module_and_no_module_it_does_not_use():
+    # a fresh interpreter, since pytest itself imports all of them
     probe = "import sys; bare = set(sys.modules); import umbralqm.cli; print(*sorted(set(sys.modules) - bare))"
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(Path(umbralqm.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     added = set(run.stdout.split())
-    assert not {"dataclasses", "inspect"} & added
+    unused = {"dataclasses", "inspect", "multiprocessing", "concurrent.futures", "threading", "subprocess", "tempfile"}
+    assert not unused & added
     package = {"polynomials", "operators", "correspondences", "functions", "schrodinger"}
     assert {f"umbralqm.{name}" for name in package} <= added
 
