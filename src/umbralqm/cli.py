@@ -41,8 +41,8 @@ from .schrodinger import (
     PhysicalUnits,
     WindowTooSmallError,
     _well_column,
+    _well_levels,
     energy_bounds,
-    infinite_well_spectrum,
 )
 
 _KINDS = {kind.value: kind for kind in Kind}
@@ -66,21 +66,26 @@ class ConfigError(ValueError):
 
 
 class Table:
-    """A named table of ordered (name, values) columns.
+    """A named table of ordered (name, values) columns over `rows` rows.
 
-    The columns may be given as a function that returns them: it runs on the
-    first read of `columns`, so a table that is never written is never built.
+    The columns are a list, or a function of a range of rows that returns them
+    over those rows, given with the row count: a row that is never written is
+    never computed.
     """
 
-    def __init__(self, name: str, columns):
-        self.name = name
-        self._columns = columns
+    def __init__(self, name: str, columns, rows: int | None = None):
+        self.name, self._columns = name, columns
+        self.rows = rows if callable(columns) else len(columns[0][1]) if columns else 0
+
+    def part(self, rows: range) -> list:
+        """The columns over one range of rows."""
+        if callable(self._columns):
+            return self._columns(rows)
+        return [(name, values[rows.start : rows.stop]) for name, values in self._columns]
 
     @property
     def columns(self) -> list:
-        if callable(self._columns):
-            self._columns = self._columns()
-        return self._columns
+        return self.part(range(self.rows)) if callable(self._columns) else self._columns
 
 
 class RunConfig(NamedTuple):
@@ -201,19 +206,29 @@ def _column_spelling(values):
     return "%s", _BOOL_WORDS.__getitem__ if kind is bool else format_cell
 
 
-def write_csv(table: Table, stream) -> None:
-    """Header, then one string per chunk of rows from a row template of column specs."""
-    names = [name for name, _ in table.columns]
-    stream.write(",".join(names) + "\n")
-    spellings = [_column_spelling(vals) for _, vals in table.columns]
+def _csv_rows(table: Table, rows: range) -> str:
+    """The CSV lines of one range of rows, from a row template of the column specs over those rows."""
+    columns = table.part(rows)
+    spellings = [_column_spelling(values) for _, values in columns]
     template = ",".join(spec for spec, _ in spellings) + "\n"
-    length = len(table.columns[0][1]) if table.columns else 0
-    for start in range(0, length, _CHUNK_ROWS):
-        cells = []
-        for (_, vals), (_, convert) in zip(table.columns, spellings):
-            part = vals[start : start + _CHUNK_ROWS]
-            cells.append(part if convert is None else list(map(convert, part)))
-        stream.write(template * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+    cells = [vals if conv is None else list(map(conv, vals)) for (_, vals), (_, conv) in zip(columns, spellings)]
+    return template * len(rows) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def _header(table: Table) -> str:
+    return ",".join(name for name, _ in table.part(range(0))) + "\n"
+
+
+def _pieces(table: Table) -> list:
+    """The functions that build the table's CSV text in order: its header, then one per chunk of rows."""
+    chunks = (range(i, min(i + _CHUNK_ROWS, table.rows)) for i in range(0, table.rows, _CHUNK_ROWS))
+    return [partial(_header, table), *(partial(_csv_rows, table, rows) for rows in chunks)]
+
+
+def write_csv(table: Table, stream) -> None:
+    """The table as CSV, written chunk by chunk."""
+    for build in _pieces(table):
+        stream.write(build())
 
 
 def _json_value(v):
@@ -277,8 +292,8 @@ def _claim(paths: list[str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _workers(tables: int) -> int:
-    """Processes that write `tables` files: one per CPU this process may run on, at most one per table.
+def _workers(rows: int) -> int:
+    """Processes that write `rows` CSV rows: one per CPU this process may run on, at most one per whole chunk.
 
     One where os.fork is missing, and in a process that runs other threads,
     whose locks a forked child could inherit held.
@@ -288,58 +303,84 @@ def _workers(tables: int) -> int:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
-    return max(1, min(cpus, tables))
+    return max(1, min(cpus, rows // _CHUNK_ROWS))
 
 
-def _take(queue: int, paths: list[str], tables: list[Table]) -> int:
-    """Write the table of each 4-byte index read from the queue pipe, until it is empty."""
-    while index := os.read(queue, 4):
-        i = int.from_bytes(index, "little")
-        _write(paths[i], partial(write_csv, tables[i]))
+def _take_turns(pieces: list, mine, turn_in: int, turn_out: int) -> int:
+    """Build and append each (path, first, build) piece j with mine(j), in order; a first piece truncates.
+
+    A piece that follows another process's waits for the turn token on turn_in;
+    the token goes on to turn_out after a piece that another process follows.
+    Each piece is built before its turn. One that fails raises on its turn,
+    after every piece before it is written, and hands the turn on to no one:
+    each other process then reads EOF for its next turn and stops.
+    """
+    for j in filter(mine, range(len(pieces))):
+        path, first, build = pieces[j]
+        try:
+            text = build()
+        except Exception as exc:  # raised on this piece's turn
+            text = exc
+        if j and not mine(j - 1) and not os.read(turn_in, 1):
+            return 0  # the ring ended before this turn; the process that ended it reported why
+        if isinstance(text, Exception):
+            raise text
+        with open(path, "w" if first else "a", encoding="utf-8") as handle:
+            handle.write(text)
+        if j + 1 < len(pieces) and not mine(j + 1):
+            os.write(turn_out, b".")
     return 0
 
 
-def _write_tables(paths: list[str], tables: list[Table]) -> int:
-    """Each table to its path, by _workers processes that take indices from one pipe; the worst exit code.
+def _write_csv_files(paths: list[str], tables: list[Table]) -> int:
+    """Each table as CSV to its path, in pieces: a header, then chunks of rows; the worst exit code.
 
-    Each file has one writer. A worker stops at its first error, after printing
-    the line main prints for it; the others go on taking tables.
+    _workers processes write. Piece j, counted over the tables in order, is
+    built by process j mod W and appended on its turn, which goes round a ring
+    of pipes. A process whose piece fails prints the line main prints for it
+    and ends the ring: the pieces before it are written and none after.
     """
-    workers = _workers(len(tables))
+    pieces = [(path, j == 0, build) for path, table in zip(paths, tables) for j, build in enumerate(_pieces(table))]
+    workers = _workers(sum(table.rows for table in tables))
     if workers == 1:
-        for path, table in zip(paths, tables):
-            _write(path, partial(write_csv, table))
-        return 0
+        return _take_turns(pieces, lambda j: True, -1, -1)
     sys.stdout.flush()
     sys.stderr.flush()
-    queue, feed = os.pipe()
+    ring = [os.pipe() for _ in range(workers)]  # process i reads its turns from ring[i] and hands them to ring[i + 1]
+    held = list(chain.from_iterable(ring))
     children, codes = [], []
+
+    def close_all_but(*keep):
+        for fd in [fd for fd in held if fd not in keep]:
+            held.remove(fd)
+            os.close(fd)
+
     try:
-        try:
-            for _ in range(workers - 1):
+        for i in range(1, workers):
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: fewer workers
+                break
+            if pid == 0:  # a child never returns into its caller
+                code = 1
                 try:
-                    pid = os.fork()
-                except OSError:  # no process to spare: fewer workers
-                    break
-                if pid == 0:  # a child never returns into its caller
-                    code = 1
-                    try:
-                        os.close(feed)
-                        code = _exit_code(partial(_take, queue, paths, tables))
-                        sys.stderr.flush()
-                    finally:
-                        os._exit(code)
-                children.append(pid)
-            # one write: up to PIPE_BUF bytes land at once and more in whole pages, so each read gets a whole index
-            os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(tables))))
-        finally:
-            os.close(feed)  # the queue ends once it is read empty
-        codes.append(_exit_code(partial(_take, queue, paths, tables)))
+                    ends = ring[i][0], ring[(i + 1) % workers][1]
+                    close_all_but(*ends)
+                    code = _exit_code(partial(_take_turns, pieces, lambda j: j % workers == i, *ends))
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        # the parent takes process 0's turns and those of every process that did not fork
+        forked = len(children) + 1
+        ends = ring[forked % workers][0], ring[1][1]
+        close_all_but(*ends)
+        codes.append(_exit_code(partial(_take_turns, pieces, lambda j: not 0 < j % workers < forked, *ends)))
     finally:
-        os.close(queue)
+        close_all_but()  # before the waits: a process that stopped then ends the ring with EOF, not a hang
         for pid in children:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status < 0:  # killed: its tables may be unwritten or cut short
+            if status < 0:  # killed: its pieces and every later one are unwritten
                 print(f"internal error: a writer process was killed by signal {-status}", file=sys.stderr)
                 status = 1
             codes.append(status)
@@ -347,16 +388,17 @@ def _write_tables(paths: list[str], tables: list[Table]) -> int:
 
 
 def emit(command: str, cfg: RunConfig, tables: list[Table], multi_table: bool = False) -> int:
-    """One JSON document, one CSV file per table, or the first table as CSV plus a note naming the rest."""
+    """One JSON document, a CSV --out file per table, or the first table's CSV on stdout and a note naming the rest."""
     if cfg.fmt == "json":
         text = json.dumps(_tables_to_json(command, cfg, tables), indent=2) + "\n"
         _write(cfg.out, lambda stream: stream.write(text))
-    elif cfg.out and (multi_table or len(tables) > 1):
-        paths = [f"{cfg.out}_{table.name}.csv" for table in tables]
+    elif cfg.out:
+        multi = multi_table or len(tables) > 1
+        paths = [f"{cfg.out}_{table.name}.csv" for table in tables] if multi else [cfg.out]
         _claim(paths)
-        return _write_tables(paths, tables)
+        return _write_csv_files(paths, tables)
     else:
-        _write(cfg.out, partial(write_csv, tables[0]))
+        write_csv(tables[0], sys.stdout)
         if len(tables) > 1:
             omitted = ", ".join(t.name for t in tables[1:])
             print(
@@ -376,10 +418,9 @@ def _columns(names: str, rows) -> list:
     return columns
 
 
-def _axis(sigma: float, lo: int, hi: int) -> tuple[list[int], list]:
-    """The lattice indices lo..hi, and the m and x = m sigma columns over them."""
-    ms = list(range(lo, hi + 1))
-    return ms, [("m", ms), ("x", [m * sigma for m in ms])]
+def _axis(sigma: float, ms: range) -> list:
+    """The m and x = m sigma columns over the lattice indices ms."""
+    return [("m", ms), ("x", [m * sigma for m in ms])]
 
 
 def _continuous(fn, x: float) -> float:
@@ -408,13 +449,17 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("--n must list at least one degree")
     if any(n < 0 for n in degrees):
         raise ConfigError("polynomial degrees must be >= 0")
-    ms, columns = _axis(cfg.sigma, *cfg.window)
-    for n in degrees:
-        columns.append((f"continuous_n{n}", [_power(m * cfg.sigma, n) for m in ms]))
-    for kind in cfg.kinds:
-        c = Correspondence(kind, cfg.sigma)
-        columns += [(f"{kind.value}_n{n}", list(basic_polynomial_column(c, n, ms))) for n in degrees]
-    return emit("polys", cfg, [Table("basic_polynomials", columns)])
+    lo, hi = cfg.window
+    corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
+
+    def columns(rows: range) -> list:
+        ms = range(lo + rows.start, lo + rows.stop)
+        columns = _axis(cfg.sigma, ms)
+        columns += [(f"continuous_n{n}", [_power(m * cfg.sigma, n) for m in ms]) for n in degrees]
+        columns += [(f"{c.kind.value}_n{n}", list(basic_polynomial_column(c, n, ms))) for c in corrs for n in degrees]
+        return columns
+
+    return emit("polys", cfg, [Table("basic_polynomials", columns, hi - lo + 1)])
 
 
 def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -431,7 +476,8 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     if not with_series:
         print("note: series columns disabled, emitting closed forms only", file=sys.stderr)
-    ms, columns = _axis(cfg.sigma, *cfg.window)
+    ms = range(cfg.window[0], cfg.window[1] + 1)
+    columns = _axis(cfg.sigma, ms)
     columns.append(("continuous", [_continuous(math.exp, k * m * cfg.sigma) for m in ms]))
     for kind in cfg.kinds:
         c = Correspondence(kind, cfg.sigma)
@@ -447,7 +493,8 @@ def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
     which = args.which
     wave_of, given = (WaveSpec.from_points, args.l) if args.l is not None else (WaveSpec.from_momentum, args.k)
     waves = [wave_of(Correspondence(kind, cfg.sigma), given) for kind in cfg.kinds]
-    ms, samples = _axis(cfg.sigma, *cfg.window)
+    ms = range(cfg.window[0], cfg.window[1] + 1)
+    samples = _axis(cfg.sigma, ms)
     continuous = _CONTINUOUS[which]
     for wave in waves:
         c, k = wave.correspondence, wave.k
@@ -459,7 +506,7 @@ def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
         for w in waves
     )
     names = "correspondence k k_sigma lambda points_per_wavelength is_minimal amplitude_factor_per_period"
-    parameters = Table("wave_parameters", partial(_columns, names, rows))
+    parameters = Table("wave_parameters", _columns(names, rows))
     return emit("trig", cfg, [Table("samples", samples), parameters], multi_table=True)
 
 
@@ -472,30 +519,33 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
         if not 1 <= n <= M - 1:
             raise ConfigError(f"level {n} outside [1, {M - 1}]")
 
-    spectra = [infinite_well_spectrum(Correspondence(kind, cfg.sigma), M) for kind in cfg.kinds]
-    ns = spectra[0].n
+    corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
+    half, width = M // 2, M * cfg.sigma
+    names = "correspondence n k energy physical convergent degenerate_with energy_continuous"
 
-    def stacked(field: str) -> list:
-        return list(chain.from_iterable(getattr(sp, field) for sp in spectra))
+    def spectrum(rows: range) -> list:  # row i is level i % half + 1 of correspondence i // half
+        columns = [(name, []) for name in names.split()]
+        for block, c in enumerate(corrs):
+            ns = range(max(rows.start - block * half, 0) + 1, min(rows.stop - block * half, half) + 1)
+            degenerate_with = range(M - ns.start, M - ns.stop, -1)
+            energy_continuous = [_power(n * math.pi / width, 2) for n in ns]
+            values = [c.kind.value] * len(ns), ns, *_well_levels(c, M, ns), degenerate_with, energy_continuous
+            for (_, column), part in zip(columns, values):
+                column.extend(part)
+        return columns
 
-    columns = [
-        ("correspondence", list(chain.from_iterable([sp.kind.value] * len(ns) for sp in spectra))),
-        ("n", list(ns) * len(spectra)),
-        ("k", stacked("momentum")),
-        *((field, stacked(field)) for field in ("energy", "physical", "convergent")),
-        ("degenerate_with", [M - n for n in ns] * len(spectra)),
-        ("energy_continuous", [_power(n * math.pi / (M * cfg.sigma), 2) for n in ns] * len(spectra)),
-    ]
-    tables = [Table("spectrum", columns)]
-    axis = _axis(cfg.sigma, 0, M)[1] if levels else []
-    for kind, n in product(cfg.kinds, levels):
+    def samples(psi, rows: range) -> list:  # row i is the point m = i
+        return [*_axis(cfg.sigma, rows), ("psi", list(psi(rows)))]
+
+    tables = [Table("spectrum", spectrum, half * len(corrs))]
+    for c, n in product(corrs, levels):
         try:  # the level is checked here; the samples are computed only if the table is written
-            psi = _well_column(Correspondence(kind, cfg.sigma), M, n)
+            psi = _well_column(c, M, n)
         except DomainError:
-            note = f"note: skipping {kind.value} level {n}: momentum beyond the k sigma = 1 convergence boundary"
+            note = f"note: skipping {c.kind.value} level {n}: momentum beyond the k sigma = 1 convergence boundary"
             print(note, file=sys.stderr)
             continue
-        tables.append(Table(f"wavefunction_{kind.value}_n{n}", lambda psi=psi: [*axis, ("psi", list(psi))]))
+        tables.append(Table(f"wavefunction_{c.kind.value}_n{n}", partial(samples, psi), M + 1))
     return emit("well", cfg, tables, multi_table=True)
 
 

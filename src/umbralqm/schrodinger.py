@@ -238,17 +238,22 @@ def _momenta(c: Correspondence, M: int, ns):
     return (rule(math.pi * n / M) / s for n in ns)
 
 
-def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:
-    """All floor(M/2) candidate levels, k_n = tan(pi n/M)/sigma (right/left) or sin(pi n/M)/sigma (symmetric).
+def _well_levels(c: Correspondence, M: int, ns) -> tuple[tuple, tuple, tuple, tuple]:
+    """The momentum, energy, physical and convergent columns over the levels ns of the M-point well.
 
-    The flags are _level_classes': the right/left pole n = M/2 is non-physical (momentum inf), and
-    the k sigma = 1 boundary counts as convergent only for symmetric, whose closed form is defined.
+    k_n = tan(pi n/M)/sigma (right/left) or sin(pi n/M)/sigma (symmetric). The flags are _level_classes':
+    the right/left pole n = M/2 is non-physical (momentum inf), and the k sigma = 1 boundary counts as
+    convergent only for symmetric, whose closed form is defined.
     """
-    ns = range(1, M // 2 + 1)
     classes = list(_level_classes(c.kind, M, ns))
     momentum = tuple(math.inf if cls == "pole" else k for k, cls in zip(_momenta(c, M, ns), classes))
     flags = tuple(cls != "pole" for cls in classes), tuple(cls == "convergent" for cls in classes)
-    return WellSpectrum(c.kind, M, c.sigma_float(), momentum, tuple(_power(k, 2) for k in momentum), *flags)
+    return momentum, tuple(_power(k, 2) for k in momentum), *flags
+
+
+def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:
+    """All floor(M/2) candidate levels: _well_levels over every level."""
+    return WellSpectrum(c.kind, M, c.sigma_float(), *_well_levels(c, M, range(1, M // 2 + 1)))
 
 
 def well_momentum(c: Correspondence, M: int, n: int) -> float:
@@ -262,11 +267,14 @@ def well_momentum(c: Correspondence, M: int, n: int) -> float:
 
 
 def _well_column(c: Correspondence, M: int, n: int):
-    """infinite_well_wavefunction's samples, lazily, after the level's checks: the imaginary part of e(ik)."""
+    """After the level's checks, the function from points m to infinite_well_wavefunction's samples there, lazily.
+
+    A sample is the imaginary part of e(ik) at m.
+    """
     k = well_momentum(c, M, n)
     if next(_level_classes(c.kind, M, (n,))) == "beyond":
         raise DomainError(f"level n={n} of M={M} lies beyond the k sigma = 1 convergence boundary")
-    return map(attrgetter("imag"), umbral_exp_column(c, complex(0.0, k), range(M + 1)))
+    return lambda ms: map(attrgetter("imag"), umbral_exp_column(c, complex(0.0, k), ms))
 
 
 def infinite_well_wavefunction(c: Correspondence, M: int, n: int) -> DiscreteFunction:
@@ -274,7 +282,7 @@ def infinite_well_wavefunction(c: Correspondence, M: int, n: int) -> DiscreteFun
 
     Raises NonPhysicalStateError on the tan pole and DomainError past the k sigma = 1 boundary (_level_classes).
     """
-    return DiscreteFunction(c.sigma_float(), 0, list(_well_column(c, M, n)))
+    return DiscreteFunction(c.sigma_float(), 0, list(_well_column(c, M, n)(range(M + 1))))
 
 
 def well_state_count(c: Correspondence, M: int) -> tuple[int, int, int]:

@@ -7,8 +7,11 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -123,6 +126,16 @@ def test_csv_writer_spells_every_cell_as_format_cell(rows, pools):
     write_csv(table, out)
     # lists of lines, so that a failure reports the first bad row without diffing the whole text
     assert out.getvalue().split("\n") == reference_csv(table).split("\n")
+
+
+@pytest.mark.parametrize("tail", [[None], [True, False], [0.5], ["x"]], ids=["none", "bools", "float", "str"])
+def test_csv_chunks_spell_a_column_whose_cell_types_change_between_chunks(tail):
+    # the first chunk holds only ints, and so is spelled by "%d"; the last holds the tail
+    ints = list(range(-5, _CHUNK_ROWS - 5))
+    table = Table("t", [("c", ints + tail), ("d", [True] * _CHUNK_ROWS + [None] * len(tail))])
+    out = io.StringIO()
+    write_csv(table, out)
+    assert out.getvalue() == reference_csv(table)
 
 
 # sha256 of every file each argv writes, as a writer that spelled cell by cell
@@ -338,42 +351,72 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_workers_are_one_per_cpu_and_at_most_one_per_table(monkeypatch):
+@pytest.fixture
+def deadline():
+    """Fail a test that hangs, rather than stall the run: SIGALRM raises, and again each second after."""
+
+    def expired(signum, frame):
+        signal.alarm(1)
+        raise TimeoutError("the test hung")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_workers_are_one_per_cpu_and_at_most_one_per_chunk(monkeypatch):
+    rows = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS - 1, 2 * _CHUNK_ROWS, 3 * _CHUNK_ROWS, 10**6]
     cpus(monkeypatch, 3)
-    assert [cli._workers(n) for n in range(1, 6)] == [1, 2, 3, 3, 3]
+    assert [cli._workers(n) for n in rows] == [1, 1, 1, 1, 1, 2, 3, 3]
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # cpu_count where affinity is missing
-    assert [cli._workers(n) for n in range(1, 6)] == [1, 2, 3, 3, 3]
+    assert [cli._workers(n) for n in rows] == [1, 1, 1, 1, 1, 2, 3, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._workers(5) == 1
+    assert cli._workers(10**6) == 1
 
 
 def test_one_worker_without_fork_or_beside_another_thread(monkeypatch):
     cpus(monkeypatch, 4)
-    assert cli._workers(4) == 4
+    rows = 4 * _CHUNK_ROWS
+    assert cli._workers(rows) == 4
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert cli._workers(4) == 1
+        assert cli._workers(rows) == 1
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert cli._workers(4) == 4
+    assert cli._workers(rows) == 4
     monkeypatch.delattr(os, "fork", raising=False)
-    assert cli._workers(4) == 1
+    assert cli._workers(rows) == 1
 
 
-PARALLEL_OUT = [["well", "--points", "2000", "--levels", "1,2,3"], ["trig", "--l", "12"]]
+PARALLEL_OUT = [
+    pytest.param(["well", "--points", "2000", "--levels", "1,2,3"], id="well"),
+    pytest.param(["trig", "--l", "12"], id="trig"),
+    pytest.param(["polys", "--n", "2,7", "--sigma", "0.2", "--window=-9000:9000"], id="polys-single-file"),
+    # wavefunction tables of _CHUNK_ROWS - 1 and _CHUNK_ROWS rows; a spectrum of _CHUNK_ROWS
+    # rows beside one of 2 _CHUNK_ROWS + 1
+    pytest.param(["well", "--points", str(_CHUNK_ROWS - 2), "--levels", "1"], id="well-chunk-minus-1"),
+    pytest.param(["well", "--points", str(_CHUNK_ROWS - 1), "--levels", "1"], id="well-chunk"),
+    pytest.param(
+        ["well", "--points", str(2 * _CHUNK_ROWS), "--corr", "symmetric", "--levels", "1"], id="well-2-chunks-plus-1"
+    ),
+    pytest.param(["trig", "--l", "12", "--corr", "symmetric", "--window=-5000:5000"], id="trig-one-row-table"),
+    pytest.param(["well", "--points", "9000", "--levels", "1,3000"], id="well-skipped-level"),
+]
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="one writer without os.fork")
 
 
 @needs_fork
-@pytest.mark.parametrize("argv", PARALLEL_OUT, ids=[argv[0] for argv in PARALLEL_OUT])
-def test_parallel_out_writes_the_serial_bytes(capfd, tmp_path, monkeypatch, argv):
+@pytest.mark.parametrize("argv", PARALLEL_OUT)
+def test_parallel_out_writes_the_serial_bytes(capfd, tmp_path, monkeypatch, deadline, argv):
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    me, files = os.getpid(), {}
+    me, files, streams = os.getpid(), {}, {}
     for workers in (1, 2, 4):
         cpus(monkeypatch, workers)
         forks.clear()
@@ -385,55 +428,78 @@ def test_parallel_out_writes_the_serial_bytes(capfd, tmp_path, monkeypatch, argv
         assert code == 0
         assert_no_child_left()
         files[workers] = {path.name: path.read_bytes() for path in base.parent.iterdir()}
-        assert len(forks) == min(workers, len(files[workers])) - 1
-    assert capfd.readouterr() == ("", "")
+        streams[workers] = capfd.readouterr()
+        rows = sum(text.count(b"\n") - 1 for text in files[workers].values())
+        assert len(forks) == max(1, min(workers, rows // _CHUNK_ROWS)) - 1
+    assert streams[1].out == "" and streams[2] == streams[4] == streams[1]
     assert all(files[1].values())
     assert files[2] == files[1] and files[4] == files[1]
 
 
+# --points 9000 --levels 1,2 writes, as pieces (a header, then chunks of _CHUNK_ROWS rows):
+# the spectrum 0-4, then four for each wavefunction table: right 5-12, left 13-20, symmetric 21-28
+FAILING_ARGV = ["well", "--points", "9000", "--levels", "1,2", "--out"]
+TABLE_ORDER = ["_spectrum.csv"]
+TABLE_ORDER += [f"_wavefunction_{kind}_n{n}.csv" for kind in ("right", "left", "symmetric") for n in (1, 2)]
+
+
+def clean_files(tmp_path, monkeypatch):
+    """The files one worker writes for FAILING_ARGV, by suffix."""
+    cpus(monkeypatch, 1)
+    assert main([*FAILING_ARGV, str(tmp_path / "clean")]) == 0
+    return {path.name[len("clean") :]: path.read_bytes() for path in tmp_path.glob("clean_*")}
+
+
 @needs_fork
-def test_a_fork_that_fails_leaves_fewer_workers(capfd, tmp_path, monkeypatch):
+@pytest.mark.parametrize("failing_fork", [1, 2, 3])
+def test_a_fork_that_fails_leaves_fewer_workers(capfd, tmp_path, monkeypatch, deadline, failing_fork):
+    clean = clean_files(tmp_path, monkeypatch)
     forks, fork = [], os.fork
 
-    def second_fails():
+    def fails_once():
         forks.append(1)
-        if len(forks) == 2:
+        if len(forks) == failing_fork:
             raise BlockingIOError(11, "Resource temporarily unavailable")
         return fork()
 
     cpus(monkeypatch, 4)
-    monkeypatch.setattr(os, "fork", second_fails)
-    argv = ["well", "--points", "2000", "--levels", "1,2", "--out"]
-    assert main([*argv, str(tmp_path / "few")]) == 0
+    monkeypatch.setattr(os, "fork", fails_once)
+    me = os.getpid()
+    code = main([*FAILING_ARGV, str(tmp_path / "few")])
+    if os.getpid() != me:
+        os._exit(99)
+    assert code == 0
     assert_no_child_left()
-    assert len(forks) == 2
-    cpus(monkeypatch, 1)
-    assert main([*argv, str(tmp_path / "one")]) == 0
-    few, one = ({p.name[3:]: p.read_bytes() for p in tmp_path.glob(f"{base}_*")} for base in ("few", "one"))
-    assert len(one) == 7 and few == one
+    assert len(forks) == failing_fork  # the parent takes the failed process's turns and those after it
+    assert {p.name[len("few") :]: p.read_bytes() for p in tmp_path.glob("few_*")} == clean
     assert capfd.readouterr() == ("", "")
 
 
 @needs_fork
-def test_a_killed_worker_is_an_internal_error(capfd, tmp_path, monkeypatch):
-    me, take = os.getpid(), cli._take
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_killed_worker_is_an_internal_error(capfd, tmp_path, monkeypatch, deadline, workers):
+    me, take_turns = os.getpid(), cli._take_turns
 
-    def killed_in_a_child(*args):
-        if os.getpid() != me:
+    def killed_in_a_child(pieces, mine, *ends):
+        if os.getpid() != me and mine(1):  # the process that takes the second turn
             os.kill(os.getpid(), signal.SIGKILL)
-        return take(*args)
+        return take_turns(pieces, mine, *ends)
 
-    cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "_take", killed_in_a_child)
-    code = main(["trig", "--l", "12", "--out", str(tmp_path / "t")])
+    cpus(monkeypatch, workers)
+    monkeypatch.setattr(cli, "_take_turns", killed_in_a_child)
+    code = main([*FAILING_ARGV, str(tmp_path / "w")])
     line = f"internal error: a writer process was killed by signal {int(signal.SIGKILL)}\n"
     assert (code, capfd.readouterr()) == (1, ("", line))
     assert_no_child_left()
-    assert all(path.stat().st_size for path in tmp_path.iterdir())  # the parent wrote every table
+    # the parent wrote piece 0, the spectrum's header; the ring ended at the killed process's turn
+    files = {path.name[len("w") :]: path.read_bytes() for path in tmp_path.iterdir()}
+    header = b"correspondence,n,k,energy,physical,convergent,degenerate_with,energy_continuous\n"
+    assert files == {name: header if name == "_spectrum.csv" else b"" for name in TABLE_ORDER}
 
 
 @needs_fork
 @pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("chunk, owner", [(1, "child"), (2, "parent")])
 @pytest.mark.parametrize(
     "error, code, line",
     [
@@ -442,38 +508,62 @@ def test_a_killed_worker_is_an_internal_error(capfd, tmp_path, monkeypatch):
     ],
     ids=["internal", "usage"],
 )
-def test_a_failing_table_gives_mains_line_and_code(capfd, tmp_path, monkeypatch, workers, error, code, line):
-    argv = ["well", "--points", "2000", "--levels", "1,2", "--out"]
-    cpus(monkeypatch, 1)
-    assert main([*argv, str(tmp_path / "clean")]) == 0
-    clean = {path.name[len("clean"):]: path.read_bytes() for path in tmp_path.iterdir()}
+def test_a_failing_table_gives_mains_line_and_code(
+    capfd, tmp_path, monkeypatch, deadline, workers, chunk, owner, error, code, line
+):
+    clean = clean_files(tmp_path, monkeypatch)
     column = cli._well_column
 
     def broken(value):
         raise error
 
     def failing(c, M, n):
-        values = column(c, M, n)  # the level's domain check stays
-        return map(broken, values) if (c.kind, n) == (Kind.LEFT, 2) else values
+        psi = column(c, M, n)  # the level's domain check stays
+        if (c.kind, n) != (Kind.LEFT, 2):
+            return psi
+        # that chunk and every later one fail, as a wrong formula would: only the first may be reported
+        return lambda ms: map(broken, psi(ms)) if ms and ms[0] >= chunk * _CHUNK_ROWS else psi(ms)
 
+    failed = TABLE_ORDER.index("_wavefunction_left_n2.csv")
+    later = TABLE_ORDER[failed + 1 :]
+    (tmp_path / f"w{later[-1]}").write_bytes(b"kept\n")  # an existing file that _claim leaves as it is
+    rows = [clean[name].count(b"\n") - 1 for name in TABLE_ORDER[:failed]]
+    piece = sum(1 + -(-n // _CHUNK_ROWS) for n in rows) + 1 + chunk
+    assert piece == 18 + chunk  # the layout in FAILING_ARGV's comment
+    assert workers == 1 or (piece % workers == 0) == (owner == "parent")
     monkeypatch.setattr(cli, "_well_column", failing)
     cpus(monkeypatch, workers)
     me = os.getpid()
-    got = main([*argv, str(tmp_path / "w")])
+    got = main([*FAILING_ARGV, str(tmp_path / "w")])
     if os.getpid() != me:  # a worker that returned into its caller
         os._exit(99)
     assert (got, capfd.readouterr()) == (code, ("", line + "\n"))
     assert_no_child_left()
-    files = {path.name[len("w"):]: path.read_bytes() for path in tmp_path.glob("w_*")}
-    # the tables in queue order: the one writer stops at the failing table, several writers finish the rest
-    levels = [f"_wavefunction_{kind}_n{n}.csv" for kind in ("right", "left", "symmetric") for n in (1, 2)]
-    order = ["_spectrum.csv", *levels]
-    assert sorted(files) == sorted(clean) == sorted(order)
-    failed = order.index("_wavefunction_left_n2.csv")
-    assert files[order[failed]] == b""
-    later = order[failed + 1 :]
-    assert later and all(files[name] == (b"" if workers == 1 else clean[name]) for name in later)
-    assert all(files[name] == clean[name] for name in order[:failed])
+    files = {path.name[len("w") :]: path.read_bytes() for path in tmp_path.glob("w_*")}
+    # every table before the failing one, and that one cut after its last chunk before the failure
+    assert sorted(files) == sorted(TABLE_ORDER)
+    assert all(files[name] == clean[name] for name in TABLE_ORDER[:failed])
+    kept_lines = clean[TABLE_ORDER[failed]].splitlines(keepends=True)[: 1 + chunk * _CHUNK_ROWS]
+    assert files[TABLE_ORDER[failed]] == b"".join(kept_lines)
+    assert all(files[name] == b"" for name in later[:-1]) and files[later[-1]] == b"kept\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="peak RSS from os.wait4")
+def test_a_csv_out_holds_no_whole_column(tmp_path):
+    # a fresh process each, since this one has pytest and every test's leftovers in memory
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+
+    def peak_rss_mb(half):
+        argv = ["polys", "--n", "2,7", f"--window=-{half}:{half}", "--out", str(tmp_path / "p.csv")]
+        proc = subprocess.Popen([sys.executable, "-m", "umbralqm.cli", *argv], env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_maxrss / 1024
+
+    base, wide = peak_rss_mb(3000), peak_rss_mb(30000)
+    assert wide - base < 3, (base, wide)
 
 
 def test_broken_stdout_pipe_stays_exit_1(monkeypatch):
@@ -740,10 +830,11 @@ class TestWell:
 
         def counted(*args):
             calls.append(args)
-            return map(lambda value: cells.append(value) or value, column(*args))
+            psi = column(*args)
+            return lambda ms: map(lambda value: cells.append(value) or value, psi(ms))
 
         monkeypatch.setattr(cli, "_well_column", counted)
-        monkeypatch.setattr(cli, "_workers", lambda tables: 1)  # count the cells of every table in this process
+        monkeypatch.setattr(cli, "_workers", lambda rows: 1)  # count the cells of every table in this process
         argv = ["well", "--points", "2000", "--levels", "1,700"] + (["--out", str(tmp_path / "w")] if out else [])
         code, stdout, err = run(capsys, *argv)
         assert code == 0
