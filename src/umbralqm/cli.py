@@ -20,7 +20,7 @@ from typing import NamedTuple
 # Every package module loads with the CLI: the benchmark's span tracer (bench/spans.py)
 # looks each one up in sys.modules, so none may be imported lazily.
 from . import __version__
-from .correspondences import SummationStatus, basic_polynomial_column
+from .correspondences import SummationStatus, basic_polynomial_column, exponential_series_column
 from .functions import (
     DomainError,
     WaveSpec,
@@ -28,7 +28,6 @@ from .functions import (
     amplitude_growth,
     closed_form_status,
     umbral_exp_column,
-    umbral_exp_series_column,
     umbral_trig_column,
 )
 from .operators import Correspondence, InvalidDeltaError, Kind
@@ -68,24 +67,22 @@ class ConfigError(ValueError):
 class Table:
     """A named table of ordered (name, values) columns over `rows` rows.
 
-    The columns are a list, or a function of a range of rows that returns them
-    over those rows, given with the row count: a row that is never written is
-    never computed.
+    part(rows) returns the columns over one range of rows, so a row that is
+    never written is never computed; columns is part over every row.
     """
 
-    def __init__(self, name: str, columns, rows: int | None = None):
-        self.name, self._columns = name, columns
-        self.rows = rows if callable(columns) else len(columns[0][1]) if columns else 0
-
-    def part(self, rows: range) -> list:
-        """The columns over one range of rows."""
-        if callable(self._columns):
-            return self._columns(rows)
-        return [(name, values[rows.start : rows.stop]) for name, values in self._columns]
+    def __init__(self, name: str, part, rows: int):
+        self.name, self.part, self.rows = name, part, rows
 
     @property
     def columns(self) -> list:
-        return self.part(range(self.rows)) if callable(self._columns) else self._columns
+        return self.part(range(self.rows))
+
+
+def list_table(name: str, columns: list) -> Table:
+    """The table of (name, list) columns, whose part slices the lists."""
+    rows = len(columns[0][1]) if columns else 0
+    return Table(name, lambda r: [(column, values[r.start : r.stop]) for column, values in columns], rows)
 
 
 class RunConfig(NamedTuple):
@@ -423,6 +420,17 @@ def _axis(sigma: float, ms: range) -> list:
     return [("m", ms), ("x", [m * sigma for m in ms])]
 
 
+def _window_table(name: str, cfg: RunConfig, columns) -> Table:
+    """The table over the points of cfg.window: the _axis columns, then columns(ms) over a range of them."""
+    points = range(cfg.window[0], cfg.window[1] + 1)
+
+    def part(rows: range) -> list:
+        ms = points[rows.start : rows.stop]
+        return _axis(cfg.sigma, ms) + columns(ms)
+
+    return Table(name, part, len(points))
+
+
 def _continuous(fn, x: float) -> float:
     """fn(x) for exp, sin, cos, sinh or cosh; past the double range the inf of fn's sign."""
     try:
@@ -449,17 +457,14 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("--n must list at least one degree")
     if any(n < 0 for n in degrees):
         raise ConfigError("polynomial degrees must be >= 0")
-    lo, hi = cfg.window
     corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
 
-    def columns(rows: range) -> list:
-        ms = range(lo + rows.start, lo + rows.stop)
-        columns = _axis(cfg.sigma, ms)
-        columns += [(f"continuous_n{n}", [_power(m * cfg.sigma, n) for m in ms]) for n in degrees]
+    def columns(ms: range) -> list:
+        columns = [(f"continuous_n{n}", [_power(m * cfg.sigma, n) for m in ms]) for n in degrees]
         columns += [(f"{c.kind.value}_n{n}", list(basic_polynomial_column(c, n, ms))) for c in corrs for n in degrees]
         return columns
 
-    return emit("polys", cfg, [Table("basic_polynomials", columns, hi - lo + 1)])
+    return emit("polys", cfg, [_window_table("basic_polynomials", cfg, columns)])
 
 
 def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -476,38 +481,47 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     if not with_series:
         print("note: series columns disabled, emitting closed forms only", file=sys.stderr)
-    ms = range(cfg.window[0], cfg.window[1] + 1)
-    columns = _axis(cfg.sigma, ms)
-    columns.append(("continuous", [_continuous(math.exp, k * m * cfg.sigma) for m in ms]))
-    for kind in cfg.kinds:
-        c = Correspondence(kind, cfg.sigma)
-        name = kind.value
-        columns.append((f"{name}_closed", list(umbral_exp_column(c, k, ms))))
-        if with_series:
-            rows = ((value, status.value) for value, status in umbral_exp_series_column(c, k, ms, cfg.tol))
-            columns += _columns(f"{name}_series {name}_status", rows)
-    return emit("exp", cfg, [Table("exponential", columns)])
+    corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
+    for c in corrs:  # a 0 base (k sigma = -1 right, 1 left) to a negative power fails at an end of the window
+        list(umbral_exp_column(c, k, cfg.window))
+
+    def columns(ms: range) -> list:
+        columns = [("continuous", [_continuous(math.exp, k * m * cfg.sigma) for m in ms])]
+        for c in corrs:
+            name = c.kind.value
+            columns.append((f"{name}_closed", list(umbral_exp_column(c, k, ms))))
+            if with_series:
+                rows = ((value, status.value) for value, status in exponential_series_column(c, k, ms, cfg.tol))
+                columns += _columns(f"{name}_series {name}_status", rows)
+        return columns
+
+    return emit("exp", cfg, [_window_table("exponential", cfg, columns)])
 
 
 def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
     which = args.which
     wave_of, given = (WaveSpec.from_points, args.l) if args.l is not None else (WaveSpec.from_momentum, args.k)
     waves = [wave_of(Correspondence(kind, cfg.sigma), given) for kind in cfg.kinds]
-    ms = range(cfg.window[0], cfg.window[1] + 1)
-    samples = _axis(cfg.sigma, ms)
+    for wave in waves:  # the domain (sinh and cosh refuse the k sigma = 1 wave), checked before any output
+        umbral_trig_column(wave.correspondence, wave.k, (), which)
     continuous = _CONTINUOUS[which]
-    for wave in waves:
-        c, k = wave.correspondence, wave.k
-        samples.append((f"{c.kind.value}_{which}", list(umbral_trig_column(c, k, ms, which))))
-        samples.append((f"{c.kind.value}_continuous", [_continuous(continuous, k * m * cfg.sigma) for m in ms]))
+
+    def samples(ms: range) -> list:
+        columns = []
+        for wave in waves:
+            c, k = wave.correspondence, wave.k
+            columns.append((f"{c.kind.value}_{which}", list(umbral_trig_column(c, k, ms, which))))
+            columns.append((f"{c.kind.value}_continuous", [_continuous(continuous, k * m * cfg.sigma) for m in ms]))
+        return columns
+
     rows = (
         (w.correspondence.kind.value, w.k, w.k * cfg.sigma, w.wavelength, w.points_per_wavelength, w.is_minimal,
          None if w.correspondence.kind is Kind.SYMMETRIC else amplitude_growth(w.points_per_wavelength, 1))
         for w in waves
     )
     names = "correspondence k k_sigma lambda points_per_wavelength is_minimal amplitude_factor_per_period"
-    parameters = Table("wave_parameters", _columns(names, rows))
-    return emit("trig", cfg, [Table("samples", samples), parameters], multi_table=True)
+    parameters = list_table("wave_parameters", _columns(names, rows))
+    return emit("trig", cfg, [_window_table("samples", cfg, samples), parameters], multi_table=True)
 
 
 def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -564,7 +578,7 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
         for name, mass in particles
         for b in [energy_bounds(PhysicalUnits(mass=mass, sigma_m=args.sigma_m, tau_s=args.tau_s))]
     )
-    table = Table("bounds", _columns("particle mass_kg e_max_time_ev e_max_space_ev e_binding_ev", rows))
+    table = list_table("bounds", _columns("particle mass_kg e_max_time_ev e_max_space_ev e_binding_ev", rows))
     return emit("bounds", cfg, [table])
 
 

@@ -109,26 +109,17 @@ def umbral_exp(c: Correspondence, k, m: int):
     return next(umbral_exp_column(c, k, (int(m),)))
 
 
-def umbral_exp_series_column(c: Correspondence, k, ms, tol: float = 1e-12) -> Iterator:
-    """umbral_exp_series(c, k, m, tol) for each int m of ms, lazily, as (value, status).
-
-    The exact engine's column: a cell next to the last summed one is walked
-    to by the delta recurrence of the truncated sum, not summed afresh.
-    """
-    return exponential_series_column(c, k, ms, tol)
-
-
 def umbral_exp_series(
     c: Correspondence, k, m: int, tol: float = 1e-12
 ) -> tuple[complex, SummationStatus]:
-    """Discrete exponential from the series k^n/n! times the basic values: umbral_exp_series_column at one point.
+    """Discrete exponential from the series k^n/n! times the basic values: exponential_series_column at one point.
 
     The exact engine survives the catastrophic cancellation of the
     alternating branches. A float k or sigma is read as its shortest decimal,
     so 0.2 sums as 1/5; a complex k with a nonzero imaginary part sums in
     Gaussian integers and gives a complex.
     """
-    return next(umbral_exp_series_column(c, k, (int(m),), tol))
+    return next(exponential_series_column(c, k, (int(m),), tol))
 
 
 def closed_form_status(c: Correspondence, k, m: int) -> SummationStatus:

@@ -13,14 +13,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from .correspondences import basic_polynomial, basic_polynomial_value, zeros_of_basic_polynomial
-from .functions import (
-    minimum_wavelength_points,
-    momentum_to_wavelength,
-    umbral_exp_column,
-    umbral_exp_series_column,
-    wavelength_to_momentum,
-)
+from .correspondences import basic_polynomial, basic_polynomial_value, exponential_series_column
+from .correspondences import zeros_of_basic_polynomial
+from .functions import minimum_wavelength_points, momentum_to_wavelength, umbral_exp_column, wavelength_to_momentum
 from .operators import Correspondence, DeltaOperator, Kind, apply_delta, commutator_residual
 from .schrodinger import PhysicalUnits, PlaneWaveState, apply_hamiltonian, energy_bounds, well_state_count
 
@@ -74,7 +69,7 @@ def exp_series(momenta, window: int):
     ms = range(-window, window + 1)
     for kind, ks in product(Kind, momenta):
         c = Correspondence(kind, 1)
-        cells = zip(ms, umbral_exp_column(c, ks, ms), umbral_exp_series_column(c, ks, ms, 1e-12))
+        cells = zip(ms, umbral_exp_column(c, ks, ms), exponential_series_column(c, ks, ms, 1e-12))
         for m, closed, (summed, _) in cells:
             if not abs(summed - closed) <= 1e-10 * abs(closed):
                 return f"series mismatch at {kind.value}, k sigma={ks}, m={m}"

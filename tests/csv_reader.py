@@ -4,7 +4,7 @@ Each cell parses to the value format_cell spelled: "" to None, true/false,
 an int, "-0" to -0.0, a float (inf and nan included), else the string.
 """
 
-from umbralqm.cli import Table
+from umbralqm.cli import Table, list_table
 
 
 def parse_cell(text: str):
@@ -38,4 +38,4 @@ def read_csv(stream) -> Table:
             raise ValueError("ragged csv row")
         for (_, vals), cell in zip(columns, cells):
             vals.append(parse_cell(cell))
-    return Table("", columns)
+    return list_table("", columns)

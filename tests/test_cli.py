@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from csv_reader import read_csv
 from umbralqm import cli, invariants
-from umbralqm.cli import _CHUNK_ROWS, Table, format_cell, main, write_csv
+from umbralqm.cli import _CHUNK_ROWS, format_cell, list_table, main, write_csv
 from umbralqm.functions import DiscreteFunction, DomainError
 from umbralqm.operators import Kind
 from umbralqm.schrodinger import EnergyBounds
@@ -121,7 +122,7 @@ COLUMN_POOLS = st.sampled_from(
 )
 def test_csv_writer_spells_every_cell_as_format_cell(rows, pools):
     columns = [(f"c{j}", [pool[i % len(pool)] for i in range(rows)]) for j, pool in enumerate(pools)]
-    table = Table("t", columns)
+    table = list_table("t", columns)
     out = io.StringIO()
     write_csv(table, out)
     # lists of lines, so that a failure reports the first bad row without diffing the whole text
@@ -132,7 +133,7 @@ def test_csv_writer_spells_every_cell_as_format_cell(rows, pools):
 def test_csv_chunks_spell_a_column_whose_cell_types_change_between_chunks(tail):
     # the first chunk holds only ints, and so is spelled by "%d"; the last holds the tail
     ints = list(range(-5, _CHUNK_ROWS - 5))
-    table = Table("t", [("c", ints + tail), ("d", [True] * _CHUNK_ROWS + [None] * len(tail))])
+    table = list_table("t", [("c", ints + tail), ("d", [True] * _CHUNK_ROWS + [None] * len(tail))])
     out = io.StringIO()
     write_csv(table, out)
     assert out.getvalue() == reference_csv(table)
@@ -325,6 +326,23 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, suffix, blocker
     assert "internal error" not in err
 
 
+# refused by a kernel's domain, checked before any output
+REFUSED = [
+    (["exp", "--k", "1", "--no-series", "--window=-3:3"], "error: closed form is 0 raised to a negative power"),
+    (["trig", "--l", "4", "--which", "sinh", "--corr", "symmetric"], "error: sinh/cosh require |k sigma| < 1"),
+]
+
+
+@pytest.mark.parametrize("out", [None, "o.csv"], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv,line", REFUSED, ids=[argv[0] for argv, _ in REFUSED])
+def test_a_refused_table_writes_nothing(capsys, tmp_path, monkeypatch, argv, line, out):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *argv, *(["--out", out] if out else []))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines()[-1] == line
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_multi_table_out_that_fails_writes_nothing(capsys, tmp_path, existing):
     # the third of four tables cannot be opened; the first two must not be written either
@@ -407,6 +425,9 @@ PARALLEL_OUT = [
     ),
     pytest.param(["trig", "--l", "12", "--corr", "symmetric", "--window=-5000:5000"], id="trig-one-row-table"),
     pytest.param(["well", "--points", "9000", "--levels", "1,3000"], id="well-skipped-level"),
+    # a series over three chunks, each begun by a fresh binary split; closed forms only, with a note
+    pytest.param(["exp", "--k", "0.5", "--corr", "right", "--window=-100:9000"], id="exp-series"),
+    pytest.param(["exp", "--k", "0.5", "--no-series", "--window=-9000:9000"], id="exp-no-series"),
 ]
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="one writer without os.fork")
 
@@ -548,22 +569,57 @@ def test_a_failing_table_gives_mains_line_and_code(
     assert all(files[name] == b"" for name in later[:-1]) and files[later[-1]] == b"kept\n"
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="peak RSS from os.wait4")
-def test_a_csv_out_holds_no_whole_column(tmp_path):
-    # a fresh process each, since this one has pytest and every test's leftovers in memory
+def peak_rss_mb(tmp_path, *argv):
+    """The peak RSS, by os.wait4, of a fresh `umbralqm` process spawned by a bare interpreter.
+
+    A process's peak counts at least the resident size of the process that
+    spawned it, and pytest's is larger than any peak measured here.
+    """
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    launch = "import os, subprocess, sys; _, s, u = os.wait4(subprocess.Popen(sys.argv[1:]).pid, 0); "
+    launch += "print(s, u.ru_maxrss)"
+    argv = [sys.executable, "-c", launch, sys.executable, "-m", "umbralqm.cli", *argv, "--out", str(tmp_path / "o")]
+    status, peak_kb = map(int, subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.split())
+    assert os.waitstatus_to_exitcode(status) == 0
+    return peak_kb / 1024
 
-    def peak_rss_mb(half):
-        argv = ["polys", "--n", "2,7", f"--window=-{half}:{half}", "--out", str(tmp_path / "p.csv")]
-        proc = subprocess.Popen([sys.executable, "-m", "umbralqm.cli", *argv], env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        return usage.ru_maxrss / 1024
 
-    base, wide = peak_rss_mb(3000), peak_rss_mb(30000)
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="peak RSS from os.wait4")
+@pytest.mark.parametrize(
+    "argv",
+    [["polys", "--n", "2,7"], ["trig", "--l", "12"], ["exp", "--k", "0.5", "--no-series"]],
+    ids=["polys", "trig", "exp-no-series"],
+)
+def test_a_csv_out_holds_no_whole_column(tmp_path, argv):
+    base, wide = (peak_rss_mb(tmp_path, *argv, f"--window=-{half}:{half}") for half in (3000, 30000))
     assert wide - base < 3, (base, wide)
+
+
+def test_a_csv_out_hands_no_kernel_more_than_a_chunk(tmp_path, monkeypatch):
+    points = {}  # kernel name: the length of ms in each call
+
+    def recording(name, kernel):
+        def counted(c, k, ms, *rest):
+            points[name].append(len(ms))
+            return kernel(c, k, ms, *rest)
+
+        return counted
+
+    names = ("umbral_trig_column", "umbral_exp_column", "exponential_series_column")
+    for name in names:
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "_workers", lambda rows: 1)  # every call in this process
+    # trig: three kinds over 18001 points; exp: right over 9101 points, and 2 closed cells checked before emit
+    runs = [
+        (["trig", "--l", "12", "--window=-9000:9000"], [3 * 18001, 0, 0]),
+        (["exp", "--k", "0.5", "--corr", "right", "--window=-100:9000"], [0, 9101 + 2, 9101]),
+    ]
+    for argv, totals in runs:
+        points.update((name, []) for name in names)
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+        assert [sum(points[name]) for name in names] == totals
+        assert max(chain.from_iterable(points.values())) <= _CHUNK_ROWS
 
 
 def test_broken_stdout_pipe_stays_exit_1(monkeypatch):
@@ -577,7 +633,7 @@ def test_broken_stdout_pipe_stays_exit_1(monkeypatch):
 
 class TestTableIO:
     def test_csv_round_trip_is_byte_identical(self):
-        table = Table(
+        table = list_table(
             "t",
             [
                 ("m", [-2, -1, 0, None]),
@@ -610,7 +666,7 @@ class TestTableIO:
 
     def test_seventeen_digit_floats_round_trip(self):
         value = 0.1 + 0.2
-        table = Table("t", [("v", [value])])
+        table = list_table("t", [("v", [value])])
         out = io.StringIO()
         write_csv(table, out)
         parsed = read_csv(io.StringIO(out.getvalue()))
@@ -1087,7 +1143,7 @@ class TestCheck:
             # a NaN fails every bound
             ("basic_polynomial_value", lambda c, n, m: math.nan,
              "closed form vs direct product: value mismatch at right, sigma=0.5, n=0, m=-12"),
-            ("umbral_exp_series_column", lambda c, ks, ms, tol: [(math.nan, None)] * len(ms),
+            ("exponential_series_column", lambda c, ks, ms, tol: [(math.nan, None)] * len(ms),
              "exponential series vs closed form: series mismatch at right, k sigma=-0.5, m=-10"),
             ("momentum_to_wavelength", lambda c, k: math.nan,
              "wavelength round trips and minimal waves: minimal wave mismatch for right"),
