@@ -86,14 +86,36 @@ def _lattice_steps(kind: Kind, m: int, run: range):
     return map(mul, right, left)
 
 
+_ROW_DEGREE = 63  # root products of degree up to this are kept: at most 3 * 64 rows
+_root_rows: dict = {}  # (kind, n) -> _root_product(kind, n)
+
+
+def _root_product(kind: Kind, n: int) -> tuple[int, ...]:
+    """The integer coefficients of prod(y - r) over every root of degree n, the lead included, lowest degree first.
+
+    Walked from the kept row of degree n - step by the roots degree n adds
+    (see _lattice_steps: right n - 1, left -(n - 1), symmetric +-(n - 2)),
+    else multiplied out. Rows of degree up to _ROW_DEGREE are kept, at most
+    one per kind and degree.
+    """
+    lead, rest = _roots(kind, n)
+    step = 2 if kind is Kind.SYMMETRIC else 1
+    coeffs = _root_rows.get((kind, n - step))
+    if coeffs is None:
+        coeffs, new = (0, 1) if lead else (1,), rest
+    else:
+        prev = n - step
+        new = (prev,) if kind is Kind.RIGHT else (-prev,) if kind is Kind.LEFT else (prev, -prev)
+    for r in new:
+        coeffs = tuple(a - r * b for a, b in zip((0, *coeffs), (*coeffs, 0)))
+    if n <= _ROW_DEGREE:
+        _root_rows[kind, n] = coeffs
+    return coeffs
+
+
 def basic_polynomial(c: Correspondence, n: int) -> Polynomial:
     """Exact coefficient form of the degree-n basic polynomial xi^n 1."""
-    lead, rest = _roots(c.kind, n)
-    coeffs = [1]  # prod(y - r), lowest degree first
-    for r in rest:
-        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    if lead:
-        coeffs.insert(0, 0)
+    coeffs = _root_product(c.kind, n)
     u, v = c.sigma_exact().as_integer_ratio()  # a_j sigma^(n-j) = a_j u^(n-j) v^j / v^n
     return _reduced([a * u ** (n - j) * v**j for j, a in enumerate(coeffs)], v**n)
 
@@ -538,10 +560,22 @@ class _Walk:
         return chains
 
 
-def _cutoff_sum(kind: Kind, P, Q: int, m: int):
-    """An exact_cutoff cell rounded once: sum_n C(|m|, n) (+-P/Q)^n = (Q +- P)^|m| / Q^|m|, + for right."""
+def _cutoff_powers(kind: Kind, P, Q: int, a: int, last=None):
+    """(a, (Q +- P)^a, Q^a), + for right: the integers of an exact_cutoff cell at |m| = a.
+
+    The cell is sum_n C(a, n) (+-P/Q)^n = (Q +- P)^a / Q^a. Where last, the
+    triple of another cell, has the exponent a - 1 or a + 1, its powers take
+    one more factor or give one up by an exact division; else they are
+    raised afresh.
+    """
     base = Q + (P if kind is Kind.RIGHT else -P)
-    return _to_float(base ** abs(m), Q ** abs(m))
+    if last is not None:
+        b, num, den = last
+        if a == b + 1:
+            return a, num * base, den * Q
+        if a == b - 1 and base:
+            return a, num // base, den // Q
+    return a, base**a, Q**a
 
 
 def exponential_series_column(c: Correspondence, k, ms, tol: float) -> Iterator:
@@ -562,6 +596,7 @@ def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
     """The cells of exponential_series_column at k sigma = P/Q, each as exponential_series_exact describes."""
     log_q, accept = _log_abs(P) - math.log(Q), math.log(tol / (1 + tol))
     walk, closed, unit, last_N = _Walk(kind, P, Q), None, Correspondence(kind, 1), None
+    cut = None  # _cutoff_powers of the last exact_cutoff cell
     for m in ms:
         m = int(m)
         status = _series_status(kind, P, Q, m)
@@ -569,7 +604,8 @@ def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
             yield math.nan, SummationStatus.UNSUMMED  # |m| + 1 terms, past the budget
             continue
         if status is SummationStatus.EXACT_CUTOFF:
-            yield _cutoff_sum(kind, P, Q, m), status
+            cut = _cutoff_powers(kind, P, Q, abs(m), cut)
+            yield _to_float(*cut[1:]), status
             continue
         if status is not SummationStatus.CONVERGED:
             yield math.nan, status

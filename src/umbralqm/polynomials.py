@@ -9,9 +9,12 @@ polynomial has degree -1 by convention, which keeps degree bookkeeping uniform.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
 from math import comb, gcd, lcm
 from operator import mul
+
+_TABLE_DEGREE = 63  # highest input degree S^-1 takes from a table; see shift_sum and the README
 
 
 def _exact(x) -> Fraction:
@@ -54,7 +57,8 @@ class Polynomial:
     def monomial(cls, degree: int, coefficient=1) -> "Polynomial":
         if degree < 0:
             raise ValueError("monomial degree must be non-negative")
-        return cls((0,) * degree + (coefficient,))
+        c = _exact(coefficient)
+        return _reduced([0] * degree + [c.numerator], c.denominator)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -135,13 +139,34 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
 
+@lru_cache(maxsize=8)
+def _inverse_table(den: int, ints: tuple) -> list[list[int]]:
+    """The rows of S^-1 to degree _TABLE_DEGREE, S = sum_n (ints[n] / den) T^(n s).
+
+    S = sum_k mu_k (s D)^k / k! with the moments mu_k, integers with mu_0 = 1, so
+    S^-1 = sum_k t_k (s D)^k / k! with t the binomial inverse of mu,
+    sum_k C(m, k) mu_k t_(m-k) = 0 for m > 0 (for symmetric beta, the Euler numbers).
+    Row j holds C(j + k, j) t_k for k = 0 .. _TABLE_DEGREE - j. At most 8 tables are
+    kept, the least recently used dropped first, each of _TABLE_DEGREE + 1 rows.
+    """
+    mu = [sum(n**k * a for n, a in ints) // den for k in range(_TABLE_DEGREE + 1)]
+    t = [1]
+    for m in range(1, _TABLE_DEGREE + 1):
+        t.append(-sum(comb(m, k) * mu[k] * t[m - k] for k in range(1, m + 1) if mu[k]))
+    return [[comb(j + k, j) * t[k] for k in range(_TABLE_DEGREE + 1 - j)] for j in range(_TABLE_DEGREE + 1)]
+
+
 def shift_sum(p: Polynomial, s, terms, inverse: bool = False) -> Polynomial:
     """Apply S = sum_n a_n T^(n s), or S^-1, to p exactly; T^(n s) p(x) = p(x + n s).
 
     `terms` maps integer offsets n to int or Fraction weights a_n. With s = u/v, T^(n s)
     shifts g(y) = D v^deg p(y/v), whose coefficients are the integers n_i v^(deg-i), by n u:
     one Horner triangle per term, the a_n over one denominator. S^-1 needs integer moments
-    mu_k = sum_n n^k a_n with mu_0 = 1; it solves C(i, j) u^(i-j) mu_(i-j) from the top down.
+    mu_k = sum_n n^k a_n with mu_0 = 1. Up to degree _TABLE_DEGREE each output
+    coefficient j is one dot product of a row of _inverse_table with g scaled by u^i,
+    divided exactly by u^j, so the table holds no u; at s = 0, S^-1 p = p. Above that
+    degree a table would cost more to build and keep than it saves, and S^-1 solves
+    C(i, j) u^(i-j) mu_(i-j) from the top down.
     """
     s = _exact(s)
     if p.is_zero:
@@ -151,7 +176,15 @@ def shift_sum(p: Polynomial, s, terms, inverse: bool = False) -> Polynomial:
     u, deg = s.numerator, p.degree
     powers = list(accumulate(repeat(s.denominator, deg), mul, initial=1))
     g = [n * w for n, w in zip(p._num, reversed(powers))]
-    if inverse:
+    if inverse and deg <= _TABLE_DEGREE:
+        if not u:
+            return p
+        rows = _inverse_table(den, tuple(sorted(ints.items())))
+        scale = list(accumulate(repeat(u, deg), mul, initial=1))
+        h = [c * w for c, w in zip(g, scale)]
+        out = [sum(map(mul, row, h[j:])) // w for j, (row, w) in enumerate(zip(rows, scale))]
+        den = 1
+    elif inverse:
         moments = [u**k * sum(n**k * a for n, a in ints.items()) // den for k in range(deg + 1)]
         for j in range(deg - 1, -1, -1):  # rows above j are solved
             g[j] -= sum(comb(i, j) * moments[i - j] * g[i] for i in range(j + 1, deg + 1) if moments[i - j])

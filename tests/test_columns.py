@@ -41,6 +41,7 @@ from umbralqm import (
     well_state_count,
 )
 from umbralqm import correspondences as C
+from umbralqm.cli import _CHUNK_ROWS
 from umbralqm.functions import lattice_dispersion
 
 KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
@@ -304,6 +305,20 @@ def test_series_column_in_any_order_is_the_per_cell_engine(kind):
     for ks in (0.9, -0.5, 0.7j):
         for ms in orders:
             assert_series_column_is_per_cell(c, ks, ms)
+
+
+@pytest.mark.parametrize("ks", (Fraction(1, 1000), -0.01, 0.0, 0.01j, -1.0, 1.0), ids=repr)
+@pytest.mark.parametrize("kind", (Kind.RIGHT, Kind.LEFT), ids=lambda kind: kind.value)
+def test_cutoff_column_steps_to_the_per_cell_binomial(kind, ks):
+    # an exact_cutoff cell's powers come from the last cutoff cell's, one factor on or off per
+    # step of |m|, else afresh: |m| rises along the right window and falls along the left one,
+    # each across m = _CHUNK_ROWS and two gaps; k sigma = -1 and 1 zero the right and left bases
+    ms = [0, 1, 2, *range(_CHUNK_ROWS - 3, _CHUNK_ROWS + 3), *range(_CHUNK_ROWS + 7, _CHUNK_ROWS + 10)]
+    if kind is Kind.LEFT:
+        ms = [-m for m in reversed(ms)]
+    c = Correspondence(kind, 1)
+    assert {C._series_status(kind, *C._momentum_ratio(ks, 1), m) for m in ms} == {SummationStatus.EXACT_CUTOFF}
+    assert_series_column_is_per_cell(c, ks, ms)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)

@@ -100,6 +100,31 @@ class TestCoefficientForm:
         with pytest.raises(ValueError):
             basic_polynomial(right(1), -1)
 
+    def test_matches_factor_product_in_any_call_order(self):
+        # degree n is walked from a kept row of degree n - step, else multiplied out; the
+        # rows hold no sigma, so a row kept at one kind and spacing serves every spacing
+        top = correspondences._ROW_DEGREE + 6
+        sigmas = (1, THIRD, Fraction(2, 7), Fraction(0.2))
+        orders = [
+            [(kind, sigmas[n % 4], n) for kind in ALL_KINDS for n in range(top, -1, -1)],  # descending
+            [(kind, sigma, n) for n in range(top + 1) for sigma in sigmas[:2] for kind in ALL_KINDS],
+            [(Kind.SYMMETRIC, sigma, n) for n in (3, 2, 1, 0, 0, 1, 2, 3) for sigma in sigmas[::3]],
+            # a row kept by one sequence starts a walk of another: 5 -> 7, 10 -> 11, 20 -> 22 -> 21
+            [(Kind.SYMMETRIC, THIRD, 5), (Kind.SYMMETRIC, Fraction(0.2), 7), (Kind.RIGHT, 1, 10),
+             (Kind.LEFT, 1, 11), (Kind.LEFT, Fraction(2, 7), 10), (Kind.RIGHT, THIRD, 11),
+             (Kind.SYMMETRIC, 1, 20), (Kind.SYMMETRIC, THIRD, 22), (Kind.SYMMETRIC, 1, 21)],
+        ]
+        for order in orders:
+            correspondences._root_rows.clear()
+            for kind, sigma, n in order:
+                assert basic_polynomial(Correspondence(kind, sigma), n) == product_form(kind, n, sigma), (kind, n)
+        correspondences._root_rows.clear()
+        for kind, sigma, n in [(kind, sigmas[n % 4], n) for n in range(top + 1) for kind in ALL_KINDS]:
+            assert basic_polynomial(Correspondence(kind, sigma), n) == product_form(kind, n, sigma), (kind, n)
+        kept = correspondences._root_rows
+        assert max(n for _, n in kept) == correspondences._ROW_DEGREE
+        assert len(kept) == 3 * (correspondences._ROW_DEGREE + 1)
+
 
 class TestClosedFormValues:
     def test_documented_values(self):

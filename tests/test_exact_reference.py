@@ -9,14 +9,16 @@ sum_n a_n p(x + n sigma) / (N sigma).
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from umbralqm import DeltaOperator, Kind, Polynomial, apply_beta, apply_delta
+from umbralqm import DeltaOperator, Kind, Polynomial, apply_beta, apply_delta, polynomials
 from umbralqm.operators import Correspondence
+from umbralqm.polynomials import _TABLE_DEGREE, shift_sum
 
 
 class FractionPolynomial:
@@ -226,3 +228,87 @@ def test_zero_and_constants_through_shift_delta_and_beta(coeffs, sigma):
         c = Correspondence(kind, sigma)
         assert apply_delta(DeltaOperator.for_correspondence(c), p) == Polynomial()
         assert apply_beta(c, p) == p
+
+
+# The kernel itself, `shift_sum`, on offsets and weights no lattice operator uses. Its inverse
+# takes a table up to degree _TABLE_DEGREE and back-substitutes above it, so degrees run to 80.
+KERNEL_SHIFTS = (0, 1, Fraction(2, 7), Fraction(1, 3), Fraction(0.2), Fraction(7, 2))
+FORWARD_WEIGHTS = (
+    {1: 1},
+    {1: Fraction(3, 2), -1: Fraction(-3, 2)},
+    {0: Fraction(-3, 2), 1: 2, 2: Fraction(-1, 2)},
+    {-3: Fraction(5, 7), 0: 0, 2: -4, 5: Fraction(1, 9)},
+)
+# S^-1 needs integer moments sum_n n^k a_n with mu_0 = 1: integer weights summing to 1, and halves
+# whose moments stay integers. Twelve weights, more than the kernel keeps tables for.
+INVERSE_WEIGHTS = (
+    {1: 1, 0: 0},
+    {-1: 1, 0: 0},
+    {1: Fraction(1, 2), -1: Fraction(1, 2)},
+    {2: Fraction(1, 2), 0: Fraction(1, 2)},
+    {2: 3, -1: -2, 0: 0},
+    {3: -1, 1: 2, -2: 0},
+    {-2: 4, 1: -3},
+    *({k: k + 1, -1: -k} for k in range(2, 7)),
+)
+
+
+def reference_sum(ref, s, weights):
+    """sum_n a_n p(x + n s), each shift a Fraction binomial expansion."""
+    out = FractionPolynomial()
+    for n, a in weights.items():
+        out = out + ref.shift(n * s) * a
+    return out
+
+
+def kernel_cases(seed, count):
+    """(coefficients, s, weights, inverse) with degrees 0-80, the high and low ones interleaved."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        degree = rng.choice((rng.randint(0, 12), rng.randint(50, 80), rng.randint(0, 80)))
+        coeffs = [Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(degree + 1)]
+        inverse = i % 3 != 0
+        weights = rng.choice(INVERSE_WEIGHTS if inverse else FORWARD_WEIGHTS)
+        cases.append((coeffs, rng.choice(KERNEL_SHIFTS), weights, inverse))
+    return cases
+
+
+def test_shift_sum_matches_the_binomial_reference_in_any_call_order():
+    cases = kernel_cases(23, 45)
+    tabled = {tuple(w.items()) for c, s, w, inverse in cases if inverse and s and len(c) <= _TABLE_DEGREE + 1}
+    assert len(tabled) > 8  # more weights than tables kept, so some are dropped and built again
+    results = []
+    for coeffs, s, weights, inverse in cases:
+        out = shift_sum(Polynomial(coeffs), s, weights, inverse)
+        ref = FractionPolynomial(coeffs)
+        if inverse:  # S (S^-1 p) = p, S expanded by the reference
+            assert reference_sum(FractionPolynomial(out.coeffs), s, weights).coeffs == ref.coeffs
+        else:
+            assert_same(out, reference_sum(ref, s, weights))
+        results.append(out)
+    by_degree = sorted(range(len(cases)), key=lambda i: -len(cases[i][0]))  # highest degree first
+    for order in (by_degree, by_degree[::-1], random.Random(5).sample(range(len(cases)), len(cases))):
+        polynomials._inverse_table.cache_clear()
+        for i in order:
+            coeffs, s, weights, inverse = cases[i]
+            assert shift_sum(Polynomial(coeffs), s, weights, inverse) == results[i]
+        assert polynomials._inverse_table.cache_info().currsize <= 8
+
+
+def test_a_high_degree_beta_keeps_no_table():
+    polynomials._inverse_table.cache_clear()
+    c, third = Correspondence(Kind.SYMMETRIC, Fraction(1, 3)), Fraction(1, 3)
+    p = Polynomial([Fraction(k - 150, 1 + k % 7) for k in range(301)])
+    q = apply_beta(c, p)
+    assert polynomials._inverse_table.cache_info().currsize == 0  # degree 300 back-substitutes
+    assert (q.shift(third) + q.shift(-third)) * Fraction(1, 2) == p
+    apply_beta(c, Polynomial.monomial(5))
+    assert polynomials._inverse_table.cache_info().currsize == 1
+    rows = polynomials._inverse_table(2, ((-1, 1), (1, 1)))  # the table just built: weights 1/2 at -1 and 1
+    assert polynomials._inverse_table.cache_info().currsize == 1
+    assert [len(row) for row in rows] == list(range(_TABLE_DEGREE + 1, 0, -1))
+    assert rows[0][:7] == [1, 0, -1, 0, 5, 0, -61]  # the Euler numbers: S^-1 = sech(s D)
+    for weights in INVERSE_WEIGHTS:
+        shift_sum(Polynomial.monomial(3), Fraction(2, 7), weights, inverse=True)
+    assert polynomials._inverse_table.cache_info().currsize == 8

@@ -30,6 +30,7 @@ from umbralqm import (
     umbral_exp,
 )
 from umbralqm import invariants
+from umbralqm.polynomials import _TABLE_DEGREE
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 HALF = Fraction(1, 2)
@@ -330,12 +331,14 @@ class TestBetaAndXi:
 
     @pytest.mark.parametrize("factory", [right, left, symmetric])
     def test_pincherle_derivative_of_delta_inverts_beta(self, factory):
-        c = factory(THIRD)
-        d = DeltaOperator.for_correspondence(c)
-        for n in range(33):
-            p = Polynomial.monomial(n)
-            assert pincherle_derivative(d, apply_beta(c, p)) == p
-            assert apply_beta(c, pincherle_derivative(d, p)) == p
+        # beta's one check that reads no pincherle_weights: delta X - X delta through apply_delta,
+        # on both sides of the degree where beta stops taking its table
+        for c in (factory(THIRD), factory(0.2)):
+            d = DeltaOperator.for_correspondence(c)
+            for n in range(_TABLE_DEGREE + 11):
+                p = Polynomial.monomial(n)
+                assert pincherle_derivative(d, apply_beta(c, p)) == p
+                assert apply_beta(c, pincherle_derivative(d, p)) == p
 
 
 class TestCommutator:
