@@ -12,9 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
 from math import comb, gcd, lcm
-from operator import mul
+from operator import floordiv, mul
 
-_TABLE_DEGREE = 63  # highest input degree S^-1 takes from a table; see shift_sum and the README
+_TABLE_DEGREE = 63  # highest input degree whose S^-1 reads cached rows; see shift_sum and the README
 
 
 def _exact(x) -> Fraction:
@@ -139,21 +139,24 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
 
-@lru_cache(maxsize=8)
-def _inverse_table(den: int, ints: tuple) -> list[list[int]]:
-    """The rows of S^-1 to degree _TABLE_DEGREE, S = sum_n (ints[n] / den) T^(n s).
+def _moments(den: int, ints: tuple, count: int) -> list[int]:
+    """mu_k = sum_n n^k a_n for k < count, a_n = ints[n] / den; a ValueError unless integers with mu_0 = 1."""
+    sums = [sum(n**k * a for n, a in ints) for k in range(count)]
+    if sums[0] != den or any(x % den for x in sums):
+        begin = ", ".join(str(Fraction(x, den)) for x in sums[:4])
+        raise ValueError(f"S^-1 needs integer moments mu_k = sum_n n^k a_n with mu_0 = 1; these begin {begin}")
+    return [x // den for x in sums]
 
-    S = sum_k mu_k (s D)^k / k! with the moments mu_k, integers with mu_0 = 1, so
-    S^-1 = sum_k t_k (s D)^k / k! with t the binomial inverse of mu,
-    sum_k C(m, k) mu_k t_(m-k) = 0 for m > 0 (for symmetric beta, the Euler numbers).
-    Row j holds C(j + k, j) t_k for k = 0 .. _TABLE_DEGREE - j. At most 8 tables are
-    kept, the least recently used dropped first, each of _TABLE_DEGREE + 1 rows.
+
+@lru_cache(maxsize=8)
+def _row_table(den: int, ints: tuple) -> list[list[int]]:
+    """The rows of S = sum_n (ints[n] / den) T^(n s) to degree _TABLE_DEGREE, in h_i = g_i u^i.
+
+    Row j holds C(j + k, j) mu_k for k = 1 .. _TABLE_DEGREE - j; they hold no u, so one table
+    serves every spacing. At most 8 tables are kept, the least recently used dropped first.
     """
-    mu = [sum(n**k * a for n, a in ints) // den for k in range(_TABLE_DEGREE + 1)]
-    t = [1]
-    for m in range(1, _TABLE_DEGREE + 1):
-        t.append(-sum(comb(m, k) * mu[k] * t[m - k] for k in range(1, m + 1) if mu[k]))
-    return [[comb(j + k, j) * t[k] for k in range(_TABLE_DEGREE + 1 - j)] for j in range(_TABLE_DEGREE + 1)]
+    mu = _moments(den, ints, _TABLE_DEGREE + 1)
+    return [[comb(j + k, j) * mu[k] for k in range(1, _TABLE_DEGREE + 1 - j)] for j in range(_TABLE_DEGREE + 1)]
 
 
 def shift_sum(p: Polynomial, s, terms, inverse: bool = False) -> Polynomial:
@@ -161,34 +164,35 @@ def shift_sum(p: Polynomial, s, terms, inverse: bool = False) -> Polynomial:
 
     `terms` maps integer offsets n to int or Fraction weights a_n. With s = u/v, T^(n s)
     shifts g(y) = D v^deg p(y/v), whose coefficients are the integers n_i v^(deg-i), by n u:
-    one Horner triangle per term, the a_n over one denominator. S^-1 needs integer moments
-    mu_k = sum_n n^k a_n with mu_0 = 1. Up to degree _TABLE_DEGREE each output
-    coefficient j is one dot product of a row of _inverse_table with g scaled by u^i,
-    divided exactly by u^j, so the table holds no u; at s = 0, S^-1 p = p. Above that
-    degree a table would cost more to build and keep than it saves, and S^-1 solves
-    C(i, j) u^(i-j) mu_(i-j) from the top down.
+    one Horner triangle per term, the a_n over one denominator. S is the series
+    sum_k mu_k (s D)^k / k! in the moments mu_k = sum_n n^k a_n, so in h_i = g_i u^i it is
+    the triangle h_j <- sum_(i >= j) C(i, j) mu_(i-j) h_i, which holds no u. S^-1 needs
+    integer moments with mu_0 = 1, and refuses other weights with a ValueError whatever p
+    and s; at s = 0 it returns p. It solves the triangle from the top degree down, reading
+    the rows of _row_table up to degree _TABLE_DEGREE and the moments above it, and divides
+    each h_j exactly by u^j.
     """
     s = _exact(s)
-    if p.is_zero:
-        return p
     den = lcm(*(a.denominator for a in terms.values()))
     ints = {n: a.numerator * (den // a.denominator) for n, a in terms.items()}
     u, deg = s.numerator, p.degree
+    if inverse:
+        key = tuple(sorted(ints.items()))
+        rows = _row_table(den, key) if deg <= _TABLE_DEGREE else None
+        mu = None if rows else _moments(den, key, deg + 1)
+    if p.is_zero or (inverse and not u):  # at s = 0, S = mu_0 = 1
+        return p
     powers = list(accumulate(repeat(s.denominator, deg), mul, initial=1))
     g = [n * w for n, w in zip(p._num, reversed(powers))]
-    if inverse and deg <= _TABLE_DEGREE:
-        if not u:
-            return p
-        rows = _inverse_table(den, tuple(sorted(ints.items())))
+    if inverse:
         scale = list(accumulate(repeat(u, deg), mul, initial=1))
-        h = [c * w for c, w in zip(g, scale)]
-        out = [sum(map(mul, row, h[j:])) // w for j, (row, w) in enumerate(zip(rows, scale))]
-        den = 1
-    elif inverse:
-        moments = [u**k * sum(n**k * a for n, a in ints.items()) // den for k in range(deg + 1)]
-        for j in range(deg - 1, -1, -1):  # rows above j are solved
-            g[j] -= sum(comb(i, j) * moments[i - j] * g[i] for i in range(j + 1, deg + 1) if moments[i - j])
-        out, den = g, 1
+        h = list(map(mul, g, scale))
+        for j in range(deg - 1, -1, -1):  # h above j is solved
+            if rows:
+                h[j] -= sum(map(mul, rows[j], h[j + 1:]))
+            else:
+                h[j] -= sum(comb(i, j) * mu[i - j] * h[i] for i in range(j + 1, deg + 1) if mu[i - j])
+        out, den = list(map(floordiv, h, scale)), 1
     else:
         out = [0] * (deg + 1)
         for n, a in ints.items():

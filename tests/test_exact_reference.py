@@ -231,7 +231,7 @@ def test_zero_and_constants_through_shift_delta_and_beta(coeffs, sigma):
 
 
 # The kernel itself, `shift_sum`, on offsets and weights no lattice operator uses. Its inverse
-# takes a table up to degree _TABLE_DEGREE and back-substitutes above it, so degrees run to 80.
+# reads cached rows up to degree _TABLE_DEGREE and the moments above it, so degrees run to 80.
 KERNEL_SHIFTS = (0, 1, Fraction(2, 7), Fraction(1, 3), Fraction(0.2), Fraction(7, 2))
 FORWARD_WEIGHTS = (
     {1: 1},
@@ -240,7 +240,7 @@ FORWARD_WEIGHTS = (
     {-3: Fraction(5, 7), 0: 0, 2: -4, 5: Fraction(1, 9)},
 )
 # S^-1 needs integer moments sum_n n^k a_n with mu_0 = 1: integer weights summing to 1, and halves
-# whose moments stay integers. Twelve weights, more than the kernel keeps tables for.
+# whose moments stay integers. Twelve weights, more than the kernel keeps row tables for.
 INVERSE_WEIGHTS = (
     {1: 1, 0: 0},
     {-1: 1, 0: 0},
@@ -289,26 +289,39 @@ def test_shift_sum_matches_the_binomial_reference_in_any_call_order():
         results.append(out)
     by_degree = sorted(range(len(cases)), key=lambda i: -len(cases[i][0]))  # highest degree first
     for order in (by_degree, by_degree[::-1], random.Random(5).sample(range(len(cases)), len(cases))):
-        polynomials._inverse_table.cache_clear()
+        polynomials._row_table.cache_clear()
         for i in order:
             coeffs, s, weights, inverse = cases[i]
             assert shift_sum(Polynomial(coeffs), s, weights, inverse) == results[i]
-        assert polynomials._inverse_table.cache_info().currsize <= 8
+        assert polynomials._row_table.cache_info().currsize <= 8
 
 
 def test_a_high_degree_beta_keeps_no_table():
-    polynomials._inverse_table.cache_clear()
+    polynomials._row_table.cache_clear()
     c, third = Correspondence(Kind.SYMMETRIC, Fraction(1, 3)), Fraction(1, 3)
     p = Polynomial([Fraction(k - 150, 1 + k % 7) for k in range(301)])
     q = apply_beta(c, p)
-    assert polynomials._inverse_table.cache_info().currsize == 0  # degree 300 back-substitutes
+    assert polynomials._row_table.cache_info().currsize == 0  # degree 300 reads the moments, not a table
     assert (q.shift(third) + q.shift(-third)) * Fraction(1, 2) == p
     apply_beta(c, Polynomial.monomial(5))
-    assert polynomials._inverse_table.cache_info().currsize == 1
-    rows = polynomials._inverse_table(2, ((-1, 1), (1, 1)))  # the table just built: weights 1/2 at -1 and 1
-    assert polynomials._inverse_table.cache_info().currsize == 1
-    assert [len(row) for row in rows] == list(range(_TABLE_DEGREE + 1, 0, -1))
-    assert rows[0][:7] == [1, 0, -1, 0, 5, 0, -61]  # the Euler numbers: S^-1 = sech(s D)
+    assert polynomials._row_table.cache_info().currsize == 1
+    rows = polynomials._row_table(2, ((-1, 1), (1, 1)))  # the table just built: weights 1/2 at -1 and 1
+    assert polynomials._row_table.cache_info().currsize == 1
+    assert [len(row) for row in rows] == list(range(_TABLE_DEGREE, -1, -1))
+    assert rows[0] == [1 - k % 2 for k in range(1, _TABLE_DEGREE + 1)]  # mu_1 .. mu_63 of S = cosh(s D)
     for weights in INVERSE_WEIGHTS:
         shift_sum(Polynomial.monomial(3), Fraction(2, 7), weights, inverse=True)
-    assert polynomials._inverse_table.cache_info().currsize == 8
+    assert polynomials._row_table.cache_info().currsize == 8
+
+
+@pytest.mark.parametrize("degree", [3, 70])  # a row table and the moments
+@pytest.mark.parametrize("s", [1, Fraction(2, 7), 0])
+@pytest.mark.parametrize(
+    "weights", [{1: Fraction(1, 3), 0: Fraction(2, 3)}, {0: 2}], ids=["fractional-moments", "mu0-is-2"]
+)
+def test_shift_sum_refuses_weights_it_cannot_invert(weights, s, degree):
+    # the first S maps x to x + s/3, its moments past mu_0 are 1/3; the second S doubles p
+    p = Polynomial([Fraction(k - 1, 1 + k % 5) for k in range(degree + 1)])
+    with pytest.raises(ValueError, match="integer moments"):
+        shift_sum(p, s, weights, inverse=True)
+    assert_same(shift_sum(p, s, weights), reference_sum(FractionPolynomial(p.coeffs), s, weights))  # S itself applies

@@ -509,3 +509,12 @@ class TestDiscreteFunction:
     def test_empty_window_is_rejected(self):
         with pytest.raises(ValueError):
             DiscreteFunction(1.0, 0, [])
+
+    def test_equal_by_value(self):
+        f = DiscreteFunction(0.5, -2, [1.0, 2.0, 3.0])
+        assert f == DiscreteFunction(0.5, -2, [1.0, 2.0, 3.0])
+        assert f != DiscreteFunction(0.5, -2, [1.0, 2.0, 4.0])
+        assert f != DiscreteFunction(0.25, -2, [1.0, 2.0, 3.0])
+        assert f != DiscreteFunction(0.5, -1, [1.0, 2.0, 3.0])
+        assert f.__eq__((0.5, -2, [1.0, 2.0, 3.0])) is NotImplemented
+        assert f != (0.5, -2, [1.0, 2.0, 3.0])

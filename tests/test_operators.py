@@ -29,8 +29,8 @@ from umbralqm import (
     symmetric,
     umbral_exp,
 )
-from umbralqm import invariants
-from umbralqm.polynomials import _TABLE_DEGREE
+from umbralqm import invariants, operators
+from umbralqm.polynomials import _TABLE_DEGREE, shift_sum
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 HALF = Fraction(1, 2)
@@ -362,3 +362,18 @@ class TestCommutator:
     def test_degree_max_must_be_positive(self):
         with pytest.raises(ValueError):
             commutator_residual(right(1), 0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_beta_that_skips_its_solve_fails_the_heisenberg_check(self, kind, monkeypatch):
+        # inside the kernel, S^-1 p = p for this kind's Pincherle weights only, so its xi is X
+        # and [delta, xi] is the Pincherle derivative itself, not 1
+        broken = DeltaOperator.for_correspondence(Correspondence(kind, 1)).pincherle_weights
+
+        def skipping(p, s, terms, inverse=False):
+            return p if inverse and terms == broken else shift_sum(p, s, terms, inverse)
+
+        monkeypatch.setattr(operators, "shift_sum", skipping)
+        for other in ALL_KINDS:
+            residual = commutator_residual(Correspondence(other, THIRD), 6)
+            assert (residual > 0) == (other is kind)
+        assert invariants.heisenberg(6, (THIRD,)) == f"nonzero commutator residual for {kind.value}, sigma=1/3"
