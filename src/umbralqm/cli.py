@@ -17,8 +17,8 @@ from functools import partial
 from itertools import chain, product
 from typing import NamedTuple
 
-# Every package module loads with the CLI: the benchmark's span tracer (bench/spans.py)
-# looks each one up in sys.modules, so none may be imported lazily.
+# The modules a table is computed from load with the CLI: the benchmark's span tracer (bench/spans.py)
+# looks each one up in sys.modules. Only cmd_check loads one lazily, invariants (about 1.3 ms).
 from . import __version__
 from .correspondences import SummationStatus, basic_polynomial_column, exponential_series_column
 from .functions import (
@@ -222,12 +222,6 @@ def _pieces(table: Table) -> list:
     return [partial(_header, table), *(partial(_csv_rows, table, rows) for rows in chunks)]
 
 
-def write_csv(table: Table, stream) -> None:
-    """The table as CSV, written chunk by chunk."""
-    for build in _pieces(table):
-        stream.write(build())
-
-
 def _json_value(v):
     if isinstance(v, float) and not math.isfinite(v):
         return None
@@ -260,24 +254,11 @@ def _tables_to_json(command: str, cfg: RunConfig, tables: list[Table]) -> dict:
     }
 
 
-def _write(path: str | None, writer) -> None:
-    """writer(stream) on the file at path, or on stdout without one; an unopenable path is a usage error."""
-    if not path:
-        writer(sys.stdout)
-        return
-    try:
-        handle = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-    with handle:
-        writer(handle)
-
-
-def _claim(paths: list[str]) -> None:
-    """Open every path for writing without truncating it; on a failure remove the files this call created."""
+def _claim(paths) -> None:
+    """Open every path but None for writing without truncating it; on a failure remove the files this call created."""
     created = []
     try:
-        for path in paths:
+        for path in filter(None, paths):
             try:
                 open(path, "x", encoding="utf-8").close()
                 created.append(path)
@@ -306,11 +287,12 @@ def _workers(rows: int) -> int:
 def _take_turns(pieces: list, mine, turn_in: int, turn_out: int) -> int:
     """Build and append each (path, first, build) piece j with mine(j), in order; a first piece truncates.
 
-    A piece that follows another process's waits for the turn token on turn_in;
-    the token goes on to turn_out after a piece that another process follows.
-    Each piece is built before its turn. One that fails raises on its turn,
-    after every piece before it is written, and hands the turn on to no one:
-    each other process then reads EOF for its next turn and stops.
+    A piece with no path goes to sys.stdout. A piece that follows another
+    process's waits for the turn token on turn_in; the token goes on to
+    turn_out after a piece that another process follows. Each piece is built
+    before its turn. One that fails raises on its turn, after every piece
+    before it is written, and hands the turn on to no one: each other process
+    then reads EOF for its next turn and stops.
     """
     for j in filter(mine, range(len(pieces))):
         path, first, build = pieces[j]
@@ -322,25 +304,25 @@ def _take_turns(pieces: list, mine, turn_in: int, turn_out: int) -> int:
             return 0  # the ring ended before this turn; the process that ended it reported why
         if isinstance(text, Exception):
             raise text
-        with open(path, "w" if first else "a", encoding="utf-8") as handle:
-            handle.write(text)
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w" if first else "a", encoding="utf-8") as handle:
+                handle.write(text)
         if j + 1 < len(pieces) and not mine(j + 1):
             os.write(turn_out, b".")
     return 0
 
 
-def _write_csv_files(paths: list[str], tables: list[Table]) -> int:
-    """Each table as CSV to its path, in pieces: a header, then chunks of rows; the worst exit code.
+def _write_pieces(pieces: list, rows: int) -> int:
+    """Each (path, first, build) piece, in order, by _workers(rows) processes; the worst exit code.
 
-    _workers processes write. Piece j, counted over the tables in order, is
-    built by process j mod W and appended on its turn, which goes round a ring
-    of pipes. A process whose piece fails prints the line main prints for it
-    and ends the ring: the pieces before it are written and none after.
+    Piece j is built by process j mod W and appended on its turn, which goes
+    round a ring of pipes. A process whose piece fails prints the line main
+    prints for it and ends the ring: the pieces before it are written and none
+    after. With W = 1 this process takes every turn on a ring of one pipe.
     """
-    pieces = [(path, j == 0, build) for path, table in zip(paths, tables) for j, build in enumerate(_pieces(table))]
-    workers = _workers(sum(table.rows for table in tables))
-    if workers == 1:
-        return _take_turns(pieces, lambda j: True, -1, -1)
+    workers = _workers(rows)
     sys.stdout.flush()
     sys.stderr.flush()
     ring = [os.pipe() for _ in range(workers)]  # process i reads its turns from ring[i] and hands them to ring[i + 1]
@@ -370,7 +352,7 @@ def _write_csv_files(paths: list[str], tables: list[Table]) -> int:
             children.append(pid)
         # the parent takes process 0's turns and those of every process that did not fork
         forked = len(children) + 1
-        ends = ring[forked % workers][0], ring[1][1]
+        ends = ring[forked % workers][0], ring[1 % workers][1]
         close_all_but(*ends)
         codes.append(_exit_code(partial(_take_turns, pieces, lambda j: not 0 < j % workers < forked, *ends)))
     finally:
@@ -385,24 +367,26 @@ def _write_csv_files(paths: list[str], tables: list[Table]) -> int:
 
 
 def emit(command: str, cfg: RunConfig, tables: list[Table], multi_table: bool = False) -> int:
-    """One JSON document, a CSV --out file per table, or the first table's CSV on stdout and a note naming the rest."""
+    """One JSON document, a CSV --out file per table, or the first table's CSV on stdout and a note naming the rest.
+
+    Each is a list of (path, first, build) pieces for _write_pieces, no path meaning stdout. JSON and
+    stdout are written by this process alone (rows = 0): a forked child cannot write into a stand-in for it.
+    """
+    out, omitted, rows = cfg.out or None, "", 0  # an empty --out is stdout
     if cfg.fmt == "json":
         text = json.dumps(_tables_to_json(command, cfg, tables), indent=2) + "\n"
-        _write(cfg.out, lambda stream: stream.write(text))
-    elif cfg.out:
-        multi = multi_table or len(tables) > 1
-        paths = [f"{cfg.out}_{table.name}.csv" for table in tables] if multi else [cfg.out]
-        _claim(paths)
-        return _write_csv_files(paths, tables)
+        paths, texts = [out], [[lambda: text]]
+    elif out:
+        paths = [f"{out}_{table.name}.csv" for table in tables] if multi_table or len(tables) > 1 else [out]
+        texts, rows = [_pieces(table) for table in tables], sum(table.rows for table in tables)
     else:
-        write_csv(tables[0], sys.stdout)
-        if len(tables) > 1:
-            omitted = ", ".join(t.name for t in tables[1:])
-            print(
-                f"note: tables omitted on csv stdout ({omitted}); pass --out BASE or --format json",
-                file=sys.stderr,
-            )
-    return 0
+        paths, texts, omitted = [None], [_pieces(tables[0])], ", ".join(t.name for t in tables[1:])
+    _claim(paths)
+    pieces = [(path, j == 0, build) for path, builds in zip(paths, texts) for j, build in enumerate(builds)]
+    code = _write_pieces(pieces, rows)
+    if omitted and code == 0:
+        print(f"note: tables omitted on csv stdout ({omitted}); pass --out BASE or --format json", file=sys.stderr)
+    return code
 
 
 def _columns(names: str, rows) -> list:

@@ -1,10 +1,10 @@
-"""The CSV reader the tests use to read back what `umbralqm` writes.
+"""The CSV reader the tests use to read back what `umbralqm` writes, and a writer to a stream.
 
 Each cell parses to the value format_cell spelled: "" to None, true/false,
 an int, "-0" to -0.0, a float (inf and nan included), else the string.
 """
 
-from umbralqm.cli import Table, list_table
+from umbralqm.cli import Table, _pieces, list_table
 
 
 def parse_cell(text: str):
@@ -39,3 +39,9 @@ def read_csv(stream) -> Table:
         for (_, vals), cell in zip(columns, cells):
             vals.append(parse_cell(cell))
     return list_table("", columns)
+
+
+def write_csv(table: Table, stream) -> None:
+    """The table as CSV on stream: the text of each of the CLI's pieces of it, in order."""
+    for build in _pieces(table):
+        stream.write(build())

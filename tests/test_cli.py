@@ -19,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csv_reader import read_csv
+from csv_reader import read_csv, write_csv
 from umbralqm import cli, invariants
-from umbralqm.cli import _CHUNK_ROWS, format_cell, list_table, main, write_csv
+from umbralqm.cli import _CHUNK_ROWS, format_cell, list_table, main
 from umbralqm.functions import DiscreteFunction, DomainError
 from umbralqm.operators import Kind
 from umbralqm.schrodinger import EnergyBounds
@@ -455,6 +455,46 @@ def test_parallel_out_writes_the_serial_bytes(capfd, tmp_path, monkeypatch, dead
     assert streams[1].out == "" and streams[2] == streams[4] == streams[1]
     assert all(files[1].values())
     assert files[2] == files[1] and files[4] == files[1]
+
+
+# each argv, and the --out file (of base "o") that holds its first table
+FIRST_TABLE_FILE = [
+    (["polys", "--n", "2,7", "--window=-9000:9000"], "o"),  # five chunks
+    (["exp", "--k", "0.5", "--window=-20:20"], "o"),
+    (["trig", "--l", "12", "--window=-30:30"], "o_samples.csv"),
+    (["well", "--points", "8", "--levels", "1"], "o_spectrum.csv"),
+    (["bounds"], "o"),
+]
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("argv, first", FIRST_TABLE_FILE, ids=[argv[0] for argv, _ in FIRST_TABLE_FILE])
+def test_stdout_and_out_give_the_same_bytes(capfd, tmp_path, monkeypatch, deadline, workers, argv, first):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    cpus(monkeypatch, workers)
+    me = os.getpid()
+    for fmt in ("csv", "json"):
+        base = tmp_path / fmt / "o"
+        base.parent.mkdir()
+        assert main([*argv, "--format", fmt]) == 0
+        assert forks == []  # stdout is written by this process alone
+        code = main([*argv, "--format", fmt, "--out", str(base)])
+        if os.getpid() != me:  # a worker that returned into its caller
+            os._exit(99)
+        assert code == 0
+        assert_no_child_left()
+        # only the five-chunk CSV file is written by more than one process; JSON by this one alone
+        assert len(forks) == (workers - 1 if (argv[0], fmt) == ("polys", "csv") else 0)
+        forks.clear()
+        stdout = capfd.readouterr().out
+        written = (base.parent / (first if fmt == "csv" else "o")).read_text(encoding="utf-8")
+        if fmt == "json":  # meta.config echoes --out
+            echo = f'"out": {json.dumps(str(base))}'
+            assert written.count(echo) == 1
+            written = written.replace(echo, '"out": null')
+        assert stdout == written
 
 
 # --points 9000 --levels 1,2 writes, as pieces (a header, then chunks of _CHUNK_ROWS rows):
@@ -1007,6 +1047,27 @@ class TestFormatsAndConfig:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("m,x,")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_an_empty_out_is_stdout(self, capsys, tmp_path, monkeypatch, fmt, source):
+        argv = ["trig", "--l", "12", "--window=-3:3", "--format", fmt]  # two tables: csv notes the second
+        expected = run(capsys, *argv)
+        config = tmp_path / "umbralqm.conf"
+        config.write_text("out =\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if source == "flag":
+            argv += ["--out", ""]
+        else:
+            monkeypatch.setenv("UMBRALQM_CONFIG", str(config))
+        code, out, err = run(capsys, *argv)
+        if fmt == "json":  # meta.config echoes the empty --out
+            out = out.replace('"out": ""', '"out": null', 1)
+        assert (code, out, err) == expected
+        assert code == 0 and out
+        assert list(work.iterdir()) == []
 
     def test_config_file_supplies_defaults(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "umbralqm.conf"
