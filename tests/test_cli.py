@@ -141,7 +141,10 @@ def test_csv_chunks_spell_a_column_whose_cell_types_change_between_chunks(tail):
 
 # sha256 of every file each argv writes, as a writer that spelled cell by cell
 # wrote them; the trig tables hold signed inf, -0, empty cells and bools, exp
-# holds status strings
+# holds status strings. The last four reach every branch of the float column
+# kernels as the per-cell kernels computed them: basic polynomial products that
+# underflow, and overflow on both sides of a 4096-row edge; real powers that
+# overflow; complex powers past the range
 PINNED_CSV = [
     (
         ["well", "--points", "2000", "--levels", "1,3", "--sigma", "0.3", "--out", "well"],
@@ -180,10 +183,35 @@ PINNED_CSV = [
             "bounds.csv": "017546af7b9c215fc0118d72c9cfafb8d4c37f74b1312c7be51da915c6ff1099",
         },
     ),
+    (
+        ["polys", "--n", "3,40", "--sigma", "1e-300", "--window=-300:300", "--out", "tiny.csv"],
+        {
+            "tiny.csv": "faf503b90974fafa9af68d64be43f5a516c8fb029494e0f9306292a07498044a",
+        },
+    ),
+    (
+        ["polys", "--n", "7", "--sigma", "1e300", "--window=-5000:5000", "--out", "huge.csv"],
+        {
+            "huge.csv": "33b83fcc857ed3e19c985fc484835d30beab82aca2e4a9e986010c1ab7d0ee6f",
+        },
+    ),
+    (
+        ["exp", "--k", "-3", "--sigma", "1", "--no-series", "--window=-3000:3000", "--out", "over.csv"],
+        {
+            "over.csv": "4fba4462edcaea41d8320e78c56db3a9f01899d13df054304d733d63fbd479e1",
+        },
+    ),
+    (
+        ["trig", "--k", "0.9", "--sigma", "1", "--which", "cos", "--window=-9000:9000", "--out", "past"],
+        {
+            "past_samples.csv": "23e28644e5c9d1f5b8723f4c64754141a1854bd93ca827a0bf318bc126833d92",
+            "past_wave_parameters.csv": "da48fe888bf603d5e756502f7b446e8a0d7efdfc5e0946c5cb2e62d761eb0d69",
+        },
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,digests", PINNED_CSV, ids=[argv[0] for argv, _ in PINNED_CSV])
+@pytest.mark.parametrize("argv,digests", PINNED_CSV, ids=[" ".join(argv[:-2]) for argv, _ in PINNED_CSV])
 def test_csv_output_bytes_are_pinned(capsys, tmp_path, argv, digests):
     code, _, err = run(capsys, *argv[:-1], str(tmp_path / argv[-1]))
     assert code == 0, err
