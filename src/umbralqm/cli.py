@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from functools import partial
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
 # The modules a table is computed from load with the CLI: the benchmark's span tracer (bench/spans.py)
@@ -25,6 +25,7 @@ from .functions import (
     DomainError,
     WaveSpec,
     _power,
+    _power_pass,
     amplitude_growth,
     closed_form_status,
     umbral_exp_column,
@@ -192,10 +193,12 @@ _BOOL_WORDS = ("false", "true")
 def _column_spelling(values):
     """(spec, convert): `spec % convert(cell)` is format_cell(cell) for every cell of the column.
 
-    A column of one type in _SPECS passes its cells as they are; a bool
-    column is spelled by lookup; any other type, or a mix, goes through
-    format_cell cell by cell.
+    A range, or a column of one type in _SPECS, passes its cells as they are;
+    a bool column is spelled by lookup; any other type, or a mix, goes
+    through format_cell cell by cell.
     """
+    if isinstance(values, range):
+        return "%d", None
     types = set(map(type, values))
     kind = types.pop() if len(types) == 1 else None
     if kind in _SPECS:
@@ -444,7 +447,8 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
     corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
 
     def columns(ms: range) -> list:
-        columns = [(f"continuous_n{n}", [_power(m * cfg.sigma, n) for m in ms]) for n in degrees]
+        xs = [m * cfg.sigma for m in ms]
+        columns = [(f"continuous_n{n}", _power_pass(_power, xs, repeat(n))) for n in degrees]
         columns += [(f"{c.kind.value}_n{n}", list(basic_polynomial_column(c, n, ms))) for c in corrs for n in degrees]
         return columns
 

@@ -20,7 +20,7 @@ import sys
 from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import mul
 from typing import Iterator
 
@@ -135,39 +135,94 @@ def zeros_of_basic_polynomial(c: Correspondence, n: int) -> list[int]:
     return sorted(zeros)
 
 
-def _float_values(c: Correspondence, n: int, lead: bool, rest: range, ms):
-    """basic_polynomial_value at a float sigma for each m of the sequence ms.
+_BLOCK = 4096  # most cells a float column computes in one pass
 
-    sigma, the zeros and whether a running product can leave the normal range
-    are found once. Off the zeros each of the at most n factors has a
-    magnitude in [sigma, (max |m| + n) sigma], so the products stay in range
-    when those bounds to the n-th power do, with e to spare for the rounding.
-    """
-    zeros = {0, *rest} if lead else set(rest)
-    sigma, lo = float(c.sigma), sys.float_info.min
-    log_sigma, top = math.log(sigma), max(map(abs, ms), default=0) + n
-    risky = n and (n * log_sigma < _LOG_MIN + 1 or n * (log_sigma + math.log(top)) > _LOG_MAX - 1)
-    for m in ms:
-        if m in zeros:
-            yield 0.0
+
+def _blocks(ms):
+    """The ints of ms in order, in blocks of at most _BLOCK: slices of a range, else lists."""
+    if isinstance(ms, range):
+        return (ms[i : i + _BLOCK] for i in range(0, len(ms), _BLOCK))
+    cells = iter(ms)
+    return iter(lambda: list(islice(cells, _BLOCK)), [])
+
+
+def _runs(ms):
+    """The ints of ms in order, as ranges of step 1 or -1 within each block: the stretches of consecutive m."""
+    for block in _blocks(ms):
+        if isinstance(block, range) and block.step in (1, -1):
+            yield block
             continue
-        acc = m * sigma if lead else 1.0
-        for r in rest:
-            acc *= (m - r) * sigma
-            if risky and not lo <= abs(acc) < math.inf:
-                acc = _signed_exp(*basic_polynomial_value_log(c, n, m))
-                break
-        yield acc
+        run = range(0)
+        for m in block:
+            d = m - run[-1] if run else 0
+            if d in (1, -1) and (len(run) == 1 or d == run.step):
+                run = range(run.start, m + d, d)
+            else:
+                if run:
+                    yield run
+                run = range(m, m + 1)
+        if run:
+            yield run
+
+
+def _float_values(c: Correspondence, n: int, lead: bool, rest: range, ms):
+    """basic_polynomial_value at a float sigma for each m of ms, one run of consecutive m at a time.
+
+    The factors (m - r) sigma of a run are one table F over the t = m - r it
+    meets. Each root, in _roots' order, multiplies the run's running products
+    by a slice of F, so every cell is the per-cell running product. Off the
+    zeros each of the at most n factors has a magnitude in
+    [sigma, (max |m| + n) sigma], so the products stay in the normal range when
+    those bounds to the n-th power do, with e to spare for the rounding. Only
+    a run where they may not checks the pass after each factor of rest; a cell
+    that left the range there is re-derived from basic_polynomial_value_log.
+    Zeros are +0.0.
+    """
+    sigma, tiny, inf = float(c.sigma), sys.float_info.min, math.inf
+    log_sigma = math.log(sigma)
+    roots = (0, *rest) if lead else tuple(rest)
+    high, low = max(roots, default=0), min(roots, default=0)
+
+    def product(run: range) -> list:
+        if not roots:
+            return [1.0] * len(run)
+        up = run if run.step == 1 else run[::-1]
+        first, last, size = up[0], up[-1], len(up)
+        top = max(abs(first), abs(last)) + n
+        risky = n and (n * log_sigma < _LOG_MIN + 1 or n * (log_sigma + math.log(top)) > _LOG_MAX - 1)
+        F = list(map(sigma.__mul__, range(first - high, last - low + 1)))  # F[high - r + j] = (up[j] - r) sigma
+        if first <= high and low <= last:
+            F[high - first] = sigma  # t = 0 is a factor of zero cells only, set below; nonzero, it keeps them in range
+        acc, bad = F[high - roots[0] : high - roots[0] + size], set()
+        for i, r in enumerate(roots):
+            if i:
+                acc = list(map(mul, acc, F[high - r : high - r + size]))
+            if risky and (i or not lead) and not (tiny <= min(map(abs, acc)) and max(map(abs, acc)) < inf):
+                bad.update(j for j, a in enumerate(acc) if not tiny <= abs(a) < inf)
+        for j in bad:
+            acc[j] = _signed_exp(*basic_polynomial_value_log(c, n, first + j))
+        for r in roots:
+            if first <= r <= last:
+                acc[r - first] = 0.0
+        return acc if run.step == 1 else acc[::-1]
+
+    for run in _runs(ms):
+        try:
+            values = product(run)
+        except OverflowError:  # an m past the float range: cell by cell, so that it raises at its own cell
+            values = chain.from_iterable(product(run[j : j + 1]) for j in range(len(run)))
+        yield from values
 
 
 def basic_polynomial_column(c: Correspondence, n: int, ms) -> Iterator:
-    """basic_polynomial_value(c, n, m) for each int m of ms, lazily.
+    """basic_polynomial_value(c, n, m) for each int m of ms, in blocks.
 
     With an int or Fraction sigma each value is an exact Fraction; with a
     float sigma it is a float computed as an iterative product, +0.0 at the
-    zeros. Once the running product leaves the normal double range the value
-    is re-derived from basic_polynomial_value_log and rounded once: +-inf,
-    +-0.0 or a subnormal past the range.
+    zeros, a run of at most _BLOCK consecutive m at a time. Once the running
+    product leaves the normal double range the value is re-derived from
+    basic_polynomial_value_log and rounded once: +-inf, +-0.0 or a subnormal
+    past the range.
     """
     lead, rest = _roots(c.kind, n)
     if not isinstance(c.sigma, (int, Fraction)):

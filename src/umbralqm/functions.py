@@ -11,11 +11,13 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from operator import attrgetter
+from functools import partial
+from itertools import chain, repeat
+from operator import attrgetter, neg
 from typing import Iterator
 
 from .correspondences import SummationStatus, exponential_series_column
-from .correspondences import _closed_base, _momentum_ratio, _series_status, _signed_exp
+from .correspondences import _blocks, _closed_base, _momentum_ratio, _series_status, _signed_exp
 from .operators import Correspondence, Kind
 
 
@@ -50,16 +52,31 @@ def _power(x: float, n) -> float:
         return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
+def _ldexp(x: float, e: int) -> float:
+    """x * 2**e rounded once: +-inf past the double range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _complex_past_range(base: complex, expo: int) -> complex:
     """base**expo for a complex base whose power the double arithmetic cannot give.
 
     An imaginary base i b gives i^n b^n, exact in its zero part. Any other base
-    gives each part as r cos(phi) or r sin(phi) from log r and phi, so a part
-    within the range stays finite.
+    with |expo| <= 100, where CPython's power is repeated multiplication, is
+    scaled by a power of 2 that brings its larger part to [0.5, 1), raised,
+    and each part scaled back, rounded once. Past that each part is r cos(phi)
+    or r sin(phi) from log r and phi. Either way a part within the range stays
+    finite.
     """
     if base.real == 0:
         b = _power(base.imag, expo)
         return (complex(b, 0.0), complex(0.0, b), complex(-b, 0.0), complex(0.0, -b))[expo % 4]
+    if abs(expo) <= 100:
+        e = math.frexp(max(abs(base.real), abs(base.imag)))[1]
+        w = complex(math.ldexp(base.real, -e), math.ldexp(base.imag, -e)) ** expo
+        return complex(_ldexp(w.real, e * expo), _ldexp(w.imag, e * expo))
     log_r, phi = expo * math.log(abs(base)), expo * cmath.phase(base)
     parts = (math.cos(phi), math.sin(phi))
     return complex(*(_signed_exp(t, log_r + math.log(abs(t))) if t else t for t in parts))
@@ -71,37 +88,61 @@ def _zero_power(expo: int) -> float:
     return 1.0 if expo == 0 else 0.0
 
 
-def _complex_powers(base: complex, s: int, ms):
-    """base**(s*m) for each m; a power that fails or leaves the range goes through _complex_past_range."""
-    imaginary, tiny, isfinite = base.real == 0, sys.float_info.min, cmath.isfinite
-    for m in ms:
-        expo = s * m
-        try:
-            z = base**expo
-            # a finite power of an imaginary base below the normal range may be an intermediate's 1/inf
-            ok = isfinite(z) and not (imaginary and abs(z) < tiny)
-        except (OverflowError, ZeroDivisionError):
-            ok = False
-        yield z if ok else _complex_past_range(base, expo)
+def _complex_power(base: complex, expo: int) -> complex:
+    """base**expo; a power that fails or leaves the range goes through _complex_past_range.
+
+    A finite power of an imaginary base below the normal range may be an
+    intermediate's 1/inf, so it leaves the range too.
+    """
+    try:
+        z = base**expo
+    except (OverflowError, ZeroDivisionError):
+        return _complex_past_range(base, expo)
+    return z if _complex_in_range(base, (z,)) else _complex_past_range(base, expo)
+
+
+def _complex_in_range(base: complex, zs) -> bool:
+    """Whether every power zs of base is one _complex_power keeps: finite, and normal for an imaginary base."""
+    return all(map(cmath.isfinite, zs)) and not (base.real == 0 and min(map(abs, zs)) < sys.float_info.min)
+
+
+def _power_pass(cell, bases, expos, ok=None) -> list:
+    """[cell(b, e) for each pair of bases and expos], computed as one pass of b**e.
+
+    cell(b, e) must be b**e wherever that power does not raise, in a block
+    that ok, if given, accepts. A block where a power raises or that ok
+    rejects goes through cell pair by pair, which reads bases and expos
+    again: each is a sequence or a repeat.
+    """
+    try:
+        values = list(map(pow, bases, expos))
+        if ok is None or ok(values):
+            return values
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return list(map(cell, bases, expos))
 
 
 def umbral_exp_column(c: Correspondence, k, ms) -> Iterator:
-    """umbral_exp(c, k, m) for each int m of ms, lazily; the closed base is computed once.
+    """umbral_exp(c, k, m) for each int m of ms, in blocks; the closed base is computed once.
 
     Right: (1 + k sigma)^m, Left: (1 - k sigma)^(-m),
     Symmetric: (k sigma + sqrt((k sigma)^2 + 1))^m with the principal root.
-    A value past the double range is its correctly signed inf; a complex
-    power that overflows gives each part as r cos(phi) or r sin(phi) from
-    log r and phi, so a part within the range stays finite. An imaginary base
-    i b (symmetric, k sigma = iy with |y| > 1) whose power leaves the normal
-    range is i^n b^n, exact in its zero part.
+    Each block of at most 4096 cells is one pass of base**(s m); a block
+    where a power raises, or a complex one leaves the range, goes through the
+    per-cell rule. A value past the double range is its correctly signed inf;
+    a complex power that overflows gives each part by _complex_past_range, so
+    a part within the range stays finite. An imaginary base i b (symmetric,
+    k sigma = iy with |y| > 1) whose power leaves the normal range is i^n b^n,
+    exact in its zero part.
     """
     base, s = _closed_base(c.kind, k * c.sigma_float())
     if base == 0:
-        return (_zero_power(s * m) for m in ms)
-    if not isinstance(base, complex):
-        return (_power(base, s * m) for m in ms)
-    return _complex_powers(base, s, ms)
+        return map(_zero_power, ms if s == 1 else map(neg, ms))
+    cell, ok = (_complex_power, partial(_complex_in_range, base)) if isinstance(base, complex) else (_power, None)
+    return chain.from_iterable(
+        _power_pass(cell, repeat(base), block if s == 1 else list(map(neg, block)), ok) for block in _blocks(ms)
+    )
 
 
 def umbral_exp(c: Correspondence, k, m: int):
@@ -140,7 +181,7 @@ def _hyperbolic(c: Correspondence, k: float, ms, sinh: bool):
 
 
 def umbral_trig_column(c: Correspondence, k: float, ms, which: str) -> Iterator[float]:
-    """umbral_trig(c, k, m, which) for each int m of the sequence ms, lazily.
+    """umbral_trig(c, k, m, which) for each int m of the sequence ms, in blocks.
 
     sin and cos admit |k sigma| <= 1 (the boundary is the minimal wave) and
     are the imaginary and real parts of e(ik), since e(-ik) is its conjugate.

@@ -19,7 +19,9 @@ import cmath
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -41,6 +43,7 @@ from umbralqm import (
     well_state_count,
 )
 from umbralqm import correspondences as C
+from umbralqm import functions as F
 from umbralqm.cli import _CHUNK_ROWS
 from umbralqm.functions import lattice_dispersion
 
@@ -176,6 +179,27 @@ def test_basic_polynomial_column_at_the_range_bound_is_the_checked_loop(kind, n)
         assert got == [repr(reference_value(c, n, m)) for m in ms], sigma
 
 
+def test_symmetric_b1_at_a_subnormal_spacing_is_the_product():
+    # B_1 = m sigma is one rounding, and no range check follows the lead factor: a value
+    # re-derived from its log would be some ten subnormal steps off here
+    sigma = 1.2345e-310
+    ms = range(-40, 41)
+    assert list(map(repr, basic_polynomial_column(Correspondence(Kind.SYMMETRIC, sigma), 1, ms))) == [
+        repr(m * sigma if m else 0.0) for m in ms
+    ]
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 7))
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_a_cell_past_the_float_range_raises_at_its_own_cell(kind, n):
+    # 2^1024 - 2^970 is the least int that rounds past the double range: a run of cells up to
+    # it yields every cell whose factors are floats before it raises, as the per-cell loop did
+    top = 2**1024 - 2**970
+    c = Correspondence(kind, 0.3)
+    for ms in (range(top - 12, top + 1), range(top, top - 13, -1), [top - 5, top - 4, top, top - 3]):
+        assert_column_is_scalar(lambda ms: basic_polynomial_column(c, n, ms), lambda m: reference_value(c, n, m), ms)
+
+
 def test_a_product_that_leaves_the_range_midway_is_rederived():
     # right B_2000 at sigma = e/2000: at m < 0 the factors fall from about e to sigma, so the
     # running product overflows before it comes back; at m >= 2000 they rise, so it underflows first
@@ -184,6 +208,128 @@ def test_a_product_that_leaves_the_range_midway_is_rederived():
     values = list(basic_polynomial_column(c, 2000, ms))
     assert all(1 < v < 1e6 for v in values)
     assert list(map(repr, values)) == [repr(reference_value(c, 2000, m)) for m in ms]
+
+
+# ---------------------------------------------------------------------------
+# column passes against their per-cell references
+# ---------------------------------------------------------------------------
+
+
+def power_fails(base, expo) -> bool:
+    """Whether base**expo raises or, for a complex base, is not finite or is an imaginary base's power below the normal range."""
+    try:
+        z = base**expo
+    except (OverflowError, ZeroDivisionError):
+        return True
+    return isinstance(z, complex) and not (cmath.isfinite(z) and not (base.real == 0 and abs(z) < sys.float_info.min))
+
+
+def reference_exp(c, k, m):
+    """The per-cell rule of umbral_exp: base**(s m), through the past-the-range rules where that power fails."""
+    base, s = C._closed_base(c.kind, k * c.sigma_float())
+    expo = s * m
+    if base == 0:
+        return F._zero_power(expo)
+    if not isinstance(base, complex):
+        return F._power(base, expo)
+    return F._complex_past_range(base, expo) if power_fails(base, expo) else base**expo
+
+
+def past_range(value) -> bool:
+    """Whether a real or complex value is 0, or has a nonzero part that is not a normal double."""
+    return value == 0 or not all(sys.float_info.min <= abs(part) < math.inf for part in (value.real, value.imag) if part)
+
+
+def orders(window: range) -> list:
+    """window, and the same cells descending, at step 2, as a list with gaps and repeats, and none."""
+    e = window.start + C._BLOCK  # a block edge
+    return [window, window[::-1], window[::2], [e - 3, e - 3, e - 2, e - 1, e - 2, e, e + 1, e + 1, e - 9, e + 4, e + 3], []]
+
+
+def assert_pass_is_per_cell(column, reference, window: range):
+    for ms in orders(window):
+        assert list(map(repr, column(ms))) == [repr(reference(m)) for m in ms], ms
+
+
+def edge_window(e: int) -> range:
+    """Cells on both sides of the block edge at m = e, over three blocks, the last a short one."""
+    return range(e - C._BLOCK, e + C._BLOCK + 5)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_basic_polynomial_pass_is_the_per_cell_loop_across_block_edges(kind):
+    # B_7 at m and its neighbours: zeros on both sides of the edge, and near them products whose
+    # magnitude is subnormal; then a spacing where the products overflow from a few cells before the edge
+    n, log_max = 7, math.log(sys.float_info.max)
+    edge = {Kind.RIGHT: 3, Kind.LEFT: -3, Kind.SYMMETRIC: 1}[kind]
+    cases = [(edge, (1e-312 / math.factorial(n)) ** (1 / n)), (10**4, math.exp(log_max / n) / (10**4 - 8))]
+    for e, sigma in cases:
+        c = Correspondence(kind, sigma)
+        window = edge_window(e)
+        values = {m: reference_value(c, n, m) for m in range(e - 6, e + 6)}
+        zeros = set(C.zeros_of_basic_polynomial(c, n))
+        for side in (range(e - 6, e), range(e, e + 6)):
+            assert any(past_range(values[m]) for m in side if m not in zeros), (sigma, side)
+            assert e > 100 or any(m in zeros for m in side), side
+        assert_pass_is_per_cell(lambda ms: basic_polynomial_column(c, n, ms), lambda m: reference_value(c, n, m), window)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_exp_pass_is_the_per_cell_rule_across_block_edges(kind):
+    # real bases whose powers overflow (raise) or underflow to 0, complex ones whose powers
+    # overflow or underflow, imaginary ones (symmetric at k sigma = 2.5i and i); each edge is two
+    # cells past the first power out of the range, so the block before it holds both kinds of cell
+    c = Correspondence(kind, 1.0)
+    for ks in (-3.0, 0.5, 0.9j, -0.9j, 0.3 + 0.4j, 2.5j, 1j):
+        base, s = C._closed_base(kind, ks)
+        log_base = s * math.log(abs(base))
+        ends = [(709.8 / log_base, power_fails), (-745.2 / log_base, None)] if abs(log_base) > 1e-6 else []
+        for x, fails in ends or [(0, None)]:
+            e = int(x) + 3 if x > 0 else int(x) - 2
+            for side in (range(e - 2, e), range(e, e + 2)) if ends else ():
+                if fails:
+                    assert all(fails(base, s * m) for m in side), (ks, side)
+                else:
+                    assert all(past_range(reference_exp(c, ks, m)) for m in side), (ks, side)
+            column = lambda ms: umbral_exp_column(c, ks, ms)
+            assert_pass_is_per_cell(column, lambda m: reference_exp(c, ks, m), edge_window(e))
+
+
+@pytest.mark.parametrize("sigma", (0.3, 1e-300, 1e300, 1e100), ids=repr)
+def test_continuous_power_pass_is_the_per_cell_power(sigma):
+    # the polys continuous_n columns: x**n over one chunk of x = m sigma, past the range at some m
+    xs = [m * sigma for m in range(-_CHUNK_ROWS // 2, _CHUNK_ROWS // 2)]
+    for n in (0, 1, 2, 7, 40):
+        assert list(map(repr, F._power_pass(F._power, xs, repeat(n)))) == [repr(F._power(x, n)) for x in xs]
+
+
+@pytest.mark.parametrize("sigma", (1.0, 0.3, 1e-300, 1e300, 5e-324), ids=repr)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_every_zero_is_positive(kind, sigma):
+    c = Correspondence(kind, sigma)
+    for n in (1, 2, 7, 40):
+        zeros = C.zeros_of_basic_polynomial(c, n)
+        for ms in (range(-50, 51), range(50, -51, -1), zeros):
+            for m, value in zip(ms, basic_polynomial_column(c, n, ms)):
+                if m in zeros:
+                    assert repr(value) == "0.0", (n, m)
+
+
+def test_a_column_over_a_huge_window_computes_one_block():
+    ms = range(-(10**12), 10**12)
+    columns = [
+        lambda: basic_polynomial_column(Correspondence(Kind.RIGHT, 0.5), 7, ms),
+        lambda: umbral_exp_column(Correspondence(Kind.RIGHT, 1.0), 0.5j, ms),
+    ]
+    for column in columns:
+        tracemalloc.start()
+        try:
+            first = next(column())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert first == reference_exp(Correspondence(Kind.RIGHT, 1.0), 0.5j, -(10**12))
 
 
 def reference_levels(c, M):

@@ -6,6 +6,7 @@ the exact value to 1e-10 relative. The oracle is the closed form in mpmath at
 """
 
 import math
+import random
 import sys
 
 import mpmath
@@ -13,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from umbralqm import Correspondence, Kind, basic_polynomial_value, umbral_exp, umbral_trig
+from umbralqm.functions import _complex_past_range
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 SIGMAS = (1e-3, 5e-4, 2e-3, 0.01, 0.3, 1.0, 3.0)
@@ -176,3 +178,33 @@ def test_overflowing_trig_cells_are_rounded_once(cell, m):
         # cells whose value or exponentials leave the range; an exact zero (k sigma = 1) is not one
         assume(exact != 0 and (past_the_range(exact) or max(map(float, exponentials)) == math.inf))
         assert_rounded_once(umbral_trig(Correspondence(kind, 1.0), ks, m, which), exact)
+
+
+def test_an_off_axis_power_past_the_range_keeps_its_zero_part():
+    # the base is about 2e200 (1 + i), so the square is 8e400 i: its real part is 0, not inf
+    value = umbral_exp(Correspondence(Kind.SYMMETRIC, 1.0), complex(1e200, 1e200), 2)
+    assert repr(value) == repr(complex(0.0, math.inf))
+
+
+def ulp(x) -> mpmath.mpf:
+    """The spacing of doubles at a magnitude x >= 0 of any size: 2^-1074 below the normal range."""
+    return mpmath.mpf(2) ** max(int(mpmath.floor(mpmath.log(x, 2))) - 52 if x else -1074, -1074)
+
+
+def test_off_axis_powers_past_the_range_are_within_a_few_ulps_of_their_modulus():
+    # a seeded grid of bases with both parts between 1e150 and 1e300 in size; each part of the
+    # power is within 4 ulps of |z| of its value, or the inf of its sign where it rounds past 2^1024
+    rng = random.Random(29)
+    top = mpmath.mpf(2) ** 1024
+    with mpmath.workprec(200):
+        for _ in range(2000):
+            re, im = (rng.choice((-1, 1)) * 10 ** rng.uniform(150, 300) for _ in range(2))
+            expo = rng.choice((-1, 1)) * rng.choice((2, 3, 5, 7))
+            value = _complex_past_range(complex(re, im), expo)
+            exact = mpmath.mpc(re, im) ** expo
+            tol = 4 * ulp(abs(exact))
+            for part, want in ((value.real, exact.real), (value.imag, exact.imag)):
+                if math.isinf(part):
+                    assert math.copysign(1, part) * want >= top - tol, (re, im, expo, value)
+                else:
+                    assert abs(part - want) <= tol, (re, im, expo, value)
