@@ -408,12 +408,16 @@ def _axis(sigma: float, ms: range) -> list:
 
 
 def _window_table(name: str, cfg: RunConfig, columns) -> Table:
-    """The table over the points of cfg.window: the _axis columns, then columns(ms) over a range of them."""
+    """The table over the points of cfg.window: the _axis columns, then columns(ms, xs) over a range ms of them.
+
+    xs is the x column over ms, for columns that are functions of x.
+    """
     points = range(cfg.window[0], cfg.window[1] + 1)
 
     def part(rows: range) -> list:
         ms = points[rows.start : rows.stop]
-        return _axis(cfg.sigma, ms) + columns(ms)
+        axis = _axis(cfg.sigma, ms)
+        return axis + columns(ms, axis[1][1])
 
     return Table(name, part, len(points))
 
@@ -446,8 +450,7 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("polynomial degrees must be >= 0")
     corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
 
-    def columns(ms: range) -> list:
-        xs = [m * cfg.sigma for m in ms]
+    def columns(ms: range, xs: list) -> list:
         columns = [(f"continuous_n{n}", _power_pass(_power, xs, repeat(n))) for n in degrees]
         columns += [(f"{c.kind.value}_n{n}", list(basic_polynomial_column(c, n, ms))) for c in corrs for n in degrees]
         return columns
@@ -473,7 +476,7 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
     for c in corrs:  # a 0 base (k sigma = -1 right, 1 left) to a negative power fails at an end of the window
         list(umbral_exp_column(c, k, cfg.window))
 
-    def columns(ms: range) -> list:
+    def columns(ms: range, xs: list) -> list:
         columns = [("continuous", [_continuous(math.exp, k * m * cfg.sigma) for m in ms])]
         for c in corrs:
             name = c.kind.value
@@ -494,7 +497,7 @@ def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
         umbral_trig_column(wave.correspondence, wave.k, (), which)
     continuous = _CONTINUOUS[which]
 
-    def samples(ms: range) -> list:
+    def samples(ms: range, xs: list) -> list:
         columns = []
         for wave in waves:
             c, k = wave.correspondence, wave.k

@@ -170,13 +170,14 @@ def _float_values(c: Correspondence, n: int, lead: bool, rest: range, ms):
 
     The factors (m - r) sigma of a run are one table F over the t = m - r it
     meets. Each root, in _roots' order, multiplies the run's running products
-    by a slice of F, so every cell is the per-cell running product. Off the
-    zeros each of the at most n factors has a magnitude in
+    by a slice of F, so every cell is the per-cell running product; the
+    passes are chained maps, so a run holds F and its values, not a list per
+    factor. Off the zeros each of the at most n factors has a magnitude in
     [sigma, (max |m| + n) sigma], so the products stay in the normal range when
     those bounds to the n-th power do, with e to spare for the rounding. Only
-    a run where they may not checks the pass after each factor of rest; a cell
-    that left the range there is re-derived from basic_polynomial_value_log.
-    Zeros are +0.0.
+    a run where they may not lists and checks its products after each factor
+    of rest; a cell that left the range there is re-derived from
+    basic_polynomial_value_log. Zeros are +0.0.
     """
     sigma, tiny, inf = float(c.sigma), sys.float_info.min, math.inf
     log_sigma = math.log(sigma)
@@ -193,12 +194,15 @@ def _float_values(c: Correspondence, n: int, lead: bool, rest: range, ms):
         F = list(map(sigma.__mul__, range(first - high, last - low + 1)))  # F[high - r + j] = (up[j] - r) sigma
         if first <= high and low <= last:
             F[high - first] = sigma  # t = 0 is a factor of zero cells only, set below; nonzero, it keeps them in range
-        acc, bad = F[high - roots[0] : high - roots[0] + size], set()
+        acc, bad = None, set()
         for i, r in enumerate(roots):
-            if i:
-                acc = list(map(mul, acc, F[high - r : high - r + size]))
-            if risky and (i or not lead) and not (tiny <= min(map(abs, acc)) and max(map(abs, acc)) < inf):
-                bad.update(j for j, a in enumerate(acc) if not tiny <= abs(a) < inf)
+            factors = islice(F, high - r, high - r + size)
+            acc = map(mul, acc, factors) if i else factors
+            if risky and (i or not lead):
+                acc = list(acc)
+                if not (tiny <= min(map(abs, acc)) and max(map(abs, acc)) < inf):
+                    bad.update(j for j, a in enumerate(acc) if not tiny <= abs(a) < inf)
+        acc = list(acc)
         for j in bad:
             acc[j] = _signed_exp(*basic_polynomial_value_log(c, n, first + j))
         for r in roots:
