@@ -9,7 +9,6 @@ JSON. Data goes to stdout or --out; diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,7 +19,7 @@ from typing import NamedTuple
 # The modules a table is computed from load with the CLI: the benchmark's span tracer (bench/spans.py)
 # looks each one up in sys.modules. Only cmd_check loads one lazily, invariants (about 1.3 ms).
 from . import __version__
-from .correspondences import SummationStatus, basic_polynomial_column, exponential_series_column
+from .correspondences import _BLOCK, SummationStatus, basic_polynomial_column, exponential_series_column
 from .functions import (
     DomainError,
     WaveSpec,
@@ -184,7 +183,7 @@ def format_cell(value) -> str:
     return str(value)
 
 
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = _BLOCK  # a written chunk is one kernel block
 # `%` specs that spell a cell of exactly this type as format_cell does
 _SPECS = {float: "%.17g", int: "%d", str: "%s"}
 _BOOL_WORDS = ("false", "true")
@@ -377,6 +376,8 @@ def emit(command: str, cfg: RunConfig, tables: list[Table], multi_table: bool = 
     """
     out, omitted, rows = cfg.out or None, "", 0  # an empty --out is stdout
     if cfg.fmt == "json":
+        import json  # only here: it costs every other run start-up time
+
         text = json.dumps(_tables_to_json(command, cfg, tables), indent=2) + "\n"
         paths, texts = [out], [[lambda: text]]
     elif out:

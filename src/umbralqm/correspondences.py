@@ -139,43 +139,27 @@ _BLOCK = 4096  # most cells a float column computes in one pass
 
 
 def _blocks(ms):
-    """The ints of ms in order, in blocks of at most _BLOCK: slices of a range, else lists."""
-    if isinstance(ms, range):
-        return (ms[i : i + _BLOCK] for i in range(0, len(ms), _BLOCK))
-    cells = iter(ms)
-    return iter(lambda: list(islice(cells, _BLOCK)), [])
+    """The int cells of ms in order as step-1 ranges, the only walk of a float column.
 
-
-def _runs(ms):
-    """The ints of ms in order, as ranges of step 1 or -1 within each block: the stretches of consecutive m."""
-    for block in _blocks(ms):
-        if isinstance(block, range) and block.step in (1, -1):
-            yield block
-            continue
-        run = range(0)
-        for m in block:
-            d = m - run[-1] if run else 0
-            if d in (1, -1) and (len(run) == 1 or d == run.step):
-                run = range(run.start, m + d, d)
-            else:
-                if run:
-                    yield run
-                run = range(m, m + 1)
-        if run:
-            yield run
+    A step-1 range comes in slices of at most _BLOCK cells; any other
+    iterable one range(m, m + 1) per cell, so a cell that is not an int raises.
+    """
+    if isinstance(ms, range) and ms.step == 1:
+        return (range(i, min(i + _BLOCK, ms.stop)) for i in range(ms.start, ms.stop, _BLOCK))
+    return (range(m, m + 1) for m in ms)
 
 
 def _float_values(c: Correspondence, n: int, lead: bool, rest: range, ms):
-    """basic_polynomial_value at a float sigma for each m of ms, one run of consecutive m at a time.
+    """basic_polynomial_value at a float sigma for each int m of the iterable ms, one block of _blocks at a time.
 
-    The factors (m - r) sigma of a run are one table F over the t = m - r it
-    meets. Each root, in _roots' order, multiplies the run's running products
+    The factors (m - r) sigma of a block are one table F over the t = m - r it
+    meets. Each root, in _roots' order, multiplies the block's running products
     by a slice of F, so every cell is the per-cell running product; the
-    passes are chained maps, so a run holds F and its values, not a list per
+    passes are chained maps, so a block holds F and its values, not a list per
     factor. Off the zeros each of the at most n factors has a magnitude in
     [sigma, (max |m| + n) sigma], so the products stay in the normal range when
     those bounds to the n-th power do, with e to spare for the rounding. Only
-    a run where they may not lists and checks its products after each factor
+    a block where they may not lists and checks its products after each factor
     of rest; a cell that left the range there is re-derived from
     basic_polynomial_value_log. Zeros are +0.0.
     """
@@ -184,14 +168,13 @@ def _float_values(c: Correspondence, n: int, lead: bool, rest: range, ms):
     roots = (0, *rest) if lead else tuple(rest)
     high, low = max(roots, default=0), min(roots, default=0)
 
-    def product(run: range) -> list:
+    def product(block: range) -> list:
         if not roots:
-            return [1.0] * len(run)
-        up = run if run.step == 1 else run[::-1]
-        first, last, size = up[0], up[-1], len(up)
+            return [1.0] * len(block)
+        first, last, size = block[0], block[-1], len(block)
         top = max(abs(first), abs(last)) + n
         risky = n and (n * log_sigma < _LOG_MIN + 1 or n * (log_sigma + math.log(top)) > _LOG_MAX - 1)
-        F = list(map(sigma.__mul__, range(first - high, last - low + 1)))  # F[high - r + j] = (up[j] - r) sigma
+        F = list(map(sigma.__mul__, range(first - high, last - low + 1)))  # F[high - r + j] = (block[j] - r) sigma
         if first <= high and low <= last:
             F[high - first] = sigma  # t = 0 is a factor of zero cells only, set below; nonzero, it keeps them in range
         acc, bad = None, set()
@@ -208,25 +191,25 @@ def _float_values(c: Correspondence, n: int, lead: bool, rest: range, ms):
         for r in roots:
             if first <= r <= last:
                 acc[r - first] = 0.0
-        return acc if run.step == 1 else acc[::-1]
+        return acc
 
-    for run in _runs(ms):
+    for block in _blocks(ms):
         try:
-            values = product(run)
+            values = product(block)
         except OverflowError:  # an m past the float range: cell by cell, so that it raises at its own cell
-            values = chain.from_iterable(product(run[j : j + 1]) for j in range(len(run)))
+            values = chain.from_iterable(product(block[j : j + 1]) for j in range(len(block)))
         yield from values
 
 
 def basic_polynomial_column(c: Correspondence, n: int, ms) -> Iterator:
-    """basic_polynomial_value(c, n, m) for each int m of ms, in blocks.
+    """basic_polynomial_value(c, n, m) for each int m of the iterable ms.
 
     With an int or Fraction sigma each value is an exact Fraction; with a
     float sigma it is a float computed as an iterative product, +0.0 at the
-    zeros, a run of at most _BLOCK consecutive m at a time. Once the running
-    product leaves the normal double range the value is re-derived from
-    basic_polynomial_value_log and rounded once: +-inf, +-0.0 or a subnormal
-    past the range.
+    zeros, in blocks: a step-1 range in slices of at most _BLOCK cells, any
+    other iterable cell by cell. Once the running product leaves the normal
+    double range the value is re-derived from basic_polynomial_value_log and
+    rounded once: +-inf, +-0.0 or a subnormal past the range.
     """
     lead, rest = _roots(c.kind, n)
     if not isinstance(c.sigma, (int, Fraction)):

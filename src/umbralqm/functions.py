@@ -11,9 +11,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import chain, repeat
-from operator import attrgetter, neg
+from operator import add, attrgetter, neg, sub
 from typing import Iterator
 
 from .correspondences import SummationStatus, exponential_series_column
@@ -124,11 +124,12 @@ def _power_pass(cell, bases, expos, ok=None) -> list:
 
 
 def umbral_exp_column(c: Correspondence, k, ms) -> Iterator:
-    """umbral_exp(c, k, m) for each int m of ms, in blocks; the closed base is computed once.
+    """umbral_exp(c, k, m) for each int m of the iterable ms, in blocks; the closed base is computed once.
 
     Right: (1 + k sigma)^m, Left: (1 - k sigma)^(-m),
     Symmetric: (k sigma + sqrt((k sigma)^2 + 1))^m with the principal root.
-    Each block of at most 4096 cells is one pass of base**(s m); a block
+    Each block of _blocks (a step-1 range in slices of at most 4096 cells,
+    any other iterable cell by cell) is one pass of base**(s m); a block
     where a power raises, or a complex one leaves the range, goes through the
     per-cell rule. A value past the double range is its correctly signed inf;
     a complex power that overflows gives each part by _complex_past_range, so
@@ -138,7 +139,8 @@ def umbral_exp_column(c: Correspondence, k, ms) -> Iterator:
     """
     base, s = _closed_base(c.kind, k * c.sigma_float())
     if base == 0:
-        return map(_zero_power, ms if s == 1 else map(neg, ms))
+        cells = chain.from_iterable(_blocks(ms))
+        return map(_zero_power, cells if s == 1 else map(neg, cells))
     cell, ok = (_complex_power, partial(_complex_in_range, base)) if isinstance(base, complex) else (_power, None)
     return chain.from_iterable(
         _power_pass(cell, repeat(base), block if s == 1 else list(map(neg, block)), ok) for block in _blocks(ms)
@@ -169,26 +171,35 @@ def closed_form_status(c: Correspondence, k, m: int) -> SummationStatus:
 
 
 def _hyperbolic(c: Correspondence, k: float, ms, sinh: bool):
-    """sinh or cosh from the e(k) and e(-k) columns; where one is inf, half the large one from its log."""
-    for m, ep, em in zip(ms, umbral_exp_column(c, k, ms), umbral_exp_column(c, -k, ms)):
-        value = (ep - em) / 2 if sinh else (ep + em) / 2
-        if math.isinf(value):
-            big = k if math.isinf(ep) else -k
-            base, s = _closed_base(c.kind, big * c.sigma_float())
-            sign = -1.0 if sinh and big != k else 1.0
-            value = _signed_exp(sign, s * m * math.log(base) - math.log(2))
-        yield value
+    """sinh or cosh from the e(k) and e(-k) columns by block; where one is inf, half the large one from its log."""
+
+    @cache  # the log slope s log(base) of e(big), big = k or -k: once, at its first inf cell
+    def slope(big: float) -> float:
+        base, s = _closed_base(c.kind, big * c.sigma_float())
+        return s * math.log(base)
+
+    def cells(block: range) -> list:
+        eps = list(umbral_exp_column(c, k, block))
+        # times 0.5 rounds exactly as a division by 2 does
+        values = list(map(0.5.__mul__, map(sub if sinh else add, eps, umbral_exp_column(c, -k, block))))
+        for j, value in enumerate(values) if not all(map(math.isfinite, values)) else ():
+            if math.isinf(value):
+                big = k if math.isinf(eps[j]) else -k
+                values[j] = _signed_exp(-1.0 if sinh and big != k else 1.0, block[j] * slope(big) - math.log(2))
+        return values
+
+    return chain.from_iterable(map(cells, _blocks(ms)))
 
 
 def umbral_trig_column(c: Correspondence, k: float, ms, which: str) -> Iterator[float]:
-    """umbral_trig(c, k, m, which) for each int m of the sequence ms, in blocks.
+    """umbral_trig(c, k, m, which) for each int m of the iterable ms, in blocks.
 
     sin and cos admit |k sigma| <= 1 (the boundary is the minimal wave) and
     are the imaginary and real parts of e(ik), since e(-ik) is its conjugate.
-    sinh and cosh require |k sigma| < 1; where one of e(k), e(-k) is past the
-    double range the other is at most 1, so the value is the half of the
-    large one, rounded once from its log. The domain is checked before any
-    cell is computed.
+    sinh and cosh require |k sigma| < 1 and are computed in blocks from the
+    e(k) and e(-k) columns; where one of them is past the double range the
+    other is at most 1, so the value is the half of the large one, rounded
+    once from its log. The domain is checked before any cell is computed.
     """
     if which not in _TRIG_NAMES:
         raise ValueError(f"which must be one of {_TRIG_NAMES}")

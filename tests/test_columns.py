@@ -21,7 +21,8 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
+from itertools import chain, repeat
 
 import pytest
 
@@ -295,6 +296,31 @@ def test_exp_pass_is_the_per_cell_rule_across_block_edges(kind):
             assert_pass_is_per_cell(column, lambda m: reference_exp(c, ks, m), edge_window(e))
 
 
+def reference_hyperbolic(c, k, m, sinh):
+    """The per-cell rule of sinh and cosh: half the sum or difference of e(k) and e(-k), or half the inf one from its log."""
+    ep, em = reference_exp(c, k, m), reference_exp(c, -k, m)
+    value = (ep - em) / 2 if sinh else (ep + em) / 2
+    if math.isinf(value):
+        big = k if math.isinf(ep) else -k
+        base, s = C._closed_base(c.kind, big * c.sigma_float())
+        value = C._signed_exp(-1.0 if sinh and big != k else 1.0, s * m * math.log(base) - math.log(2))
+    return value
+
+
+@pytest.mark.parametrize("which", ("sinh", "cosh"))
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_hyperbolic_pass_is_the_per_cell_rule_across_block_edges(kind, which):
+    # an edge two cells past the first inf e(k) at k sigma 0.5: the window also reaches the inf e(-k),
+    # and on both sides holds cells where half the inf one is finite, taken from its log
+    c, ks = Correspondence(kind, 1.0), 0.5
+    base, s = C._closed_base(kind, ks)
+    window = edge_window(int(709.8 / (s * math.log(base))) + 3)
+    reference = partial(reference_hyperbolic, c, ks, sinh=which == "sinh")
+    for k in (ks, -ks):
+        assert any(math.isinf(reference_exp(c, k, m)) and math.isfinite(reference(m)) for m in window), k
+    assert_pass_is_per_cell(lambda ms: umbral_trig_column(c, ks, ms, which), reference, window)
+
+
 @pytest.mark.parametrize("sigma", (0.3, 1e-300, 1e300, 1e100), ids=repr)
 def test_continuous_power_pass_is_the_per_cell_power(sigma):
     # the polys continuous_n columns: x**n over one chunk of x = m sigma, past the range at some m
@@ -331,6 +357,60 @@ def test_a_column_over_a_huge_window_computes_one_block():
         assert peak < 2**20
     assert first == reference_exp(Correspondence(Kind.RIGHT, 1.0), 0.5j, -(10**12))
 
+
+
+def test_blocks_slice_a_step_1_range_and_walk_anything_else_cell_by_cell():
+    for ms in (range(-5, 3 * C._BLOCK + 7), range(7, 7 + C._BLOCK), range(3, 4)):
+        blocks = list(C._blocks(ms))
+        assert all(block.step == 1 and 0 < len(block) <= C._BLOCK for block in blocks)
+        assert list(chain.from_iterable(blocks)) == list(ms)
+    lo = -(10**12)
+    huge = C._blocks(range(lo, -lo))  # lazily: a list of its blocks would not fit in memory
+    assert [next(huge), next(huge)] == [range(lo, lo + C._BLOCK), range(lo + C._BLOCK, lo + 2 * C._BLOCK)]
+    cells = [5, 5, -2, 9, 8, 8, C._BLOCK + 1]
+    for ms, values in ((range(5, -5, -1),) * 2, (range(-6, 9, 2),) * 2, (cells, cells), (iter(cells), cells)):
+        assert list(C._blocks(ms)) == [range(m, m + 1) for m in values]
+    assert list(C._blocks(range(0))) == list(C._blocks([])) == []
+    with pytest.raises(TypeError):  # a cell that is not an int
+        list(C._blocks([1.5]))
+
+
+# gaps and repeats, across m = _BLOCK, where e(k) is past the range and sinh and cosh (right, k sigma 0.1893)
+# take half of it from its log
+ITERATED_CELLS = [3, 3, -2, 0, *range(C._BLOCK - 3, C._BLOCK + 3), C._BLOCK + 1, 2000, 1]
+ITERATED_KERNELS = [
+    pytest.param(partial(basic_polynomial_column, Correspondence(Kind.RIGHT, 0.5), 7), id="basic-float-sigma"),
+    pytest.param(
+        partial(basic_polynomial_column, Correspondence(Kind.SYMMETRIC, Fraction(1, 3)), 5), id="basic-exact-sigma"
+    ),
+    pytest.param(partial(umbral_exp_column, Correspondence(Kind.LEFT, 0.3), 0.5), id="exp-real-k"),
+    pytest.param(partial(umbral_exp_column, Correspondence(Kind.SYMMETRIC, 1.0), 0.3 + 0.4j), id="exp-complex-k"),
+    *(
+        pytest.param(partial(umbral_trig_column, Correspondence(Kind.RIGHT, 1.0), 0.1893, which=which), id=which)
+        for which in ("sin", "cos", "sinh", "cosh")
+    ),
+    pytest.param(partial(exponential_series_column, Correspondence(Kind.RIGHT, 1), 0.5, tol=1e-12), id="series"),
+]
+
+
+@pytest.mark.parametrize("kernel", ITERATED_KERNELS)
+def test_a_kernel_reads_an_iterator_as_the_list_of_its_cells(kernel):
+    expected = list(map(repr, kernel(ITERATED_CELLS)))
+    assert len(expected) == len(ITERATED_CELLS)
+    assert list(map(repr, kernel(iter(ITERATED_CELLS)))) == expected
+
+
+
+def test_a_cell_that_is_not_an_int_raises_in_every_float_kernel():
+    c = Correspondence(Kind.RIGHT, 1.0)
+    kernels = [
+        partial(basic_polynomial_column, c, 3),
+        *(partial(umbral_exp_column, c, k) for k in (0.5, -1.0, 0.3j)),  # -1.0: a zero base
+        *(partial(umbral_trig_column, c, 0.5, which=which) for which in ("sin", "sinh")),
+    ]
+    for kernel in kernels:
+        with pytest.raises(TypeError):
+            list(kernel([1, 2.5]))
 
 def reference_levels(c, M):
     """The per-level loop of the well spectrum: one WellLevel per candidate level."""

@@ -57,7 +57,7 @@ def test_the_cli_loads_every_package_module_and_no_module_it_does_not_use():
     env["PYTHONPATH"] = str(Path(umbralqm.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     added = set(run.stdout.split())
-    unused = {"dataclasses", "inspect", "multiprocessing", "concurrent.futures", "threading", "subprocess", "tempfile"}
+    unused = {"dataclasses", "inspect", "json", "multiprocessing", "concurrent.futures", "threading", "subprocess", "tempfile"}
     assert not unused & added
     package = {"polynomials", "operators", "correspondences", "functions", "schrodinger"}
     assert {f"umbralqm.{name}" for name in package} <= added
