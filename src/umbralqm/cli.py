@@ -23,7 +23,6 @@ from .correspondences import _BLOCK, SummationStatus, basic_polynomial_column, e
 from .functions import (
     DomainError,
     WaveSpec,
-    _power,
     _power_pass,
     amplitude_growth,
     closed_form_status,
@@ -452,7 +451,7 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
     corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
 
     def columns(ms: range, xs: list) -> list:
-        columns = [(f"continuous_n{n}", _power_pass(_power, xs, repeat(n))) for n in degrees]
+        columns = [(f"continuous_n{n}", _power_pass(xs, repeat(n))) for n in degrees]
         columns += [(f"{c.kind.value}_n{n}", list(basic_polynomial_column(c, n, ms))) for c in corrs for n in degrees]
         return columns
 
@@ -534,7 +533,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
         for block, c in enumerate(corrs):
             ns = range(max(rows.start - block * half, 0) + 1, min(rows.stop - block * half, half) + 1)
             degenerate_with = range(M - ns.start, M - ns.stop, -1)
-            energy_continuous = [_power(n * math.pi / width, 2) for n in ns]
+            energy_continuous = _power_pass([n * math.pi / width for n in ns], repeat(2))
             values = [c.kind.value] * len(ns), ns, *_well_levels(c, M, ns), degenerate_with, energy_continuous
             for (_, column), part in zip(columns, values):
                 column.extend(part)

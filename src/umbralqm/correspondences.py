@@ -20,7 +20,7 @@ import sys
 from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import mul
 from typing import Iterator
 
@@ -152,64 +152,63 @@ def _blocks(ms):
 def _float_values(c: Correspondence, n: int, lead: bool, rest: range, ms):
     """basic_polynomial_value at a float sigma for each int m of the iterable ms, one block of _blocks at a time.
 
-    The factors (m - r) sigma of a block are one table F over the t = m - r it
-    meets. Each root, in _roots' order, multiplies the block's running products
-    by a slice of F, so every cell is the per-cell running product; the
-    passes are chained maps, so a block holds F and its values, not a list per
-    factor. Off the zeros each of the at most n factors has a magnitude in
-    [sigma, (max |m| + n) sigma], so the products stay in the normal range when
-    those bounds to the n-th power do, with e to spare for the rounding. Only
-    a block where they may not lists and checks its products after each factor
-    of rest; a cell that left the range there is re-derived from
-    basic_polynomial_value_log. Zeros are +0.0.
+    Each cell's one rule, checked(m), is the running product of the factors
+    (m - r) sigma in _roots' order, its range checked after every factor but
+    the symmetric lead; a product that leaves the normal range is re-derived
+    from basic_polynomial_value_log, so a zero is +0.0. Off the zeros each of
+    the n factors has a magnitude in [sigma, (max |m| + n) sigma]. A block of
+    more than one cell whose bounds to the n-th power clear the range, with e
+    to spare for the rounding, is one pass of checked's float operations in
+    its order: each root multiplies the running products by a slice of one
+    factor table F, and the zero cells are set to +0.0. Every other cell is
+    checked(m), lazily, so an m past the float range raises at its own cell.
     """
     sigma, tiny, inf = float(c.sigma), sys.float_info.min, math.inf
     log_sigma = math.log(sigma)
-    roots = (0, *rest) if lead else tuple(rest)
+    roots = (0, *rest) if lead else rest
     high, low = max(roots, default=0), min(roots, default=0)
 
-    def product(block: range) -> list:
+    def checked(m: int) -> float:
+        acc = m * sigma if lead else 1.0
+        for r in rest:
+            acc *= (m - r) * sigma
+            if not tiny <= abs(acc) < inf:
+                return _signed_exp(*basic_polynomial_value_log(c, n, m))
+        return acc
+
+    def product(block: range):
         if not roots:
             return [1.0] * len(block)
         first, last, size = block[0], block[-1], len(block)
-        top = max(abs(first), abs(last)) + n
-        risky = n and (n * log_sigma < _LOG_MIN + 1 or n * (log_sigma + math.log(top)) > _LOG_MAX - 1)
-        F = list(map(sigma.__mul__, range(first - high, last - low + 1)))  # F[high - r + j] = (block[j] - r) sigma
-        if first <= high and low <= last:
-            F[high - first] = sigma  # t = 0 is a factor of zero cells only, set below; nonzero, it keeps them in range
-        acc, bad = None, set()
-        for i, r in enumerate(roots):
-            factors = islice(F, high - r, high - r + size)
-            acc = map(mul, acc, factors) if i else factors
-            if risky and (i or not lead):
-                acc = list(acc)
-                if not (tiny <= min(map(abs, acc)) and max(map(abs, acc)) < inf):
-                    bad.update(j for j, a in enumerate(acc) if not tiny <= abs(a) < inf)
+        try:
+            F = list(map(sigma.__mul__, range(first - high, last - low + 1)))  # F[high - r + j] = (block[j] - r) sigma
+        except OverflowError:  # an m past the float range: cell by cell, so that it raises at its own cell
+            return map(checked, block)
+        acc = islice(F, high - roots[0], high - roots[0] + size)
+        for r in roots[1:]:
+            acc = map(mul, acc, islice(F, high - r, high - r + size))
         acc = list(acc)
-        for j in bad:
-            acc[j] = _signed_exp(*basic_polynomial_value_log(c, n, first + j))
         for r in roots:
             if first <= r <= last:
                 acc[r - first] = 0.0
         return acc
 
+    small = n * log_sigma < _LOG_MIN + 1  # then no block is cleared: its products may underflow
     for block in _blocks(ms):
-        try:
-            values = product(block)
-        except OverflowError:  # an m past the float range: cell by cell, so that it raises at its own cell
-            values = chain.from_iterable(product(block[j : j + 1]) for j in range(len(block)))
-        yield from values
+        top = max(abs(block[0]), abs(block[-1])) + n
+        cleared = len(block) > 1 and not small and n * (log_sigma + math.log(top)) <= _LOG_MAX - 1
+        yield from product(block) if cleared else map(checked, block)
 
 
 def basic_polynomial_column(c: Correspondence, n: int, ms) -> Iterator:
     """basic_polynomial_value(c, n, m) for each int m of the iterable ms.
 
     With an int or Fraction sigma each value is an exact Fraction; with a
-    float sigma it is a float computed as an iterative product, +0.0 at the
-    zeros, in blocks: a step-1 range in slices of at most _BLOCK cells, any
-    other iterable cell by cell. Once the running product leaves the normal
-    double range the value is re-derived from basic_polynomial_value_log and
-    rounded once: +-inf, +-0.0 or a subnormal past the range.
+    float sigma it is a float by one rule, the iterative product, +0.0 at the
+    zeros, re-derived from basic_polynomial_value_log and rounded once (+-inf,
+    +-0.0 or a subnormal) where the running product leaves the normal double
+    range. A step-1 range comes in slices of at most _BLOCK cells, and a slice
+    of more than one cell that the range bound clears is one pass (_float_values).
     """
     lead, rest = _roots(c.kind, n)
     if not isinstance(c.sigma, (int, Fraction)):

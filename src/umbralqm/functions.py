@@ -44,12 +44,24 @@ def minimum_wavelength_points(c: Correspondence) -> float:
     return _MIN_POINTS[c.kind]
 
 
-def _power(x: float, n) -> float:
-    """x**n for a real x; past the double range the inf of the power's sign."""
+def _power(x, n):
+    """x**n for a real or complex x, the one per-cell rule of every power column.
+
+    A real power past the double range is the inf of its sign. A complex
+    power that fails or leaves the range goes through _complex_past_range;
+    for an imaginary base, a power below the normal range (perhaps an
+    intermediate's 1/inf) has left it too.
+    """
+    if not isinstance(x, complex):
+        try:
+            return x**n
+        except OverflowError:
+            return math.copysign(math.inf, x) if n % 2 else math.inf
     try:
-        return x**n
-    except OverflowError:
-        return math.copysign(math.inf, x) if n % 2 else math.inf
+        z = x**n
+    except (OverflowError, ZeroDivisionError):
+        return _complex_past_range(x, n)
+    return z if _complex_in_range(x, (z,)) else _complex_past_range(x, n)
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -88,31 +100,18 @@ def _zero_power(expo: int) -> float:
     return 1.0 if expo == 0 else 0.0
 
 
-def _complex_power(base: complex, expo: int) -> complex:
-    """base**expo; a power that fails or leaves the range goes through _complex_past_range.
-
-    A finite power of an imaginary base below the normal range may be an
-    intermediate's 1/inf, so it leaves the range too.
-    """
-    try:
-        z = base**expo
-    except (OverflowError, ZeroDivisionError):
-        return _complex_past_range(base, expo)
-    return z if _complex_in_range(base, (z,)) else _complex_past_range(base, expo)
-
-
 def _complex_in_range(base: complex, zs) -> bool:
-    """Whether every power zs of base is one _complex_power keeps: finite, and normal for an imaginary base."""
+    """Whether every power zs of base is one _power keeps: finite, and normal for an imaginary base."""
     return all(map(cmath.isfinite, zs)) and not (base.real == 0 and min(map(abs, zs)) < sys.float_info.min)
 
 
-def _power_pass(cell, bases, expos, ok=None) -> list:
-    """[cell(b, e) for each pair of bases and expos], computed as one pass of b**e.
+def _power_pass(bases, expos, ok=None) -> list:
+    """[_power(b, e) for each pair of bases and expos], computed as one pass of b**e.
 
-    cell(b, e) must be b**e wherever that power does not raise, in a block
-    that ok, if given, accepts. A block where a power raises or that ok
-    rejects goes through cell pair by pair, which reads bases and expos
-    again: each is a sequence or a repeat.
+    _power(b, e) is b**e wherever that power does not raise, in a block that
+    ok, if given, accepts. A block where a power raises or that ok rejects
+    goes through _power pair by pair, which reads bases and expos again: each
+    is a sequence or a repeat.
     """
     try:
         values = list(map(pow, bases, expos))
@@ -120,7 +119,7 @@ def _power_pass(cell, bases, expos, ok=None) -> list:
             return values
     except (OverflowError, ZeroDivisionError):
         pass
-    return list(map(cell, bases, expos))
+    return list(map(_power, bases, expos))
 
 
 def umbral_exp_column(c: Correspondence, k, ms) -> Iterator:
@@ -130,20 +129,21 @@ def umbral_exp_column(c: Correspondence, k, ms) -> Iterator:
     Symmetric: (k sigma + sqrt((k sigma)^2 + 1))^m with the principal root.
     Each block of _blocks (a step-1 range in slices of at most 4096 cells,
     any other iterable cell by cell) is one pass of base**(s m); a block
-    where a power raises, or a complex one leaves the range, goes through the
-    per-cell rule. A value past the double range is its correctly signed inf;
-    a complex power that overflows gives each part by _complex_past_range, so
-    a part within the range stays finite. An imaginary base i b (symmetric,
-    k sigma = iy with |y| > 1) whose power leaves the normal range is i^n b^n,
-    exact in its zero part.
+    where a power raises, or a complex one leaves the range, goes through
+    _power, the one per-cell rule of a real and a complex base. A value past
+    the double range is its correctly signed inf; a complex power that
+    overflows gives each part by _complex_past_range, so a part within the
+    range stays finite. An imaginary base i b (symmetric, k sigma = iy with
+    |y| > 1) whose power leaves the normal range is i^n b^n, exact in its
+    zero part.
     """
     base, s = _closed_base(c.kind, k * c.sigma_float())
     if base == 0:
         cells = chain.from_iterable(_blocks(ms))
         return map(_zero_power, cells if s == 1 else map(neg, cells))
-    cell, ok = (_complex_power, partial(_complex_in_range, base)) if isinstance(base, complex) else (_power, None)
+    ok = partial(_complex_in_range, base) if isinstance(base, complex) else None
     return chain.from_iterable(
-        _power_pass(cell, repeat(base), block if s == 1 else list(map(neg, block)), ok) for block in _blocks(ms)
+        _power_pass(repeat(base), block if s == 1 else list(map(neg, block)), ok) for block in _blocks(ms)
     )
 
 
@@ -206,11 +206,11 @@ def umbral_trig_column(c: Correspondence, k: float, ms, which: str) -> Iterator[
     k = float(k)
     ks = abs(k) * c.sigma_float()
     if which in ("sin", "cos"):
-        if ks > 1.0:
+        if not ks <= 1.0:
             raise DomainError("sin/cos require |k sigma| <= 1")
         part = attrgetter("imag" if which == "sin" else "real")
         return map(part, umbral_exp_column(c, complex(0.0, k), ms))
-    if ks >= 1.0:
+    if not ks < 1.0:
         raise DomainError("sinh/cosh require |k sigma| < 1")
     return _hyperbolic(c, k, ms, which == "sinh")
 

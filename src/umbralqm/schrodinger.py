@@ -15,8 +15,8 @@ from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
-from .correspondences import _to_float
-from .functions import DiscreteFunction, DomainError, _power, lattice_dispersion, umbral_exp_column
+from .correspondences import _blocks, _to_float
+from .functions import DiscreteFunction, DomainError, _power_pass, lattice_dispersion, umbral_exp_column
 from .operators import Correspondence, DeltaOperator, Kind
 
 HBAR_JS = 1.054571817e-34  # CODATA 2018
@@ -124,11 +124,11 @@ class PlaneWaveState:
         self.amplitude_forward, self.amplitude_backward = amplitude_forward, amplitude_backward
 
     def _samples(self, ms) -> list:
-        """The state at each int m of the sequence ms, from the e(+-ik) or e(+-k) columns."""
-        c = self.correspondence
+        """The state at each int m of the iterable ms, from the e(+-ik) or e(+-k) columns block by block."""
+        c, a, b = self.correspondence, self.amplitude_forward, self.amplitude_backward
         kk = complex(0.0, self.k) if self.oscillatory else complex(self.k)
-        forward, backward = umbral_exp_column(c, kk, ms), umbral_exp_column(c, -kk, ms)
-        return [self.amplitude_forward * f + self.amplitude_backward * b for f, b in zip(forward, backward)]
+        pairs = ((umbral_exp_column(c, kk, block), umbral_exp_column(c, -kk, block)) for block in _blocks(ms))
+        return [a * f + b * g for forward, backward in pairs for f, g in zip(forward, backward)]
 
     def sample(self, m: int) -> complex:
         return self._samples((int(m),))[0]
@@ -248,7 +248,7 @@ def _well_levels(c: Correspondence, M: int, ns) -> tuple[tuple, tuple, tuple, tu
     classes = list(_level_classes(c.kind, M, ns))
     momentum = tuple(math.inf if cls == "pole" else k for k, cls in zip(_momenta(c, M, ns), classes))
     flags = tuple(cls != "pole" for cls in classes), tuple(cls == "convergent" for cls in classes)
-    return momentum, tuple(_power(k, 2) for k in momentum), *flags
+    return momentum, tuple(_power_pass(momentum, (2,) * len(momentum))), *flags
 
 
 def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:

@@ -25,6 +25,8 @@ from functools import partial
 from itertools import chain, repeat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbralqm import (
     Correspondence,
@@ -122,6 +124,11 @@ def test_trig_domain_is_checked_before_any_cell():
         umbral_trig_column(c, 1.5, [], "sin")
     with pytest.raises(DomainError):
         umbral_trig_column(c, 1.0, [], "sinh")
+    for which in ("sin", "cos", "sinh", "cosh"):  # a nan k sigma is outside every domain, as +-inf is
+        with pytest.raises(DomainError):
+            umbral_trig_column(c, math.nan, [], which)
+        with pytest.raises(DomainError):
+            umbral_trig(c, math.nan, 3, which)
     with pytest.raises(ValueError):
         umbral_trig_column(c, 0.5, [], "tan")
 
@@ -178,6 +185,34 @@ def test_basic_polynomial_column_at_the_range_bound_is_the_checked_loop(kind, n)
         c = Correspondence(kind, sigma)
         got = list(map(repr, basic_polynomial_column(c, n, ms)))
         assert got == [repr(reference_value(c, n, m)) for m in ms], sigma
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(0, 40),
+    log_sigma=st.floats(math.log(1e-300), math.log(1e300)),
+    offset=st.integers(-3 * C._BLOCK, 3 * C._BLOCK),
+)
+def test_a_range_column_is_its_scalar_cells(kind, n, log_sigma, offset):
+    # a scalar is one cell, so checked(m); the range's full block and short block take the pass
+    # wherever the bound clears them, so the two routes meet on both sides of the bound
+    c = Correspondence(kind, math.exp(log_sigma))
+    ms = range(offset, offset + C._BLOCK + 4)
+    assert list(map(repr, basic_polynomial_column(c, n, ms))) == [repr(basic_polynomial_value(c, n, m)) for m in ms]
+
+
+def test_a_scalar_basic_value_builds_no_factor_table():
+    # one cell is checked(m), whose memory does not grow with n; a table of its n factors would
+    c = Correspondence(Kind.RIGHT, 1e-3)
+    tracemalloc.start()
+    try:
+        value = basic_polynomial_value(c, 100_000, -7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert value == math.inf
 
 
 def test_symmetric_b1_at_a_subnormal_spacing_is_the_product():
@@ -326,7 +361,7 @@ def test_continuous_power_pass_is_the_per_cell_power(sigma):
     # the polys continuous_n columns: x**n over one chunk of x = m sigma, past the range at some m
     xs = [m * sigma for m in range(-_CHUNK_ROWS // 2, _CHUNK_ROWS // 2)]
     for n in (0, 1, 2, 7, 40):
-        assert list(map(repr, F._power_pass(F._power, xs, repeat(n)))) == [repr(F._power(x, n)) for x in xs]
+        assert list(map(repr, F._power_pass(xs, repeat(n)))) == [repr(F._power(x, n)) for x in xs]
 
 
 @pytest.mark.parametrize("sigma", (1.0, 0.3, 1e-300, 1e300, 5e-324), ids=repr)

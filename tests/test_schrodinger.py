@@ -88,6 +88,18 @@ class TestPlaneWaves:
         for m in range(-40, 41):
             assert repr(state.sample(m)) == repr(table.value(m))
 
+    @pytest.mark.parametrize(
+        "oscillatory, expected",
+        [(True, [2, 1.5, 0.5, -0.875]), (False, [2, 2.5, 3.5, 5.125])],
+        ids=["oscillatory", "evanescent"],
+    )
+    def test_samples_read_each_cell_once(self, oscillatory, expected):
+        # an iterator gives its cells once: each cell's forward value pairs with its own backward value
+        state = PlaneWaveState(right(1), 0.5, 1, 1, oscillatory=oscillatory)
+        expected = list(map(repr, map(complex, expected)))
+        assert list(map(repr, state._samples([1, 2, 3, 4]))) == expected
+        assert list(map(repr, state._samples(iter([1, 2, 3, 4])))) == expected
+
     def test_constant_function_feels_only_the_potential(self):
         psi = DiscreteFunction(1.0, -4, [1.0] * 9)
         for kind in ALL_KINDS:
