@@ -534,7 +534,11 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
             ns = range(max(rows.start - block * half, 0) + 1, min(rows.stop - block * half, half) + 1)
             degenerate_with = range(M - ns.start, M - ns.stop, -1)
             energy_continuous = _power_pass([n * math.pi / width for n in ns], repeat(2))
-            values = [c.kind.value] * len(ns), ns, *_well_levels(c, M, ns), degenerate_with, energy_continuous
+            spec = _well_levels(c, M, ns)
+            values = (
+                [c.kind.value] * len(ns), ns, spec.momentum, spec.energy, spec.physical, spec.convergent,
+                degenerate_with, energy_continuous,
+            )
             for (_, column), part in zip(columns, values):
                 column.extend(part)
         return columns

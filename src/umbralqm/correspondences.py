@@ -364,15 +364,14 @@ def _closed_base(kind: Kind, ks):
     if kind is Kind.LEFT:
         return 1 - ks, -1
     # ks + root = 1/(root - ks), root = sqrt(ks^2 + 1): the form that cancels is the one
-    # where ks points away from root, Re(ks conj(root)) < 0 (real ks < 0, or ks = iy, y < -1)
+    # where ks points away from root, Re(ks conj(root)) < 0 (real ks < 0, or ks = iy, y < -1).
+    # Where ks^2 overflows, w = ks/t in units of t = 2^600: the 1 falls below an ulp, and nothing
+    # overflows before the last step. Elsewhere t = 1.
     sqrt = cmath.sqrt if isinstance(ks, complex) else math.sqrt
-    if cmath.isfinite(ks * ks):
-        root = sqrt(ks * ks + 1)
-        return (1 / (root - ks) if (ks * root.conjugate()).real < 0 else ks + root), 1
-    # ks^2 overflows: in units of t = 2^600 the 1 falls below an ulp, and nothing overflows before the last step
-    w = ks * 2.0**-600
-    root = sqrt(w * w + 2.0**-1200)
-    return (2.0**-600 / (root - w) if (w * root.conjugate()).real < 0 else (w + root) * 2.0**600), 1
+    t = 1.0 if cmath.isfinite(ks * ks) else 2.0**600
+    w = ks / t
+    root = sqrt(w * w + 1 / (t * t))
+    return (1 / t / (root - w) if (w * root.conjugate()).real < 0 else (w + root) * t), 1
 
 
 def _series_status(kind: Kind, P, Q: int, m: int) -> SummationStatus:

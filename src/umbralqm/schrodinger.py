@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -173,31 +172,24 @@ class WellLevel(NamedTuple):
     convergent: bool
 
 
-class WellSpectrum:
-    """Quantized levels of the infinite well with M lattice points (L = M sigma).
+class WellSpectrum(NamedTuple):
+    """Quantized levels n of the infinite well with M lattice points (L = M sigma), built by _well_levels.
 
-    One column per WellLevel field over the levels n = 1..M//2; `levels`
-    reads them as rows.
+    One column per WellLevel field over the level range n: every level 1..M//2 from
+    infinite_well_spectrum, one from well_momentum, a chunk of them from the CLI.
+    `levels` reads the columns as rows, computed on each access.
     """
 
-    def __init__(
-        self,
-        kind: Kind,
-        M: int,
-        sigma: float,
-        momentum: tuple[float, ...],
-        energy: tuple[float, ...],
-        physical: tuple[bool, ...],
-        convergent: tuple[bool, ...],
-    ):
-        self.kind, self.M, self.sigma = kind, M, sigma
-        self.momentum, self.energy, self.physical, self.convergent = momentum, energy, physical, convergent
+    kind: Kind
+    M: int
+    sigma: float
+    n: range
+    momentum: tuple[float, ...]
+    energy: tuple[float, ...]
+    physical: tuple[bool, ...]
+    convergent: tuple[bool, ...]
 
     @property
-    def n(self) -> range:
-        return range(1, len(self.energy) + 1)
-
-    @cached_property
     def levels(self) -> tuple[WellLevel, ...]:
         return tuple(map(WellLevel, self.n, self.momentum, self.energy, self.physical, self.convergent))
 
@@ -206,7 +198,7 @@ class WellSpectrum:
         return [(n, self.M - n) for n in self.n]
 
     def energy_of(self, n: int) -> float:
-        """Energy of level n for 1 <= n <= M-1, folded onto min(n, M-n).
+        """Energy of level n for 1 <= n <= M-1, folded onto min(n, M-n), which the record must hold.
 
         Level M-n has level n's energy. For right/left it is the same state,
         psi_(M-n) = -psi_n; for symmetric it is the lattice doubler
@@ -214,8 +206,7 @@ class WellSpectrum:
         """
         if not 1 <= n <= self.M - 1:
             raise ValueError("n must lie in [1, M-1]")
-        folded = min(n, self.M - n)
-        return self.energy[folded - 1]
+        return self.energy[self.n.index(min(n, self.M - n))]
 
 
 def _level_classes(kind: Kind, M: int, ns):
@@ -230,40 +221,39 @@ def _level_classes(kind: Kind, M: int, ns):
         yield "convergent" if q < M else "boundary" if q == M else "pole" if q == 2 * M else "beyond"
 
 
-def _momenta(c: Correspondence, M: int, ns):
-    """rule(pi n/M)/sigma for each level n of ns, lazily: the momentum column of the M >= 2 point well."""
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    s, rule = c.sigma_float(), lattice_dispersion(c.kind)[0]
-    return (rule(math.pi * n / M) / s for n in ns)
-
-
-def _well_levels(c: Correspondence, M: int, ns) -> tuple[tuple, tuple, tuple, tuple]:
-    """The momentum, energy, physical and convergent columns over the levels ns of the M-point well.
+def _well_levels(c: Correspondence, M: int, ns: range) -> WellSpectrum:
+    """The well spectrum over the level range ns of the M >= 2 point well: its one builder.
 
     k_n = tan(pi n/M)/sigma (right/left) or sin(pi n/M)/sigma (symmetric). The flags are _level_classes':
     the right/left pole n = M/2 is non-physical (momentum inf), and the k sigma = 1 boundary counts as
     convergent only for symmetric, whose closed form is defined.
     """
+    if M < 2:
+        raise ValueError("M must be >= 2")
+    s, rule = c.sigma_float(), lattice_dispersion(c.kind)[0]
     classes = list(_level_classes(c.kind, M, ns))
-    momentum = tuple(math.inf if cls == "pole" else k for k, cls in zip(_momenta(c, M, ns), classes))
-    flags = tuple(cls != "pole" for cls in classes), tuple(cls == "convergent" for cls in classes)
-    return momentum, tuple(_power_pass(momentum, (2,) * len(momentum))), *flags
+    momentum = tuple(math.inf if cls == "pole" else rule(math.pi * n / M) / s for n, cls in zip(ns, classes))
+    energy = tuple(_power_pass(momentum, (2,) * len(momentum)))
+    physical, convergent = tuple(cls != "pole" for cls in classes), tuple(cls == "convergent" for cls in classes)
+    return WellSpectrum(c.kind, M, s, ns, momentum, energy, physical, convergent)
 
 
 def infinite_well_spectrum(c: Correspondence, M: int) -> WellSpectrum:
-    """All floor(M/2) candidate levels: _well_levels over every level."""
-    return WellSpectrum(c.kind, M, c.sigma_float(), *_well_levels(c, M, range(1, M // 2 + 1)))
+    """All floor(M/2) candidate levels: _well_levels over every level n = 1..M//2."""
+    return _well_levels(c, M, range(1, M // 2 + 1))
 
 
 def well_momentum(c: Correspondence, M: int, n: int) -> float:
-    """Quantized momentum of level n (1 <= n <= M-1): the spectrum's momentum column at one level."""
-    momenta = _momenta(c, M, (n,))
-    if not 1 <= n <= M - 1:
+    """Quantized momentum of level n (1 <= n <= M-1): the momentum of _well_levels over that one level.
+
+    Raises ValueError for M < 2, then for n outside [1, M-1], then NonPhysicalStateError on the tan pole.
+    """
+    level = _well_levels(c, M, range(n, n + 1) if 1 <= n <= M - 1 else range(0))
+    if not level.n:
         raise ValueError("n must lie in [1, M-1]")
-    if next(_level_classes(c.kind, M, (n,))) == "pole":
+    if not level.physical[0]:
         raise NonPhysicalStateError(f"level n={n} of M={M} sits on the tan pole")
-    return next(momenta)
+    return level.momentum[0]
 
 
 def _well_column(c: Correspondence, M: int, n: int):
@@ -294,11 +284,11 @@ def well_state_count(c: Correspondence, M: int) -> tuple[int, int, int]:
 def infinite_well_max_energy_log10(u: PhysicalUnits, M: int) -> float:
     """log10 of the top tan-rule well energy in eV, assembled in log space.
 
-    The top physical level n is M//2, or M/2 - 1 below the pole of an even M. Its momentum,
-    cot(pi (M - 2n)/(2M))/sigma, is evaluated through the complement so the result stays
+    The top physical level n is (M - 1)//2, as the right/left pole is n = M/2 of an even M. Its
+    momentum, cot(pi (M - 2n)/(2M))/sigma, is evaluated through the complement so the result stays
     accurate for lattice counts far beyond double resolution of pi/2.
     """
     if M < 3:
         raise ValueError("M must be >= 3")
-    top = M // 2 - (next(_level_classes(Kind.RIGHT, M, (M // 2,))) == "pole")
+    top = (M - 1) // 2
     return math.log10(energy_scale_ev(u)) + 2 * math.log10(1.0 / math.tan(math.pi * (M - 2 * top) / (2 * M)))

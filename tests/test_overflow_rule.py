@@ -123,6 +123,12 @@ HUGE = st.floats(153, 300).map(lambda e: 10**e)
 @example(-1e4j, 1)  # ks + root cancelled: 8.6e-9 relative error
 @example(-1e8j, 1)  # read as 0
 @example(1e160j, -2)  # the power's intermediate overflowed: 0 for -2.5e-321
+@example(1.3407807929942596e154, 1)  # the largest |ks| whose ks^2 is finite: t = 1
+@example(1.3407807929942598e154, 1)  # the next float up: ks^2 overflows, t = 2^600
+@example(-1.3407807929942596e154, -1)  # both sides of the edge where the form cancels
+@example(-1.3407807929942598e154, -1)
+@example(-1.3407807929942596e154j, 2)
+@example(-1.3407807929942598e154j, 2)
 @given(
     ks=st.one_of(
         HUGE,

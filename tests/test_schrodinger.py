@@ -37,7 +37,7 @@ from umbralqm import (
     well_state_count,
     PROTON_MASS_KG,
 )
-from umbralqm.schrodinger import _level_classes
+from umbralqm.schrodinger import _level_classes, _well_levels
 
 ALL_KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
 
@@ -340,6 +340,41 @@ class TestWellSpectrum:
             infinite_well_spectrum(right(1), 1)
         with pytest.raises(ValueError, match="M must be >= 2"):
             infinite_well_wavefunction(right(1), 1, 1)
+
+    @pytest.mark.parametrize(
+        ("M", "n", "error", "message"),
+        [
+            (1, 0, ValueError, "M must be >= 2"),
+            (8, 0, ValueError, r"n must lie in \[1, M-1\]"),
+            (8, 10**400, ValueError, r"n must lie in \[1, M-1\]"),
+            (8, 4, NonPhysicalStateError, "tan pole"),
+        ],
+    )
+    def test_well_momentum_checks_the_well_then_the_level_then_the_pole(self, M, n, error, message):
+        with pytest.raises(error, match=message):
+            well_momentum(right(1), M, n)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize(
+        ("M", "a", "b"),
+        # M = 16: the boundary 4n = M is n = 4 and the pole n = M/2 is n = 8; M = 17 has neither
+        [(16, 1, 4), (16, 4, 5), (16, 4, 8), (16, 5, 9), (16, 8, 9), (16, 1, 9), (17, 1, 2), (17, 3, 9), (17, 8, 9)],
+    )
+    def test_a_chunks_record_is_a_slice_of_the_whole(self, kind, M, a, b):
+        c = Correspondence(kind, 0.3)
+        whole, chunk = infinite_well_spectrum(c, M), _well_levels(c, M, range(a, b))
+        assert chunk.n == range(a, b)
+        for field in whole._fields:
+            want = getattr(whole, field)
+            want = want[a - 1 : b - 1] if isinstance(want, (tuple, range)) else want
+            assert repr(getattr(chunk, field)) == repr(want), field
+        assert repr(chunk.levels) == repr(whole.levels[a - 1 : b - 1])
+        for n in range(1, M):
+            if min(n, M - n) in chunk.n:
+                assert repr(chunk.energy_of(n)) == repr(whole.energy_of(n))
+            else:
+                with pytest.raises(ValueError):
+                    chunk.energy_of(n)
 
     @pytest.mark.parametrize("n", [0, 8])
     def test_energy_of_rejects_levels_outside_the_well(self, n):
