@@ -19,7 +19,7 @@ from typing import NamedTuple
 # The modules a table is computed from load with the CLI: the benchmark's span tracer (bench/spans.py)
 # looks each one up in sys.modules. Only cmd_check loads one lazily, invariants (about 1.3 ms).
 from . import __version__
-from .correspondences import _BLOCK, SummationStatus, basic_polynomial_column, exponential_series_column
+from .correspondences import _BLOCK, SummationStatus, _blocks, basic_polynomial_column, exponential_series_column
 from .functions import (
     DomainError,
     WaveSpec,
@@ -43,17 +43,16 @@ from .schrodinger import (
     energy_bounds,
 )
 
-_KINDS = {kind.value: kind for kind in Kind}
-_CORR_CHOICES = (*_KINDS, "all")
+_CORR_CHOICES = (*(kind.value for kind in Kind), "all")
 _FORMAT_CHOICES = ("csv", "json")
 
 _DEFAULTS = {
     "sigma": 1.0,
     "corr": "all",
     "format": "csv",
-    "out": None,
     "window": "-10:10",
     "tol": 1e-10,
+    "out": None,
 }
 
 _CONTINUOUS = {"sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh}
@@ -85,13 +84,19 @@ def list_table(name: str, columns: list) -> Table:
 
 
 class RunConfig(NamedTuple):
+    """One run: the keys of _DEFAULTS, validated, in order; meta.config echoes them."""
+
     sigma: float
     corr: str
-    kinds: list
-    fmt: str
-    out: str | None
+    format: str
     window: tuple[int, int]
     tol: float
+    out: str | None
+
+    @property
+    def corrs(self) -> list:
+        """The run's correspondences at sigma: every kind for corr "all", else the one named."""
+        return [Correspondence(kind, self.sigma) for kind in Kind if self.corr in (kind.value, "all")]
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +167,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     fmt = str(merged["format"])
     if fmt not in _FORMAT_CHOICES:
         raise ConfigError(f"format must be one of {_FORMAT_CHOICES}")
-    kinds = list(_KINDS.values()) if corr == "all" else [_KINDS[corr]]
-    window = _parse_window(str(merged["window"]))
-    return RunConfig(sigma, corr, kinds, fmt, merged["out"], window, tol)
+    return RunConfig(sigma, corr, fmt, _parse_window(str(merged["window"])), tol, merged["out"])
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +185,6 @@ def format_cell(value) -> str:
     return str(value)
 
 
-_CHUNK_ROWS = _BLOCK  # a written chunk is one kernel block
 # `%` specs that spell a cell of exactly this type as format_cell does
 _SPECS = {float: "%.17g", int: "%d", str: "%s"}
 _BOOL_WORDS = ("false", "true")
@@ -218,9 +220,8 @@ def _header(table: Table) -> str:
 
 
 def _pieces(table: Table) -> list:
-    """The functions that build the table's CSV text in order: its header, then one per chunk of rows."""
-    chunks = (range(i, min(i + _CHUNK_ROWS, table.rows)) for i in range(0, table.rows, _CHUNK_ROWS))
-    return [partial(_header, table), *(partial(_csv_rows, table, rows) for rows in chunks)]
+    """The functions that build the table's CSV text in order: its header, then one per kernel block of rows."""
+    return [partial(_header, table), *(partial(_csv_rows, table, rows) for rows in _blocks(range(table.rows)))]
 
 
 def _json_value(v):
@@ -231,18 +232,7 @@ def _json_value(v):
 
 def _tables_to_json(command: str, cfg: RunConfig, tables: list[Table]) -> dict:
     return {
-        "meta": {
-            "command": command,
-            "version": __version__,
-            "config": {
-                "sigma": cfg.sigma,
-                "corr": cfg.corr,
-                "format": cfg.fmt,
-                "window": list(cfg.window),
-                "tol": cfg.tol,
-                "out": cfg.out,
-            },
-        },
+        "meta": {"command": command, "version": __version__, "config": cfg._asdict()},
         "data": {
             "tables": [
                 {
@@ -272,7 +262,7 @@ def _claim(paths) -> None:
 
 
 def _workers(rows: int) -> int:
-    """Processes that write `rows` CSV rows: one per CPU this process may run on, at most one per whole chunk.
+    """Processes that write `rows` CSV rows: one per CPU this process may run on, at most one per whole block.
 
     One where os.fork is missing, and in a process that runs other threads,
     whose locks a forked child could inherit held.
@@ -282,7 +272,7 @@ def _workers(rows: int) -> int:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
-    return max(1, min(cpus, rows // _CHUNK_ROWS))
+    return max(1, min(cpus, rows // _BLOCK))
 
 
 def _take_turns(pieces: list, mine, turn_in: int, turn_out: int) -> int:
@@ -374,13 +364,13 @@ def emit(command: str, cfg: RunConfig, tables: list[Table], multi_table: bool = 
     stdout are written by this process alone (rows = 0): a forked child cannot write into a stand-in for it.
     """
     out, omitted, rows = cfg.out or None, "", 0  # an empty --out is stdout
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         import json  # only here: it costs every other run start-up time
 
         text = json.dumps(_tables_to_json(command, cfg, tables), indent=2) + "\n"
         paths, texts = [out], [[lambda: text]]
     elif out:
-        paths = [f"{out}_{table.name}.csv" for table in tables] if multi_table or len(tables) > 1 else [out]
+        paths = [f"{out}_{table.name}.csv" for table in tables] if multi_table else [out]
         texts, rows = [_pieces(table) for table in tables], sum(table.rows for table in tables)
     else:
         paths, texts, omitted = [None], [_pieces(tables[0])], ", ".join(t.name for t in tables[1:])
@@ -448,7 +438,7 @@ def cmd_polys(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("--n must list at least one degree")
     if any(n < 0 for n in degrees):
         raise ConfigError("polynomial degrees must be >= 0")
-    corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
+    corrs = cfg.corrs
 
     def columns(ms: range, xs: list) -> list:
         columns = [(f"continuous_n{n}", _power_pass(xs, repeat(n))) for n in degrees]
@@ -472,7 +462,7 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     if not with_series:
         print("note: series columns disabled, emitting closed forms only", file=sys.stderr)
-    corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
+    corrs = cfg.corrs
     for c in corrs:  # a 0 base (k sigma = -1 right, 1 left) to a negative power fails at an end of the window
         list(umbral_exp_column(c, k, cfg.window))
 
@@ -492,7 +482,7 @@ def cmd_exp(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_trig(cfg: RunConfig, args: argparse.Namespace) -> int:
     which = args.which
     wave_of, given = (WaveSpec.from_points, args.l) if args.l is not None else (WaveSpec.from_momentum, args.k)
-    waves = [wave_of(Correspondence(kind, cfg.sigma), given) for kind in cfg.kinds]
+    waves = [wave_of(c, given) for c in cfg.corrs]
     for wave in waves:  # the domain (sinh and cosh refuse the k sigma = 1 wave), checked before any output
         umbral_trig_column(wave.correspondence, wave.k, (), which)
     continuous = _CONTINUOUS[which]
@@ -524,7 +514,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
         if not 1 <= n <= M - 1:
             raise ConfigError(f"level {n} outside [1, {M - 1}]")
 
-    corrs = [Correspondence(kind, cfg.sigma) for kind in cfg.kinds]
+    corrs = cfg.corrs
     half, width = M // 2, M * cfg.sigma
     names = "correspondence n k energy physical convergent degenerate_with energy_continuous"
 

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from csv_reader import read_csv, write_csv
 from umbralqm import cli, invariants
-from umbralqm.cli import _CHUNK_ROWS, format_cell, list_table, main
+from umbralqm.cli import format_cell, list_table, main
+from umbralqm.correspondences import _BLOCK
 from umbralqm.functions import DiscreteFunction, DomainError
 from umbralqm.operators import Kind
 from umbralqm.schrodinger import EnergyBounds
@@ -117,7 +118,7 @@ COLUMN_POOLS = st.sampled_from(
 
 @settings(max_examples=200)
 @given(
-    rows=st.sampled_from([0, 1, 2, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]),
+    rows=st.sampled_from([0, 1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
     pools=st.lists(COLUMN_POOLS, max_size=5),
 )
 def test_csv_writer_spells_every_cell_as_format_cell(rows, pools):
@@ -132,8 +133,8 @@ def test_csv_writer_spells_every_cell_as_format_cell(rows, pools):
 @pytest.mark.parametrize("tail", [[None], [True, False], [0.5], ["x"]], ids=["none", "bools", "float", "str"])
 def test_csv_chunks_spell_a_column_whose_cell_types_change_between_chunks(tail):
     # the first chunk holds only ints, and so is spelled by "%d"; the last holds the tail
-    ints = list(range(-5, _CHUNK_ROWS - 5))
-    table = list_table("t", [("c", ints + tail), ("d", [True] * _CHUNK_ROWS + [None] * len(tail))])
+    ints = list(range(-5, _BLOCK - 5))
+    table = list_table("t", [("c", ints + tail), ("d", [True] * _BLOCK + [None] * len(tail))])
     out = io.StringIO()
     write_csv(table, out)
     assert out.getvalue() == reference_csv(table)
@@ -413,7 +414,7 @@ def deadline():
 
 
 def test_workers_are_one_per_cpu_and_at_most_one_per_chunk(monkeypatch):
-    rows = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS - 1, 2 * _CHUNK_ROWS, 3 * _CHUNK_ROWS, 10**6]
+    rows = [0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK, 10**6]
     cpus(monkeypatch, 3)
     assert [cli._workers(n) for n in rows] == [1, 1, 1, 1, 1, 2, 3, 3]
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # cpu_count where affinity is missing
@@ -424,7 +425,7 @@ def test_workers_are_one_per_cpu_and_at_most_one_per_chunk(monkeypatch):
 
 def test_one_worker_without_fork_or_beside_another_thread(monkeypatch):
     cpus(monkeypatch, 4)
-    rows = 4 * _CHUNK_ROWS
+    rows = 4 * _BLOCK
     assert cli._workers(rows) == 4
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
@@ -444,12 +445,12 @@ PARALLEL_OUT = [
     pytest.param(["well", "--points", "2000", "--levels", "1,2,3"], id="well"),
     pytest.param(["trig", "--l", "12"], id="trig"),
     pytest.param(["polys", "--n", "2,7", "--sigma", "0.2", "--window=-9000:9000"], id="polys-single-file"),
-    # wavefunction tables of _CHUNK_ROWS - 1 and _CHUNK_ROWS rows; a spectrum of _CHUNK_ROWS
-    # rows beside one of 2 _CHUNK_ROWS + 1
-    pytest.param(["well", "--points", str(_CHUNK_ROWS - 2), "--levels", "1"], id="well-chunk-minus-1"),
-    pytest.param(["well", "--points", str(_CHUNK_ROWS - 1), "--levels", "1"], id="well-chunk"),
+    # wavefunction tables of _BLOCK - 1 and _BLOCK rows; a spectrum of _BLOCK
+    # rows beside one of 2 _BLOCK + 1
+    pytest.param(["well", "--points", str(_BLOCK - 2), "--levels", "1"], id="well-chunk-minus-1"),
+    pytest.param(["well", "--points", str(_BLOCK - 1), "--levels", "1"], id="well-chunk"),
     pytest.param(
-        ["well", "--points", str(2 * _CHUNK_ROWS), "--corr", "symmetric", "--levels", "1"], id="well-2-chunks-plus-1"
+        ["well", "--points", str(2 * _BLOCK), "--corr", "symmetric", "--levels", "1"], id="well-2-chunks-plus-1"
     ),
     pytest.param(["trig", "--l", "12", "--corr", "symmetric", "--window=-5000:5000"], id="trig-one-row-table"),
     pytest.param(["well", "--points", "9000", "--levels", "1,3000"], id="well-skipped-level"),
@@ -479,7 +480,7 @@ def test_parallel_out_writes_the_serial_bytes(capfd, tmp_path, monkeypatch, dead
         files[workers] = {path.name: path.read_bytes() for path in base.parent.iterdir()}
         streams[workers] = capfd.readouterr()
         rows = sum(text.count(b"\n") - 1 for text in files[workers].values())
-        assert len(forks) == max(1, min(workers, rows // _CHUNK_ROWS)) - 1
+        assert len(forks) == max(1, min(workers, rows // _BLOCK)) - 1
     assert streams[1].out == "" and streams[2] == streams[4] == streams[1]
     assert all(files[1].values())
     assert files[2] == files[1] and files[4] == files[1]
@@ -525,7 +526,7 @@ def test_stdout_and_out_give_the_same_bytes(capfd, tmp_path, monkeypatch, deadli
         assert stdout == written
 
 
-# --points 9000 --levels 1,2 writes, as pieces (a header, then chunks of _CHUNK_ROWS rows):
+# --points 9000 --levels 1,2 writes, as pieces (a header, then chunks of _BLOCK rows):
 # the spectrum 0-4, then four for each wavefunction table: right 5-12, left 13-20, symmetric 21-28
 FAILING_ARGV = ["well", "--points", "9000", "--levels", "1,2", "--out"]
 TABLE_ORDER = ["_spectrum.csv"]
@@ -611,13 +612,13 @@ def test_a_failing_table_gives_mains_line_and_code(
         if (c.kind, n) != (Kind.LEFT, 2):
             return psi
         # that chunk and every later one fail, as a wrong formula would: only the first may be reported
-        return lambda ms: map(broken, psi(ms)) if ms and ms[0] >= chunk * _CHUNK_ROWS else psi(ms)
+        return lambda ms: map(broken, psi(ms)) if ms and ms[0] >= chunk * _BLOCK else psi(ms)
 
     failed = TABLE_ORDER.index("_wavefunction_left_n2.csv")
     later = TABLE_ORDER[failed + 1 :]
     (tmp_path / f"w{later[-1]}").write_bytes(b"kept\n")  # an existing file that _claim leaves as it is
     rows = [clean[name].count(b"\n") - 1 for name in TABLE_ORDER[:failed]]
-    piece = sum(1 + -(-n // _CHUNK_ROWS) for n in rows) + 1 + chunk
+    piece = sum(1 + -(-n // _BLOCK) for n in rows) + 1 + chunk
     assert piece == 18 + chunk  # the layout in FAILING_ARGV's comment
     assert workers == 1 or (piece % workers == 0) == (owner == "parent")
     monkeypatch.setattr(cli, "_well_column", failing)
@@ -632,7 +633,7 @@ def test_a_failing_table_gives_mains_line_and_code(
     # every table before the failing one, and that one cut after its last chunk before the failure
     assert sorted(files) == sorted(TABLE_ORDER)
     assert all(files[name] == clean[name] for name in TABLE_ORDER[:failed])
-    kept_lines = clean[TABLE_ORDER[failed]].splitlines(keepends=True)[: 1 + chunk * _CHUNK_ROWS]
+    kept_lines = clean[TABLE_ORDER[failed]].splitlines(keepends=True)[: 1 + chunk * _BLOCK]
     assert files[TABLE_ORDER[failed]] == b"".join(kept_lines)
     assert all(files[name] == b"" for name in later[:-1]) and files[later[-1]] == b"kept\n"
 
@@ -687,7 +688,7 @@ def test_a_csv_out_hands_no_kernel_more_than_a_chunk(tmp_path, monkeypatch):
         points.update((name, []) for name in names)
         assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
         assert [sum(points[name]) for name in names] == totals
-        assert max(chain.from_iterable(points.values())) <= _CHUNK_ROWS
+        assert max(chain.from_iterable(points.values())) <= _BLOCK
 
 
 def test_broken_stdout_pipe_stays_exit_1(monkeypatch):

@@ -47,7 +47,6 @@ from umbralqm import (
 )
 from umbralqm import correspondences as C
 from umbralqm import functions as F
-from umbralqm.cli import _CHUNK_ROWS
 from umbralqm.functions import lattice_dispersion
 
 KINDS = (Kind.RIGHT, Kind.LEFT, Kind.SYMMETRIC)
@@ -359,7 +358,7 @@ def test_hyperbolic_pass_is_the_per_cell_rule_across_block_edges(kind, which):
 @pytest.mark.parametrize("sigma", (0.3, 1e-300, 1e300, 1e100), ids=repr)
 def test_continuous_power_pass_is_the_per_cell_power(sigma):
     # the polys continuous_n columns: x**n over one chunk of x = m sigma, past the range at some m
-    xs = [m * sigma for m in range(-_CHUNK_ROWS // 2, _CHUNK_ROWS // 2)]
+    xs = [m * sigma for m in range(-C._BLOCK // 2, C._BLOCK // 2)]
     for n in (0, 1, 2, 7, 40):
         assert list(map(repr, F._power_pass(xs, repeat(n)))) == [repr(F._power(x, n)) for x in xs]
 
@@ -573,8 +572,8 @@ def test_series_column_in_any_order_is_the_per_cell_engine(kind):
 def test_cutoff_column_steps_to_the_per_cell_binomial(kind, ks):
     # an exact_cutoff cell's powers come from the last cutoff cell's, one factor on or off per
     # step of |m|, else afresh: |m| rises along the right window and falls along the left one,
-    # each across m = _CHUNK_ROWS and two gaps; k sigma = -1 and 1 zero the right and left bases
-    ms = [0, 1, 2, *range(_CHUNK_ROWS - 3, _CHUNK_ROWS + 3), *range(_CHUNK_ROWS + 7, _CHUNK_ROWS + 10)]
+    # each across m = C._BLOCK and two gaps; k sigma = -1 and 1 zero the right and left bases
+    ms = [0, 1, 2, *range(C._BLOCK - 3, C._BLOCK + 3), *range(C._BLOCK + 7, C._BLOCK + 10)]
     if kind is Kind.LEFT:
         ms = [-m for m in reversed(ms)]
     c = Correspondence(kind, 1)
