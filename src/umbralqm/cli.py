@@ -104,6 +104,15 @@ class RunConfig(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _double(what: str, value: int) -> int:
+    """value, refused where float() cannot convert it: past the double range it has no x = m sigma."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} must convert to a double") from None
+    return value
+
+
 def _parse_window(text: str) -> tuple[int, int]:
     try:
         lo_text, hi_text = text.split(":")
@@ -112,7 +121,7 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise ConfigError(f"window must look like MIN:MAX, got {text!r}") from exc
     if lo > hi:
         raise ConfigError("window minimum exceeds maximum")
-    return lo, hi
+    return _double("window ends", lo), _double("window ends", hi)
 
 
 def _positive(name: str, value) -> float:
@@ -509,6 +518,7 @@ def cmd_well(cfg: RunConfig, args: argparse.Namespace) -> int:
     M = args.points
     if M < 2:
         raise ConfigError("--points must be >= 2")
+    _double("--points", M)
     levels = _parse_int_list(args.levels, "--levels") if args.levels else []
     for n in levels:
         if not 1 <= n <= M - 1:
@@ -602,9 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--sigma", type=float, help="lattice spacing (default 1)")
     common.add_argument("--corr", choices=_CORR_CHOICES, help="correspondence selection")
     common.add_argument("--format", choices=_FORMAT_CHOICES, help="output format")
-    common.add_argument("--out", help="output path (base path for multi-table csv)")
     common.add_argument("--window", help="lattice index window MIN:MAX (use --window=-10:10)")
     common.add_argument("--tol", type=float, help="series tolerance (default 1e-10)")
+    common.add_argument("--out", help="output path (base path for multi-table csv)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     add = partial(sub.add_parser, parents=[common], allow_abbrev=False)  # no flag prefixes

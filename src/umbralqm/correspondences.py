@@ -21,7 +21,7 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import mul
+from operator import index, mul
 from typing import Iterator
 
 from .operators import Correspondence, Kind
@@ -30,6 +30,7 @@ from .polynomials import Polynomial, _reduced
 _TERM_BUDGET = 40_000  # most terms one series cell may sum; see the README numerical notes
 _SPLIT_LEAF = 32  # chain runs this short are multiplied out in a loop
 _LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
+_STIRLING_LO = 1e3  # _log_abs_prod's Stirling difference from here up; a series cell at |m| < 1000 stays below
 
 
 class SummationStatus(Enum):
@@ -214,12 +215,12 @@ def basic_polynomial_column(c: Correspondence, n: int, ms) -> Iterator:
     if not isinstance(c.sigma, (int, Fraction)):
         return _float_values(c, n, lead, rest, ms)
     scale = Fraction(c.sigma) ** n
-    return (scale * math.prod((m - r for r in rest), start=m if lead else 1) for m in ms)
+    return (scale * math.prod((m - r for r in rest), start=m if lead else 1) for m in map(index, ms))
 
 
 def basic_polynomial_value(c: Correspondence, n: int, m: int):
     """Closed-form value of the degree-n basic polynomial at the point m*sigma: basic_polynomial_column at m."""
-    return next(basic_polynomial_column(c, n, (int(m),)))
+    return next(basic_polynomial_column(c, n, (index(m),)))
 
 
 def _signed_exp(sign: float, mag: float) -> float:
@@ -234,25 +235,33 @@ def _log_abs_prod(run: range) -> float:
     """log |prod(run)| for an ascending run of same-signed nonzero integers, step 1 or 2.
 
     The magnitudes form an arithmetic progression lo, lo + d, ..., so the
-    product is d^c * Gamma(lo/d + c) / Gamma(lo/d): O(1) for any length c.
+    product is d^c * Gamma(a + c) / Gamma(a), a = lo/d: O(1) for any length c.
+    Below a = _STIRLING_LO that is the lgamma difference. From there on, where
+    that difference cancels (and past 2.5e305 overflows), it is the difference
+    of Stirling's series, whose two a log a terms cancel exactly, x = a + c:
+    (x - 1/2) log1p(c/a) + c (log a - 1) + (1/x - 1/a)/12 - (1/x^3 - 1/a^3)/360.
     """
     if not run:
         return 0.0
-    lo = min(abs(run[0]), abs(run[-1])) / run.step
-    return len(run) * math.log(run.step) + math.lgamma(lo + len(run)) - math.lgamma(lo)
+    c, a = len(run), min(abs(run[0]), abs(run[-1])) / run.step
+    if a < _STIRLING_LO:
+        return c * math.log(run.step) + math.lgamma(a + c) - math.lgamma(a)
+    x = a + c
+    stirling = (x - 0.5) * math.log1p(c / a) + c * (math.log(a) - 1)
+    return c * math.log(run.step) + stirling + (1 / x - 1 / a) / 12 - (1 / x / x / x - 1 / a / a / a) / 360
 
 
 def basic_polynomial_value_log(c: Correspondence, n: int, m: int) -> tuple[float, float]:
     """Sign and natural log magnitude of the closed-form value; (0, -inf) at zeros."""
     lead, rest = _roots(c.kind, n)
-    m = int(m)
+    m = index(m)
     if (lead and m == 0) or m in rest:
         return 0.0, -math.inf
     sign, mag = 1.0, n * math.log(c.sigma_float())
     if lead:
         sign, mag = math.copysign(1.0, m), mag + math.log(abs(m))
     factors = range(m - rest.start, m - rest.stop, -rest.step)  # m - r, ascending
-    below = factors[: len(range(factors.start, 0, factors.step))]
+    below = factors[: max(0, -(factors.start // factors.step))]  # the factors < 0
     above = factors[len(below) :]
     sign *= (-1.0) ** len(below)
     return sign, mag + _log_abs_prod(below) + _log_abs_prod(above)
@@ -627,8 +636,8 @@ def exponential_series_column(c: Correspondence, k, ms, tol: float) -> Iterator:
     fresh split (see _Walk). The chains are the same integers either way, so
     every value is the same. An exact_cutoff cell is the binomial theorem.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     return _series_cells(c.kind, *_momentum_ratio(k, c.sigma), ms, tol)
 
 
@@ -638,7 +647,7 @@ def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
     walk, closed, unit, last_N = _Walk(kind, P, Q), None, Correspondence(kind, 1), None
     cut = None  # _cutoff_powers of the last exact_cutoff cell
     for m in ms:
-        m = int(m)
+        m = index(m)
         status = _series_status(kind, P, Q, m)
         if status is SummationStatus.EXACT_CUTOFF and P and abs(m) >= _TERM_BUDGET:
             yield math.nan, SummationStatus.UNSUMMED  # |m| + 1 terms, past the budget

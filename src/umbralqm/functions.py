@@ -13,7 +13,7 @@ import math
 import sys
 from functools import cache, partial
 from itertools import chain, repeat
-from operator import add, attrgetter, neg, sub
+from operator import add, attrgetter, index, neg, sub
 from typing import Iterator
 
 from .correspondences import SummationStatus, exponential_series_column
@@ -149,7 +149,7 @@ def umbral_exp_column(c: Correspondence, k, ms) -> Iterator:
 
 def umbral_exp(c: Correspondence, k, m: int):
     """Closed-form discrete exponential at lattice index m: umbral_exp_column at one point."""
-    return next(umbral_exp_column(c, k, (int(m),)))
+    return next(umbral_exp_column(c, k, (index(m),)))
 
 
 def umbral_exp_series(
@@ -162,12 +162,12 @@ def umbral_exp_series(
     so 0.2 sums as 1/5; a complex k with a nonzero imaginary part sums in
     Gaussian integers and gives a complex.
     """
-    return next(exponential_series_column(c, k, (int(m),), tol))
+    return next(exponential_series_column(c, k, (index(m),), tol))
 
 
 def closed_form_status(c: Correspondence, k, m: int) -> SummationStatus:
     """Status the series route reports at m whenever its term count fits the budget."""
-    return _series_status(c.kind, *_momentum_ratio(k, c.sigma), int(m))
+    return _series_status(c.kind, *_momentum_ratio(k, c.sigma), index(m))
 
 
 def _hyperbolic(c: Correspondence, k: float, ms, sinh: bool):
@@ -217,7 +217,7 @@ def umbral_trig_column(c: Correspondence, k: float, ms, which: str) -> Iterator[
 
 def umbral_trig(c: Correspondence, k: float, m: int, which: str) -> float:
     """Discrete sin/cos/sinh/cosh built from the discrete exponential: umbral_trig_column at one point."""
-    return next(umbral_trig_column(c, k, (int(m),), which))
+    return next(umbral_trig_column(c, k, (index(m),), which))
 
 
 def wavelength_to_momentum(c: Correspondence, l: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import NamedTuple
 
 from .correspondences import _blocks, _to_float
@@ -46,8 +46,8 @@ class PhysicalUnits:
     ):
         self.hbar, self.mass, self.sigma_m, self.tau_s = hbar, mass, sigma_m, tau_s
         for name in ("hbar", "mass", "sigma_m", "tau_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 class EnergyBounds(NamedTuple):
@@ -100,7 +100,7 @@ def separate(
         raise ValueError("tau must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    if abs(E) * tau >= 1:
+    if not abs(E) * tau < 1:
         raise DomainError("time evolution requires |E tau| < 1")
     c = Correspondence(kind, tau)
     return DiscreteFunction(tau, 0, list(umbral_exp_column(c, complex(0.0, E), range(n_steps + 1))))
@@ -130,7 +130,7 @@ class PlaneWaveState:
         return [a * f + b * g for forward, backward in pairs for f, g in zip(forward, backward)]
 
     def sample(self, m: int) -> complex:
-        return self._samples((int(m),))[0]
+        return self._samples((index(m),))[0]
 
     def tabulate(self, window: tuple[int, int]) -> DiscreteFunction:
         lo, hi = window

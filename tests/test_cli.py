@@ -796,6 +796,22 @@ class TestPolys:
         assert cols["right_n401"][0] == -math.inf and cols["right_n401"][-1] == 0
         assert cols["left_n401"][0] == 0 and cols["left_n401"][-1] == math.inf
 
+    def test_far_lattice_values_past_the_double_range_are_inf(self, capsys):
+        # each B_20 at m = 10^20 is near 1e400: the lgamma difference of the log route gave 1, 1 and 1e20
+        code, out, err = run(capsys, "polys", "--n", "20", f"--window={10**20}:{10**20}")
+        assert (code, err) == (0, "")
+        cols = columns_of(out)
+        assert [cols[f"{kind}_n20"] for kind in ("right", "left", "symmetric")] == [[math.inf]] * 3
+
+    @pytest.mark.parametrize("argv", [["polys", "--n", "3"], ["exp", "--k", "0.09"]])
+    def test_a_window_near_the_double_maximum_is_tabulated(self, capsys, argv):
+        # the log route's lgamma overflowed here ("math range error", exit 1)
+        code, out, err = run(capsys, *argv, "--sigma", "10", f"--window={10**308}:{10**308}")
+        assert (code, err) == (0, "")
+        cols = columns_of(out)
+        assert all(values == [math.inf] for name, values in cols.items() if name.endswith(("_n3", "_closed")))
+        assert all(values == ["unsummed"] for name, values in cols.items() if name.endswith("_status"))
+
 
 class TestExp:
     def test_right_column_is_the_closed_form(self, capsys):
@@ -1058,6 +1074,11 @@ class TestFormatsAndConfig:
             assert code == 0
             jsonschema.validate(json.loads(out), schema)
 
+    def test_the_schema_config_is_the_run_record_in_order(self):
+        config = load_schema()["properties"]["meta"]["properties"]["config"]
+        assert tuple(config["properties"]) == tuple(config["required"]) == cli.RunConfig._fields == tuple(cli._DEFAULTS)
+        assert config["additionalProperties"] is False
+
     def test_emitted_csv_round_trips(self, capsys):
         for argv in (
             ["exp", "--k", "0.3", "--window=-5:5"],
@@ -1196,6 +1217,24 @@ class TestFormatsAndConfig:
         assert code == 2
         code, _, _ = run(capsys, "polys", "--n", "1", "--window=oops")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *(
+                ([*command.split(), f"--window={window}"], "window ends must convert to a double")
+                for command in ("polys --n 2", "exp --k 0.5", "trig --l 12", "well --points 4")
+                for window in (f"{10**400}:{10**400}", f"{-(10**400)}:0")
+            ),
+            (["well", "--points", str(10**400), "--levels", "1"], "--points must convert to a double"),
+        ],
+    )
+    @pytest.mark.parametrize("out", [None, "o"])
+    def test_an_index_past_the_double_range_writes_nothing(self, capsys, tmp_path, monkeypatch, argv, message, out):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, *argv, *(["--out", out] if out else []))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

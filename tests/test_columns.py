@@ -32,15 +32,19 @@ from umbralqm import (
     Correspondence,
     DomainError,
     Kind,
+    PlaneWaveState,
     SummationStatus,
     WellLevel,
     basic_polynomial_column,
     basic_polynomial_value,
     basic_polynomial_value_log,
+    closed_form_status,
     exponential_series_column,
+    exponential_series_exact,
     infinite_well_spectrum,
     umbral_exp,
     umbral_exp_column,
+    umbral_exp_series,
     umbral_trig,
     umbral_trig_column,
     well_state_count,
@@ -446,6 +450,32 @@ def test_a_cell_that_is_not_an_int_raises_in_every_float_kernel():
         with pytest.raises(TypeError):
             list(kernel([1, 2.5]))
 
+
+def test_an_index_that_is_not_an_int_raises_in_every_scalar_and_column():
+    # int(2.7) read the scalars' index as m = 2, and the exact column computed at the off-lattice point 2.7
+    c, exact = Correspondence(Kind.RIGHT, 1.0), Correspondence(Kind.RIGHT, 1)
+    columns = [
+        partial(basic_polynomial_column, exact, 2),
+        partial(exponential_series_column, c, 0.5, tol=1e-12),
+        partial(exponential_series_column, Correspondence(Kind.LEFT, 1.0), 0.5, tol=1e-12),  # a converged cell
+    ]
+    scalars = [
+        *(partial(basic_polynomial_value, sigma, 2) for sigma in (c, exact)),
+        partial(basic_polynomial_value_log, c, 2),
+        partial(umbral_exp, c, 0.5),
+        partial(umbral_exp_series, c, 0.5),
+        partial(exponential_series_exact, c, 0.5, tol=1e-12),
+        partial(closed_form_status, c, 0.5),
+        partial(umbral_trig, c, 0.5, which="sin"),
+        PlaneWaveState(c, 0.5).sample,
+    ]
+    for kernel in columns:
+        with pytest.raises(TypeError):
+            list(kernel([1, 2.7]))
+    for scalar in scalars:
+        with pytest.raises(TypeError):
+            scalar(2.7)
+
 def reference_levels(c, M):
     """The per-level loop of the well spectrum: one WellLevel per candidate level."""
     s = c.sigma_float()
@@ -642,6 +672,13 @@ def test_series_column_where_k_sigma_rounds_to_one_is_the_per_cell_engine(kind):
 def test_series_column_checks_tol_before_any_cell():
     with pytest.raises(ValueError):
         exponential_series_column(Correspondence(Kind.RIGHT, 1), 0.5, [], 0.0)
+
+
+@pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf), ids=repr)
+def test_series_column_refuses_a_tol_that_is_not_finite(tol):
+    # such a tol read every convergent cell as (nan, unsummed)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        exponential_series_column(Correspondence(Kind.LEFT, 1), 0.5, [3], tol)
 
 
 @pytest.mark.parametrize("kind", (Kind.RIGHT, Kind.LEFT), ids=lambda kind: kind.value)

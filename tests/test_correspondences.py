@@ -4,7 +4,10 @@ import math
 import statistics
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbralqm import (
     Correspondence,
@@ -230,6 +233,39 @@ class TestClosedFormValues:
                     want = math.log(abs(exact)) + n * math.log(0.5)
                     assert sign == (1.0 if exact > 0 else -1.0)
                     assert abs(mag - want) <= 1e-12 * max(1.0, abs(want))
+
+    @settings(max_examples=300)
+    @example(Kind.RIGHT, 12, 1.0, 6.0)  # m = 10^6: the lgamma difference was 1e-9 off
+    @example(Kind.RIGHT, 12, 1.0, 16.0)  # 10^16: 42 off
+    @example(Kind.SYMMETRIC, 64, 0.3, -299.5)
+    @example(Kind.RIGHT, 1, 1.0, 3.96)  # m = 9120: the lgamma difference was 3e-12 off
+    @example(Kind.LEFT, 1, 1.0, -3.0)  # m = -1000: lo = 1000, the first Stirling cell
+    @example(Kind.RIGHT, 64, 1.0, 3.0)  # m = 1000: lo = 937, the lgamma difference
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        n=st.integers(0, 64),
+        sigma=st.sampled_from((1.0, 0.3, 7.0)),
+        exponent=st.floats(-300, 300).filter(lambda e: abs(e) >= 3),
+    )
+    def test_log_mode_is_accurate_at_any_index(self, kind, n, sigma, exponent):
+        # m = +-10^|exponent|; the oracle is the log of the exact root product at 40 digits
+        m = int(math.copysign(10 ** abs(exponent), exponent))
+        exact = product_value(kind, n, m, 1)
+        sign, mag = basic_polynomial_value_log(Correspondence(kind, sigma), n, m)
+        if exact == 0:
+            assert (sign, mag) == (0.0, -math.inf)
+            return
+        with mpmath.workdps(40):
+            want = mpmath.log(abs(mpmath.mpf(exact))) + n * mpmath.log(sigma)
+            assert sign == (1.0 if exact > 0 else -1.0)
+            assert abs(mag - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("m", [10**20, -(10**20)])
+    def test_float_mode_far_out_is_inf(self, m):
+        # every factor is near 1e20, so B_20 and B_21 are near 1e400 and 1e420
+        c = Correspondence(Kind.RIGHT, 1.0)
+        assert basic_polynomial_value(c, 20, m) == math.inf
+        assert basic_polynomial_value(c, 21, m) == math.copysign(math.inf, m)
 
 
 class TestZeros:

@@ -70,6 +70,11 @@ class TestSeparate:
         with pytest.raises(ValueError):
             separate(0.1, 1.0, -1)
 
+    def test_a_nan_energy_is_outside_the_temporal_bound(self):
+        # |nan tau| >= 1 is false: the samples were nan
+        with pytest.raises(DomainError):
+            separate(math.nan, 0.1, 2)
+
 
 class TestPlaneWaves:
     def test_requires_an_amplitude(self):
@@ -262,6 +267,13 @@ class TestEnergyBounds:
     def test_units_must_be_positive(self):
         with pytest.raises(ValueError):
             PhysicalUnits(mass=-1.0)
+
+    @pytest.mark.parametrize("name", ["hbar", "mass", "sigma_m", "tau_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_units_must_be_finite(self, name, value):
+        # an infinite mass made energy_bounds raise OverflowError
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            PhysicalUnits(**{name: value})
 
 
 class TestWellSpectrum:
