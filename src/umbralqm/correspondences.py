@@ -240,10 +240,16 @@ def _log_abs_prod(run: range) -> float:
     that difference cancels (and past 2.5e305 overflows), it is the difference
     of Stirling's series, whose two a log a terms cancel exactly, x = a + c:
     (x - 1/2) log1p(c/a) + c (log a - 1) + (1/x - 1/a)/12 - (1/x^3 - 1/a^3)/360.
+    Where a is past the double range that difference is c log a to well
+    below one rounding (the rest is about c^2 / a), and the log is c log lo.
     """
     if not run:
         return 0.0
-    c, a = len(run), min(abs(run[0]), abs(run[-1])) / run.step
+    c, lo = len(run), min(abs(run[0]), abs(run[-1]))
+    try:
+        a = lo / run.step
+    except OverflowError:
+        return c * math.log(lo)
     if a < _STIRLING_LO:
         return c * math.log(run.step) + math.lgamma(a + c) - math.lgamma(a)
     x = a + c
@@ -259,7 +265,7 @@ def basic_polynomial_value_log(c: Correspondence, n: int, m: int) -> tuple[float
         return 0.0, -math.inf
     sign, mag = 1.0, n * math.log(c.sigma_float())
     if lead:
-        sign, mag = math.copysign(1.0, m), mag + math.log(abs(m))
+        sign, mag = 1.0 if m > 0 else -1.0, mag + math.log(abs(m))
     factors = range(m - rest.start, m - rest.stop, -rest.step)  # m - r, ascending
     below = factors[: max(0, -(factors.start // factors.step))]  # the factors < 0
     above = factors[len(below) :]

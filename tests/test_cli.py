@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -698,6 +699,93 @@ def test_broken_stdout_pipe_stays_exit_1(monkeypatch):
 
     monkeypatch.setattr("sys.stdout", ClosedPipe())
     assert main(["polys", "--n", "1", "--window=0:2"]) == 1
+
+
+# `umbralqm` as the installed script runs it, console_main in a fresh interpreter, after the code in $BEFORE
+SCRIPT = 'umbralqm() { "$PY" -c "${BEFORE}from umbralqm.cli import console_main; console_main()" "$@"; }; '
+SMALL, WIDE, LARGE = "polys --window=0:2", "polys --n 2,7 --window=-20000:20000", "polys --window=-30000:30000"
+SMALL_CSV = "772eb2b92404dd61e5a6d8fe585f6f6170999034cf8390cc61242006256f782a"
+SMALL_CSV_SAVED = "afcc2deb10c777014a3b6f19fc442360ab675750748293d476fbd10ee6562e33"  # then an exit handler's line
+WIDE_CSV = "914860c87b9bb0a4bf4d791f643ebb27e8d382a763f9761e78aae4ef0da9b88c"
+LARGE_FIRST_10 = "e13e3ab3a91e840a8c6bff40894d64ac9ff07a106fc531ac5792e12dc8a5f2f8"
+WELL_CSV = "e607a8fd4745a672a813c53bbcdcdfff0ca0ea40d5a635a6819f14e8343e1885"
+JSON = "b8c2e983757a2c68a5988358d3be51d61f2974ddcc2fc359a07dbb2abe8cf0f0"
+NOTHING = hashlib.sha256(b"").hexdigest()
+NO_SPACE = "internal error: [Errno 28] No space left on device\n"
+REVERSED = "error: window minimum exceeds maximum\n"
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+CLOSE_STDERR = "import os; os.close(2);"  # a stderr closed after start fails every write; one closed before is None
+
+
+def case(id, command, code, stdout, stderr="", files=None, before="", broken=False, marks=()):
+    """One run of the exit matrix: the code in $BEFORE, the bash command, and whether stdout is a pipe whose
+    reader has gone; then the pins: exit code, sha256 of stdout, stderr, the sha256 of each file left."""
+    return pytest.param(before, command, broken, code, stdout, stderr, files or {}, id=id, marks=marks)
+
+
+EXIT_MATRIX = [
+    case("csv", f"umbralqm {SMALL}", 0, SMALL_CSV),
+    case("json", "umbralqm exp --k 0.5 --window=-2:2 --format json", 0, JSON),
+    case(
+        "piped-through-cat",
+        f"umbralqm {WIDE} --out p.csv && umbralqm {WIDE} | cat; exit ${{PIPESTATUS[0]}}",
+        0, WIDE_CSV, files={"p.csv": WIDE_CSV},
+    ),
+    case("broken-pipe-small", f"umbralqm {SMALL}", 1, NOTHING, broken=True),
+    case("broken-pipe-large", f"umbralqm {LARGE}", 1, NOTHING, broken=True),
+    case("head", f"umbralqm {LARGE} | head -c 10; exit ${{PIPESTATUS[0]}}", 1, LARGE_FIRST_10),
+    case("full-small", f"umbralqm {SMALL} > /dev/full", 1, NOTHING, NO_SPACE, marks=needs_dev_full),
+    case("full-large", f"umbralqm {LARGE} > /dev/full", 1, NOTHING, NO_SPACE, marks=needs_dev_full),
+    case("reversed-window", "umbralqm polys --window=3:1", 2, NOTHING, REVERSED),
+    case("atexit", f"umbralqm {SMALL}", 0, SMALL_CSV_SAVED, before="import atexit; atexit.register(print, 'saved');"),
+    case("closed-stdout", f"umbralqm {SMALL} --out f.csv >&-", 0, NOTHING, files={"f.csv": SMALL_CSV}),
+    case("closed-stderr-note", "umbralqm well --points 6 --levels 1 2>&-", 0, WELL_CSV),
+    case("failing-stderr-note", "umbralqm well --points 6 --levels 1", 0, WELL_CSV, before=CLOSE_STDERR),
+    case("closed-stderr-error", "umbralqm polys --window=3:1 2>&-", 2, NOTHING),
+    case("failing-stderr-error", "umbralqm polys --window=3:1", 2, NOTHING, before=CLOSE_STDERR),
+]
+
+
+def script(tmp_path, before: str, command: str, broken: bool, unbuffered: bool):
+    """Exit code, stdout bytes and stderr text of bash running command, SCRIPT's umbralqm defined, in tmp_path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), PY=sys.executable, BEFORE=before, COLUMNS="80")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # a pipe whose reader has gone
+    try:
+        proc = subprocess.run(
+            ["bash", "-c", SCRIPT + command], cwd=tmp_path, env=env, stdin=subprocess.DEVNULL,
+            stdout=write if broken else subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stdout or b"", proc.stderr.decode()
+
+
+needs_bash = pytest.mark.skipif(shutil.which("bash") is None, reason="the script runs under bash")
+unbuffered_or_not = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@needs_bash
+@unbuffered_or_not
+@pytest.mark.parametrize("before,command,broken,code,stdout,stderr,files", EXIT_MATRIX)
+def test_the_script_exits_with_mains_code_and_bytes(
+    tmp_path, before, command, broken, code, stdout, stderr, files, unbuffered
+):
+    got_code, got_out, got_err = script(tmp_path, before, command, broken, unbuffered)
+    assert (got_code, hashlib.sha256(got_out).hexdigest(), got_err) == (code, stdout, stderr)
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()} == files
+
+
+@needs_bash
+@unbuffered_or_not
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["nosuch"]], ids=["version", "help", "unknown-subcommand"])
+def test_the_script_prints_what_main_prints(capsys, tmp_path, monkeypatch, argv, unbuffered):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's line width, as in script
+    code, out, err = run(capsys, *argv)
+    assert script(tmp_path, "", "umbralqm " + " ".join(argv), False, unbuffered) == (code, out.encode(), err)
 
 
 class TestTableIO:

@@ -3,6 +3,7 @@
 import math
 import statistics
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -259,6 +260,18 @@ class TestClosedFormValues:
             want = mpmath.log(abs(mpmath.mpf(exact))) + n * mpmath.log(sigma)
             assert sign == (1.0 if exact > 0 else -1.0)
             assert abs(mag - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("m", [10**400, -(10**400), 2**1025 + 1], ids=["1e400", "-1e400", "2^1025+1"])
+    def test_log_mode_is_accurate_past_the_double_range(self, kind, m):
+        # no factor, nor a = lo / step, converts to a double; the oracle is the log of the exact product
+        for n, sigma in product((1, 2, 3, 64), (1.0, 0.3)):
+            exact = product_value(kind, n, m, 1)
+            sign, mag = basic_polynomial_value_log(Correspondence(kind, sigma), n, m)
+            with mpmath.workdps(40):
+                want = mpmath.log(abs(mpmath.mpf(exact))) + n * mpmath.log(sigma)
+                assert sign == (1.0 if exact > 0 else -1.0)
+                assert abs(mag - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("m", [10**20, -(10**20)])
     def test_float_mode_far_out_is_inf(self, m):
