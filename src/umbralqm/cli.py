@@ -31,7 +31,7 @@ from .functions import (
     umbral_exp_column,
     umbral_trig_column,
 )
-from .operators import Correspondence, InvalidDeltaError, Kind
+from .operators import Correspondence, Kind
 from .schrodinger import (
     ELECTRON_MASS_KG,
     PLANCK_LENGTH_M,
@@ -39,7 +39,6 @@ from .schrodinger import (
     PROTON_MASS_KG,
     NonPhysicalStateError,
     PhysicalUnits,
-    WindowTooSmallError,
     _well_column,
     _well_levels,
     energy_bounds,
@@ -287,14 +286,11 @@ def _workers(rows: int) -> int:
 
 
 def _say(stream, text: str = "") -> None:
-    """Write text to stream, sys.stdout or sys.stderr, and flush it; nothing where the stream is None.
+    """Write text to stream, sys.stdout or sys.stderr, and flush it.
 
-    A stream is None where its descriptor was closed when the process started.
     A stderr that fails is ignored: a diagnostic that cannot be shown does not
     change the exit code. A stdout that fails raises.
     """
-    if stream is None:
-        return
     try:
         stream.write(text)
         stream.flush()
@@ -365,7 +361,6 @@ def _write_pieces(pieces: list, rows: int) -> int:
                     ends = ring[i][0], ring[(i + 1) % workers][1]
                     close_all_but(*ends)
                     code = _exit_code(partial(_take_turns, pieces, lambda j: j % workers == i, *ends))
-                    _say(sys.stderr)
                 finally:
                     os._exit(code)
             children.append(pid)
@@ -676,13 +671,7 @@ def _exit_code(run) -> int:
     """run(), or the exit code of the exception it raises, after printing that exception's stderr line."""
     try:
         return run()
-    except (
-        ConfigError,
-        DomainError,
-        NonPhysicalStateError,
-        WindowTooSmallError,
-        InvalidDeltaError,
-    ) as exc:
+    except (ConfigError, DomainError, NonPhysicalStateError) as exc:  # what a user's input can raise
         _say(sys.stderr, f"error: {exc}\n")
         return 2
     except BrokenPipeError:
@@ -693,6 +682,9 @@ def _exit_code(run) -> int:
 
 
 def main(argv=None) -> int:
+    for name in ("stdout", "stderr"):  # one closed when the process started is None: make it a null sink
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, "w", encoding="utf-8"))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -142,7 +142,9 @@ def lattice_delta(c: Correspondence, f: DiscreteFunction) -> DiscreteFunction:
 
     Every correspondence's delta is (T^hi - T^lo)/(N sigma) (`DeltaOperator`),
     so the value at m is (f(m + hi) - f(m + lo))/(N sigma) on the points where
-    both samples exist.
+    both samples exist. N sigma is in sigma's own number: a float sigma keeps
+    float and complex samples to their float bits, and an exact sigma keeps
+    exact samples exact.
     """
     s = c.sigma_float()
     if not abs(f.sigma - s) <= 1e-12 * s:
@@ -151,7 +153,7 @@ def lattice_delta(c: Correspondence, f: DiscreteFunction) -> DiscreteFunction:
     lo, hi = min(d.terms), max(d.terms)
     if len(f.values) <= hi - lo:
         raise WindowTooSmallError("window too small for one difference step")
-    step = d.normalizer * s
+    step = d.normalizer * (c.sigma if isinstance(c.sigma, float) else c.sigma_exact())
     values = [(a - b) / step for a, b in zip(f.values[hi - lo :], f.values)]
     return DiscreteFunction(f.sigma, f.m_min - lo, values)
 

@@ -701,6 +701,18 @@ def test_broken_stdout_pipe_stays_exit_1(monkeypatch):
     assert main(["polys", "--n", "1", "--window=0:2"]) == 1
 
 
+@pytest.mark.parametrize(
+    "stream, argv, code",
+    [("stderr", ["nosuch"], 2), ("stdout", ["polys", "--window=0:2"], 0)],
+    ids=["usage-error", "table"],
+)
+def test_a_stream_closed_at_start_is_a_null_sink(capsys, monkeypatch, stream, argv, code):
+    monkeypatch.setattr(sys, stream, None)  # what Python leaves where the descriptor was closed at start
+    assert main(argv) == code
+    getattr(sys, stream).close()
+    assert capsys.readouterr() == ("", "")  # the usage line no longer falls back to stdout
+
+
 # `umbralqm` as the installed script runs it, console_main in a fresh interpreter, after the code in $BEFORE
 SCRIPT = 'umbralqm() { "$PY" -c "${BEFORE}from umbralqm.cli import console_main; console_main()" "$@"; }; '
 SMALL, WIDE, LARGE = "polys --window=0:2", "polys --n 2,7 --window=-20000:20000", "polys --window=-30000:30000"
@@ -739,6 +751,8 @@ EXIT_MATRIX = [
     case("reversed-window", "umbralqm polys --window=3:1", 2, NOTHING, REVERSED),
     case("atexit", f"umbralqm {SMALL}", 0, SMALL_CSV_SAVED, before="import atexit; atexit.register(print, 'saved');"),
     case("closed-stdout", f"umbralqm {SMALL} --out f.csv >&-", 0, NOTHING, files={"f.csv": SMALL_CSV}),
+    case("closed-stdout-no-out", f"umbralqm {SMALL} >&-", 0, NOTHING),
+    case("closed-stdout-check", "umbralqm check >&-", 0, NOTHING),
     case("closed-stderr-note", "umbralqm well --points 6 --levels 1 2>&-", 0, WELL_CSV),
     case("failing-stderr-note", "umbralqm well --points 6 --levels 1", 0, WELL_CSV, before=CLOSE_STDERR),
     case("closed-stderr-error", "umbralqm polys --window=3:1 2>&-", 2, NOTHING),

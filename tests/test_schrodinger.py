@@ -21,6 +21,7 @@ from umbralqm import (
     PlaneWaveState,
     WindowTooSmallError,
     apply_hamiltonian,
+    basic_polynomial,
     basic_polynomial_value,
     energy_bounds,
     energy_scale_ev,
@@ -223,6 +224,46 @@ def test_lattice_delta_lowers_the_basic_samples_exactly(kind):
         assert max(f.moduli()) < 2**53
         lowered = lattice_delta(c, f)
         assert lowered.values == [n * basic_polynomial_value(c, n - 1, m) for m in lowered.indices()]
+
+
+def exact_samples(c, n, ms):
+    """B_n of c at x = m sigma for each m of ms, from its exact coefficient form."""
+    b = basic_polynomial(c, n)
+    return DiscreteFunction(c.sigma, ms.start, [b(m * c.sigma) for m in ms])
+
+
+def test_an_exact_spacing_lowers_exact_samples_exactly():
+    # right delta B_3 = 3 B_2 at sigma = 1/3, every value a Fraction
+    c = right(Fraction(1, 3))
+    lowered = lattice_delta(c, exact_samples(c, 3, range(8)))
+    assert lowered.values == [Fraction(v) for v in (0, 0, Fraction(2, 3), 2, 4, Fraction(20, 3), 10)]
+    assert all(type(v) is Fraction for v in lowered.values)
+    assert lowered.values == [3 * v for v in exact_samples(c, 2, range(7)).values]
+
+
+def test_an_exact_spacing_keeps_the_hamiltonian_exact():
+    # symmetric delta^2 B_4 = 12 B_2, so (-delta^2 + 2) B_4 = -12 B_2 + 2 B_4
+    c = symmetric(Fraction(1, 3))
+    out = apply_hamiltonian(c, 2, exact_samples(c, 4, range(-6, 7)))
+    b2, b4 = (exact_samples(c, n, out.indices()).values for n in (2, 4))
+    assert out.values == [-12 * u + 2 * v for u, v in zip(b2, b4)]
+    assert all(type(v) is Fraction for v in out.values)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("sigma", [0.3, 1, Fraction(1, 3)], ids=["float", "int", "fraction"])
+def test_float_and_complex_samples_keep_their_float_bits(kind, sigma):
+    # the step N sigma is exact in any number, and a float or complex divided by it rounds once
+    c, rng = Correspondence(kind, sigma), random.Random(7)
+    lo, hi = {Kind.RIGHT: (0, 1), Kind.LEFT: (-1, 0), Kind.SYMMETRIC: (-1, 1)}[kind]
+    n = 2 if kind is Kind.SYMMETRIC else 1
+    floats = [rng.uniform(-1e3, 1e3) for _ in range(40)]
+    complexes = [complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(40)]
+    for values in (floats, complexes):
+        lowered = lattice_delta(c, DiscreteFunction(c.sigma_float(), 0, values))
+        want = [(a - b) / (n * c.sigma_float()) for a, b in zip(values[hi - lo :], values)]
+        assert lowered.m_min == -lo
+        assert list(map(repr, lowered.values)) == list(map(repr, want))
 
 
 class TestEnergyBounds:
