@@ -7,9 +7,10 @@ all derive from that one root description. The exponential series engine
 sums k^n/n! * sigma^n * L_n(m) exactly, where the root product
 L_n(m) = prod(m - r) is an integer advanced by _lattice_steps: its status is
 the convergence theorem, its sum exact to a certified term count; complex
-momenta sum in Gaussian integers. A column's first cell is a binary split;
-each later one walks from the cells before it by the delta recurrence of the
-truncated sum, to the same integers. A finite sum is the binomial theorem.
+momenta sum in Gaussian integers. A column sums each chunk of its cells
+from the origin outward: a cell walks one step out from the cells before it
+by the delta recurrence of the truncated sum, or is split afresh, to the
+same integers. A finite sum is the binomial theorem.
 """
 
 from __future__ import annotations
@@ -466,16 +467,6 @@ def _merge(left, right):
     return A1 * A2, B1 * B2, T1 * B2 + A1 * T2
 
 
-def _unmerge(whole, right):
-    """The left run of _merge(left, right), divided out exactly; None where right's A is 0, so left's is lost."""
-    A, B, T = whole
-    A2, B2, T2 = right
-    if not A2:
-        return None
-    A1 = A // A2
-    return A1, B // B2, (T - A1 * T2) // B2
-
-
 def _split(ratio, run: range):
     """Binary splitting over the chain indices of a nonempty run; ratio(run) = (p_n, q_n) lists.
 
@@ -495,13 +486,12 @@ def _split(ratio, run: range):
 
 
 def _resized(kind: Kind, P, Q: int, m: int, chains, N0: int, N1: int):
-    """The chains of the sum of the first N0 terms at m, moved to N1 terms.
+    """The chains of the sum of the first N0 terms at m, moved to N1 >= N0 terms.
 
     Chain i holds the terms n = i mod step as (A, B, T): A/B the first term
     not summed (P^e L_e(m) / (Q^e e!) at its next index e), T/B the chain's
-    sum. The split of the run between N0 and N1 is merged in, or divided out;
-    None where a divided run holds a zero factor. The integers depend on
-    (m, N1) only, however they were reached.
+    sum. The split of the run from N0 to N1 is merged in. The integers depend
+    on (m, N1) only, however they were reached.
     """
     step = len(chains)
     Ps, Qs = P**step, Q**step
@@ -510,32 +500,19 @@ def _resized(kind: Kind, P, Q: int, m: int, chains, N0: int, N1: int):
         rising = map(math.perm, range(run.start + step, run.stop + step, step), repeat(step))
         return [Ps * s for s in _lattice_steps(kind, m, run)], [Qs * f for f in rising]
 
-    lo, hi = min(N0, N1), max(N0, N1)
-    out = []
-    for i, chain in enumerate(chains):
-        run = range(lo + (i - lo) % step, hi, step)
-        if run:
-            chain = (_merge if N1 > N0 else _unmerge)(chain, _split(ratio, run))
-            if chain is None:
-                return None
-        out.append(chain)
-    return out
+    runs = (range(N0 + (i - N0) % step, N1, step) for i in range(step))
+    return [_merge(chain, _split(ratio, run)) if run else chain for chain, run in zip(chains, runs)]
 
 
-def _first_order_step(P, Q: int, m: int, N: int, chain, up: bool):
-    """The right chain at m + 1 (up) or m - 1 from the chain at m, both with N terms; None at a zero divisor.
+def _first_order_step(P, Q: int, m: int, N: int, chain):
+    """The right chain at m - 1 from the chain at m < 0, both with N terms: one step outward.
 
-    The truncated sum S_N obeys S_N(m+1) = S_N(m) + (P/Q) S_(N-1)(m), from
-    L_n(m+1) - L_n(m) = n L_(n-1)(m). In the integers B = Q^N N!,
-    A = P^N L_N(m): T(m+1) = (Q+P) T(m)/Q - N A(m)/(m-N+1), and
-    A(m+1) = A(m) (m+1)/(m-N+1). Down is that step solved for T(m-1).
+    The truncated sum S_N obeys S_N(m) = S_N(m-1) + (P/Q) S_(N-1)(m-1), from
+    L_n(m) - L_n(m-1) = n L_(n-1)(m-1). In the integers B = Q^N N!,
+    A = P^N L_N(m): A(m-1) = A(m) (m-N)/m and
+    T(m-1) = Q (T(m) + N A(m)/m) / (Q+P).
     """
     A, B, T = chain
-    if up:
-        d = m - N + 1
-        return (A * (m + 1) // d, B, (Q + P) * T // Q - N * A // d) if d else None
-    if not m:
-        return None
     return A * (m - N) // m, B, Q * (T + N * A // m) // (Q + P)
 
 
@@ -564,15 +541,17 @@ def _second_order_step(P, Q: int, m: int, N: int, before, here):
 
 
 class _Walk:
-    """The exact chains of a column's last summed cells, walked to the next cell.
+    """The exact chains of a column's last summed cells, walked one step outward to the next cell.
 
     A cell at (m, N) takes the chains of the last cell at m, or of the last
-    cells one step away, moved to N; the latter then step to m by the delta
-    recurrence of the truncated sum. Right/left step from one cell (left at
-    (m, P) has the chains of right at (-m, -P)); symmetric, whose recurrence
-    has second order, from two (down at (m, P) is up at (-m, -P)). Where no
-    cell is at hand, a move would divide by 0, or the moved run is longer
-    than N, the chains are split afresh.
+    cells one step (right/left) or one and two steps (symmetric) nearer the
+    origin, the nearer one not at 0; they are merged up to N, and the latter
+    then step to m by the delta recurrence of the truncated sum. Right steps
+    from m < 0 to m - 1, and left at (m, P) has the chains of right at
+    (-m, -P); symmetric, whose recurrence has second order, steps up from
+    m > 0, and outward at m < 0 is up at (-m, -P). Where no such cell is at
+    hand, one has more terms than N, or a symmetric step would divide by 0,
+    the chains are split afresh.
     """
 
     def __init__(self, kind: Kind, P, Q: int):
@@ -581,29 +560,24 @@ class _Walk:
 
     def chains(self, m: int, N: int):
         kind, P, Q, cells = self.kind, self.P, self.Q, self.cells
-        order = 2 if kind is Kind.SYMMETRIC else 1
+        # out: the step away from the origin, on the side where right (m < 0) and left (m > 0) are summed
+        order, out = (2, 1 if m > 0 else -1) if kind is Kind.SYMMETRIC else (1, 1 if kind is Kind.LEFT else -1)
         if cells and cells[-1][0] == m:
             use = cells[-1:]
-        elif len(cells) >= order and m - cells[-1][0] in (1, -1) and (
-            order == 1 or m - cells[-1][0] == cells[-1][0] - cells[-2][0]
-        ):
-            use = cells[-order:]
+        elif out * m > 1 and [mc for mc, _, _ in cells[-order:]] == [m - 2 * out, m - out][-order:]:
+            use = cells[-order:]  # one step outward from m - out != 0
         else:
             use = []
-        # a cell moves to N unless the run to move is longer than N itself
-        moved = [_resized(kind, P, Q, mc, ch, Nc, N) if abs(N - Nc) <= N else None for mc, Nc, ch in use]
         chains = None
-        if use and None not in moved:
+        if use and all(Nc <= N for _, Nc, _ in use):
+            moved = [_resized(kind, P, Q, mc, ch, Nc, N) for mc, Nc, ch in use]
             m1 = use[-1][0]
             if m1 == m:
                 chains = moved[-1]
             elif kind is Kind.SYMMETRIC:
-                s = 1 if m > m1 else -1
-                chains = _second_order_step(s * P, Q, s * m1, N, *moved)
+                chains = _second_order_step(out * P, Q, out * m1, N, *moved)
             else:
-                s = 1 if kind is Kind.RIGHT else -1
-                step = _first_order_step(s * P, Q, s * m1, N, moved[0][0], s * (m - m1) > 0)
-                chains = step and [step]
+                chains = [_first_order_step(-out * P, Q, -out * m1, N, moved[0][0])]
             if chains is not None and m1 != m:
                 cells[-1] = (m1, N, moved[-1])
         if chains is None:
@@ -619,28 +593,25 @@ def _cutoff_powers(kind: Kind, P, Q: int, a: int, last=None):
     """(a, (Q +- P)^a, Q^a), + for right: the integers of an exact_cutoff cell at |m| = a.
 
     The cell is sum_n C(a, n) (+-P/Q)^n = (Q +- P)^a / Q^a. Where last, the
-    triple of another cell, has the exponent a - 1 or a + 1, its powers take
-    one more factor or give one up by an exact division; else they are
-    raised afresh.
+    triple of another cell, has the exponent a - 1, its powers take one more
+    factor; else they are raised afresh.
     """
     base = Q + (P if kind is Kind.RIGHT else -P)
-    if last is not None:
-        b, num, den = last
-        if a == b + 1:
-            return a, num * base, den * Q
-        if a == b - 1 and base:
-            return a, num // base, den // Q
+    if last is not None and last[0] == a - 1:
+        return a, last[1] * base, last[2] * Q
     return a, base**a, Q**a
 
 
 def exponential_series_column(c: Correspondence, k, ms, tol: float) -> Iterator:
-    """exponential_series_exact(c, k, m, tol) for each int m of ms, lazily, as (value, status).
+    """exponential_series_exact(c, k, m, tol) for each int m of ms, as (value, status).
 
-    Each cell has its own status, first N, doubling loop and acceptance
-    test; only the way to the exact chains differs: from the last summed
-    cells by the delta recurrence where one step reaches the cell, else a
-    fresh split (see _Walk). The chains are the same integers either way, so
-    every value is the same. An exact_cutoff cell is the binomial theorem.
+    ms is read one chunk of up to _BLOCK (4,096) cells at a time, and each
+    chunk's distinct cells are summed from the origin outward. Each cell has
+    its own status, first N, doubling loop and acceptance test; only the way
+    to the exact chains differs: from the last summed cells by the delta
+    recurrence where one step outward reaches the cell, else a fresh split
+    (see _Walk). The chains are the same integers either way, so every value
+    is the same. An exact_cutoff cell is the binomial theorem.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -648,29 +619,31 @@ def exponential_series_column(c: Correspondence, k, ms, tol: float) -> Iterator:
 
 
 def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
-    """The cells of exponential_series_column at k sigma = P/Q, each as exponential_series_exact describes."""
+    """The cells of exponential_series_column at k sigma = P/Q, each as exponential_series_exact describes.
+
+    A chunk's distinct cells are summed m >= 0 ascending, then m < 0
+    descending, so that |m| only rises along the walk; its results are held
+    until the chunk is yielded in the order of ms.
+    """
     log_q, accept = _log_abs(P) - math.log(Q), math.log(tol / (1 + tol))
     walk, closed, unit, last_N = _Walk(kind, P, Q), None, Correspondence(kind, 1), None
     cut = None  # _cutoff_powers of the last exact_cutoff cell
-    for m in ms:
-        m = index(m)
+
+    def cell(m: int):
+        nonlocal closed, last_N, cut
         status = _series_status(kind, P, Q, m)
         if status is SummationStatus.EXACT_CUTOFF and P and abs(m) >= _TERM_BUDGET:
-            yield math.nan, SummationStatus.UNSUMMED  # |m| + 1 terms, past the budget
-            continue
+            return math.nan, SummationStatus.UNSUMMED  # |m| + 1 terms, past the budget
         if status is SummationStatus.EXACT_CUTOFF:
             cut = _cutoff_powers(kind, P, Q, abs(m), cut)
-            yield _to_float(*cut[1:]), status
-            continue
+            return _to_float(*cut[1:]), status
         if status is not SummationStatus.CONVERGED:
-            yield math.nan, status
-            continue
+            return math.nan, status
         if closed is None:
             closed = _closed_base(kind, _to_float(P, Q))
         base, sign = closed
         if not base:  # k sigma rounds to -1 (right) or 1 (left): some 1e16 terms
-            yield math.nan, SummationStatus.UNSUMMED
-            continue
+            return math.nan, SummationStatus.UNSUMMED
         N = _term_count(unit, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)), last_N)
         while N <= _TERM_BUDGET:
             chains = walk.chains(m, N)
@@ -680,12 +653,15 @@ def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
             log_sum = _log_abs(num) - math.log(den)
             tail = _log_tail(kind, log_q, m, N, [_log_abs(A) - math.log(B) for A, B, _ in chains])
             if tail == -math.inf or tail - log_sum <= accept:  # a finite sum may be exactly 0
-                yield _to_float(num, den), status
                 last_N = N
-                break
+                return _to_float(num, den), status
             N = max(_term_count(unit, log_q, m, accept - math.log(4) + log_sum, N), 2 * N)
-        else:
-            yield math.nan, SummationStatus.UNSUMMED
+        return math.nan, SummationStatus.UNSUMMED
+
+    cells = iter(ms)
+    while chunk := list(map(index, islice(cells, _BLOCK))):
+        summed = {m: cell(m) for m in sorted(set(chunk), key=lambda m: (m < 0, abs(m)))}
+        yield from map(summed.__getitem__, chunk)
 
 
 def exponential_series_exact(

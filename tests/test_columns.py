@@ -9,10 +9,11 @@ copy of the per-cell basic polynomial loop, with its range check on every
 step, and a copy of the per-level well loop are the references for the
 hoisted range check and the spectrum's columns.
 
-The exact series column walks from cell to cell by the delta recurrence of
-the truncated sum. A copy of the per-cell engine it replaced, one binary
-split from n = 0 per cell, is its reference, in windows that cross the
-origin, the term budget and the changes of status, and in any order of m.
+The exact series column sums each chunk of its cells from the origin
+outward, walking from cell to cell by the delta recurrence of the truncated
+sum. A copy of the per-cell engine it replaced, one binary split from n = 0
+per cell, is its reference, in windows that cross the origin, the term
+budget, the changes of status and chunk edges, and in any order of m.
 """
 
 import cmath
@@ -22,7 +23,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -566,10 +567,16 @@ def assert_series_column_is_per_cell(c, k, ms, tol=1e-12):
 SERIES_KS = (0.1, 0.5, 0.9, 0.95, -0.9, 1.0, -1.0, 1.5, 0.9j, -0.9j, 1.5j, -2.5j, 0.3 + 0.4j, -0.5 + 0.7j)
 
 
+# the default chunk, and chunks of 7 cells: edges inside every window, a repeated cell in two chunks
+CHUNKS = pytest.mark.parametrize("block", (C._BLOCK, 7), ids=lambda block: f"chunk{block}")
+
+
+@CHUNKS
 @pytest.mark.parametrize("ks", SERIES_KS, ids=repr)
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
-def test_series_column_across_the_origin_is_the_per_cell_engine(kind, ks):
+def test_series_column_across_the_origin_is_the_per_cell_engine(kind, ks, block, monkeypatch):
     # the statuses change at m = 0: cutoff on one side, converged, diverged or unsummed on the other
+    monkeypatch.setattr(C, "_BLOCK", block)
     assert_series_column_is_per_cell(Correspondence(kind, 1), ks, range(-14, 15))
 
 
@@ -582,12 +589,15 @@ def test_series_column_far_out_is_the_per_cell_engine(kind, sigma):
         assert_series_column_is_per_cell(c, ks / c.sigma_float(), range(lo, lo + 21))
 
 
+@CHUNKS
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
-def test_series_column_in_any_order_is_the_per_cell_engine(kind):
+def test_series_column_in_any_order_is_the_per_cell_engine(kind, block, monkeypatch):
+    monkeypatch.setattr(C, "_BLOCK", block)
     c = Correspondence(kind, 1)
     orders = (
         range(30, -31, -1),  # descending, across the origin
         [7, 7, 8, 8, 8, 9, 7, 6, 6, 5],  # repeated, and turning back
+        *([side * m for m in (*range(9, 16), 14, 14, 15)] for side in (1, -1)),  # in chunks of 7: back across an edge
         [-20, -18, -17, 3, -16, -15, 0, 1, 2, 40, 39, -39],  # gaps, and one side to the other
         [25],  # a single point
         [],
@@ -600,15 +610,39 @@ def test_series_column_in_any_order_is_the_per_cell_engine(kind):
 @pytest.mark.parametrize("ks", (Fraction(1, 1000), -0.01, 0.0, 0.01j, -1.0, 1.0), ids=repr)
 @pytest.mark.parametrize("kind", (Kind.RIGHT, Kind.LEFT), ids=lambda kind: kind.value)
 def test_cutoff_column_steps_to_the_per_cell_binomial(kind, ks):
-    # an exact_cutoff cell's powers come from the last cutoff cell's, one factor on or off per
-    # step of |m|, else afresh: |m| rises along the right window and falls along the left one,
-    # each across m = C._BLOCK and two gaps; k sigma = -1 and 1 zero the right and left bases
+    # an exact_cutoff cell's powers come from the last cutoff cell's, one more factor per step
+    # out in |m|, else afresh: a chunk is summed outward, so |m| rises along the right window
+    # and the left one alike, each across m = C._BLOCK and two gaps; k sigma = -1 and 1 zero
+    # the right and left bases
     ms = [0, 1, 2, *range(C._BLOCK - 3, C._BLOCK + 3), *range(C._BLOCK + 7, C._BLOCK + 10)]
     if kind is Kind.LEFT:
         ms = [-m for m in reversed(ms)]
     c = Correspondence(kind, 1)
     assert {C._series_status(kind, *C._momentum_ratio(ks, 1), m) for m in ms} == {SummationStatus.EXACT_CUTOFF}
     assert_series_column_is_per_cell(c, ks, ms)
+
+
+def test_a_column_splits_once_where_n_is_smallest_and_walks_outward(monkeypatch):
+    # right k sigma = 0.9 over m = -105..-82: N falls toward the origin, so the one fresh
+    # split (the move from N0 = 0) is at m = -82, and every other cell steps out from it
+    splits, resized = [], C._resized
+    monkeypatch.setattr(C, "_resized", lambda *args: (args[5] == 0 and splits.append(args[3])) or resized(*args))
+    list(exponential_series_column(Correspondence(Kind.RIGHT, 1), 0.9, range(-105, -81), 1e-12))
+    assert splits == [-82]
+
+
+def test_a_column_reads_one_chunk_before_its_first_cell():
+    drawn = []
+
+    def cells():
+        for m in count(-3):
+            drawn.append(m)
+            yield m
+
+    c = Correspondence(Kind.RIGHT, 1)
+    column = exponential_series_column(c, 0.5, cells(), 1e-12)
+    assert repr(next(column)) == repr(reference_series(c, 0.5, -3, 1e-12))
+    assert 1 <= len(drawn) <= C._BLOCK
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
@@ -711,15 +745,18 @@ def test_walked_chains_are_the_integers_of_a_fresh_split(kind, ks):
     # every value rounds the same integers, so the walk must reach them exactly: a
     # wrong last term moves a sum by less than its rounding, but not its integers.
     # A seeded path of steps, turns, repeats and jumps, on both sides of m = 0, with
-    # N near |m| (where a symmetric chain ends) and far from it, rising and falling
+    # N near |m| (where a symmetric chain ends) and far from it, rising and falling;
+    # then its mirror image, since a walk steps only outward and the path drifts to m < 0
     rng = random.Random(f"{kind.value} {ks}")
     P, Q = C._momentum_ratio(ks, 1)
-    walk, m, walked = C._Walk(kind, P, Q), -30, 0
-    for _ in range(400):
-        m += rng.choice((1, 1, 1, -1, 0, 2, -7)) if abs(m) < 40 else -m // 2
-        N = max(1, abs(m) + rng.choice((-3, -1, 0, 0, 1, 2, 5, 40)) if rng.random() < 0.8 else rng.randint(1, 90))
-        steps = len(walk.cells) and abs(m - walk.cells[-1][0]) == 1
-        got = walk.chains(m, N)
-        assert integers(got) == integers(C._Walk(kind, P, Q).chains(m, N)), (m, N)
-        walked += steps
+    walked = 0
+    for side in (1, -1):
+        walk, m = C._Walk(kind, P, Q), -30 * side
+        for _ in range(400):
+            m += side * rng.choice((1, 1, 1, -1, 0, 2, -7)) if abs(m) < 40 else -m // 2
+            N = max(1, abs(m) + rng.choice((-3, -1, 0, 0, 1, 2, 5, 40)) if rng.random() < 0.8 else rng.randint(1, 90))
+            steps = len(walk.cells) and abs(m - walk.cells[-1][0]) == 1
+            got = walk.chains(m, N)
+            assert integers(got) == integers(C._Walk(kind, P, Q).chains(m, N)), (m, N)
+            walked += steps
     assert walked > 150
