@@ -444,8 +444,9 @@ def _continuous(fn, x: float) -> float:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
+    """The integers of a comma-separated list, a repeated one kept at its first place."""
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return list(dict.fromkeys(int(part) for part in text.split(",") if part.strip() != ""))
     except ValueError as exc:
         raise ConfigError(f"{what} must be a comma-separated integer list") from exc
 

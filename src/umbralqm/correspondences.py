@@ -7,10 +7,10 @@ all derive from that one root description. The exponential series engine
 sums k^n/n! * sigma^n * L_n(m) exactly, where the root product
 L_n(m) = prod(m - r) is an integer advanced by _lattice_steps: its status is
 the convergence theorem, its sum exact to a certified term count; complex
-momenta sum in Gaussian integers. A column sums each chunk of its cells
-from the origin outward: a cell walks one step out from the cells before it
-by the delta recurrence of the truncated sum, or is split afresh, to the
-same integers. A finite sum is the binomial theorem.
+momenta sum in Gaussian integers. A column reads its cells through _blocks
+and sums a step-1 block from the origin outward: a cell walks one step out
+from the cells before it by the delta recurrence of the truncated sum, or is
+split afresh, to the same integers. A finite sum is the binomial theorem.
 """
 
 from __future__ import annotations
@@ -141,10 +141,10 @@ _BLOCK = 4096  # most cells a float column computes in one pass
 
 
 def _blocks(ms):
-    """The int cells of ms in order as step-1 ranges, the only walk of a float column.
+    """The int cells of ms in order as step-1 ranges, the only walk of every column, float or series.
 
-    A step-1 range comes in slices of at most _BLOCK cells; any other
-    iterable one range(m, m + 1) per cell, so a cell that is not an int raises.
+    A step-1 range comes in slices of at most _BLOCK cells; any other iterable
+    one range(m, m + 1) per cell, so a cell that is not an int raises at its own cell.
     """
     if isinstance(ms, range) and ms.step == 1:
         return (range(i, min(i + _BLOCK, ms.stop)) for i in range(ms.start, ms.stop, _BLOCK))
@@ -363,6 +363,8 @@ def _decimal(x) -> Fraction:
 
 def _momentum_ratio(k, sigma):
     """k sigma as an exact ratio P/Q, Q > 0, read through _decimal; P is Gaussian for complex k."""
+    if isinstance(k, (float, complex)) and not cmath.isfinite(k):
+        raise ValueError(f"the series momentum must be finite, not {k!r}")
     sigma = _decimal(sigma)
     if not (isinstance(k, complex) and k.imag):
         s = _decimal(k.real) * sigma
@@ -605,13 +607,13 @@ def _cutoff_powers(kind: Kind, P, Q: int, a: int, last=None):
 def exponential_series_column(c: Correspondence, k, ms, tol: float) -> Iterator:
     """exponential_series_exact(c, k, m, tol) for each int m of ms, as (value, status).
 
-    ms is read one chunk of up to _BLOCK (4,096) cells at a time, and each
-    chunk's distinct cells are summed from the origin outward. Each cell has
-    its own status, first N, doubling loop and acceptance test; only the way
-    to the exact chains differs: from the last summed cells by the delta
-    recurrence where one step outward reaches the cell, else a fresh split
-    (see _Walk). The chains are the same integers either way, so every value
-    is the same. An exact_cutoff cell is the binomial theorem.
+    ms is read through _blocks: a step-1 range's blocks of up to _BLOCK cells
+    are each summed from the origin outward, any other iterable in its own
+    order. Each cell has its own status, first N, doubling loop and acceptance
+    test; only the way to the exact chains differs: from the last summed cells
+    by the delta recurrence where one step outward reaches the cell, else a
+    fresh split (see _Walk). The chains are the same integers either way, so
+    every value is the same. An exact_cutoff cell is the binomial theorem.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -621,16 +623,17 @@ def exponential_series_column(c: Correspondence, k, ms, tol: float) -> Iterator:
 def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
     """The cells of exponential_series_column at k sigma = P/Q, each as exponential_series_exact describes.
 
-    A chunk's distinct cells are summed m >= 0 ascending, then m < 0
-    descending, so that |m| only rises along the walk; its results are held
-    until the chunk is yielded in the order of ms.
+    A block's cells m < 0 are summed from m = -1 outward and held, then
+    yielded in order, and its cells m >= 0 are summed from the origin up, so
+    that |m| only rises along the walk of a range.
     """
     log_q, accept = _log_abs(P) - math.log(Q), math.log(tol / (1 + tol))
-    walk, closed, unit, last_N = _Walk(kind, P, Q), None, Correspondence(kind, 1), None
+    base, sign = _closed_base(kind, _to_float(P, Q))
+    walk, unit, last_N = _Walk(kind, P, Q), Correspondence(kind, 1), None
     cut = None  # _cutoff_powers of the last exact_cutoff cell
 
     def cell(m: int):
-        nonlocal closed, last_N, cut
+        nonlocal last_N, cut
         status = _series_status(kind, P, Q, m)
         if status is SummationStatus.EXACT_CUTOFF and P and abs(m) >= _TERM_BUDGET:
             return math.nan, SummationStatus.UNSUMMED  # |m| + 1 terms, past the budget
@@ -639,9 +642,6 @@ def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
             return _to_float(*cut[1:]), status
         if status is not SummationStatus.CONVERGED:
             return math.nan, status
-        if closed is None:
-            closed = _closed_base(kind, _to_float(P, Q))
-        base, sign = closed
         if not base:  # k sigma rounds to -1 (right) or 1 (left): some 1e16 terms
             return math.nan, SummationStatus.UNSUMMED
         N = _term_count(unit, log_q, m, accept - math.log(4) + sign * m * math.log(abs(base)), last_N)
@@ -658,10 +658,9 @@ def _series_cells(kind: Kind, P, Q: int, ms, tol: float):
             N = max(_term_count(unit, log_q, m, accept - math.log(4) + log_sum, N), 2 * N)
         return math.nan, SummationStatus.UNSUMMED
 
-    cells = iter(ms)
-    while chunk := list(map(index, islice(cells, _BLOCK))):
-        summed = {m: cell(m) for m in sorted(set(chunk), key=lambda m: (m < 0, abs(m)))}
-        yield from map(summed.__getitem__, chunk)
+    for block in _blocks(ms):
+        yield from reversed([cell(m) for m in range(min(block.stop, 0) - 1, block.start - 1, -1)])
+        yield from map(cell, range(max(block.start, 0), block.stop))
 
 
 def exponential_series_exact(

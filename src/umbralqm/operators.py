@@ -40,6 +40,8 @@ class Correspondence:
     __slots__ = ("kind", "sigma")
 
     def __init__(self, kind: Kind, sigma: Union[int, float, Fraction] = 1):
+        if not isinstance(kind, Kind):
+            raise TypeError(f"kind must be a Kind, not {kind!r}")
         if not 0 < sigma < inf:
             raise ValueError("sigma must be positive and finite")
         object.__setattr__(self, "kind", kind)

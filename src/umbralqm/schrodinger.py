@@ -96,8 +96,8 @@ def separate(
     correspondence's exponential at imaginary momentum; |E tau| < 1 is the
     temporal convergence bound. The symmetric evolution is unimodular.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if not abs(E) * tau < 1:
@@ -290,6 +290,7 @@ def infinite_well_max_energy_log10(u: PhysicalUnits, M: int) -> float:
     momentum, cot(pi (M - 2n)/(2M))/sigma, is evaluated through the complement so the result stays
     accurate for lattice counts far beyond double resolution of pi/2.
     """
+    M = index(M)
     if M < 3:
         raise ValueError("M must be >= 3")
     top = (M - 1) // 2

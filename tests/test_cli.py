@@ -373,6 +373,24 @@ def test_a_refused_table_writes_nothing(capsys, tmp_path, monkeypatch, argv, lin
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_repeated_degree_or_level_is_computed_once(capsys, tmp_path):
+    # a repeated --n wrote its CSV columns twice; a repeated --levels built each wavefunction
+    # table twice, wrote its file twice and listed it twice in JSON
+    polys = ["polys", "--window=0:3", "--corr", "right", "--n"]
+    assert run(capsys, *polys, "2,2,7,2") == run(capsys, *polys, "2,7")
+    written = {}
+    for levels in ("1,1", "1"):
+        (tmp_path / levels).mkdir()
+        assert run(capsys, "well", "--points", "6", "--levels", levels, "--out", str(tmp_path / levels / "w"))[0] == 0
+        written[levels] = {path.name: path.read_bytes() for path in (tmp_path / levels).iterdir()}
+        code, out, _ = run(capsys, "well", "--points", "6", "--levels", levels, "--format", "json")
+        written[levels, "json"] = [table["name"] for table in json.loads(out)["data"]["tables"]]
+    assert written["1,1"] == written["1"]
+    assert written["1,1", "json"] == written["1", "json"] == [
+        "spectrum", *(f"wavefunction_{kind}_n1" for kind in ("right", "left", "symmetric"))
+    ]
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_multi_table_out_that_fails_writes_nothing(capsys, tmp_path, existing):
     # the third of four tables cannot be opened; the first two must not be written either

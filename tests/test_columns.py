@@ -9,11 +9,13 @@ copy of the per-cell basic polynomial loop, with its range check on every
 step, and a copy of the per-level well loop are the references for the
 hoisted range check and the spectrum's columns.
 
-The exact series column sums each chunk of its cells from the origin
-outward, walking from cell to cell by the delta recurrence of the truncated
-sum. A copy of the per-cell engine it replaced, one binary split from n = 0
-per cell, is its reference, in windows that cross the origin, the term
-budget, the changes of status and chunk edges, and in any order of m.
+The exact series column reads its cells through the same blocks as the float
+columns and sums each block of a range from the origin outward, walking from
+cell to cell by the delta recurrence of the truncated sum; any other iterable
+is summed in its own order. A copy of the per-cell engine it replaced, one
+binary split from n = 0 per cell, is its reference, in windows that cross the
+origin, the term budget, the changes of status and block edges, and in any
+order of m.
 """
 
 import cmath
@@ -450,6 +452,11 @@ def test_a_cell_that_is_not_an_int_raises_in_every_float_kernel():
     for kernel in kernels:
         with pytest.raises(TypeError):
             list(kernel([1, 2.5]))
+    # the series column raises at its own cell too, after the cells before it
+    series = exponential_series_column(c, 0.5, [1, 2.5], 1e-12)
+    assert next(series) == (1.5, SummationStatus.EXACT_CUTOFF)
+    with pytest.raises(TypeError):
+        next(series)
 
 
 def test_an_index_that_is_not_an_int_raises_in_every_scalar_and_column():
@@ -567,7 +574,7 @@ def assert_series_column_is_per_cell(c, k, ms, tol=1e-12):
 SERIES_KS = (0.1, 0.5, 0.9, 0.95, -0.9, 1.0, -1.0, 1.5, 0.9j, -0.9j, 1.5j, -2.5j, 0.3 + 0.4j, -0.5 + 0.7j)
 
 
-# the default chunk, and chunks of 7 cells: edges inside every window, a repeated cell in two chunks
+# the default block, and blocks of 7 cells: block edges inside every range (a list is one cell per block)
 CHUNKS = pytest.mark.parametrize("block", (C._BLOCK, 7), ids=lambda block: f"chunk{block}")
 
 
@@ -597,7 +604,7 @@ def test_series_column_in_any_order_is_the_per_cell_engine(kind, block, monkeypa
     orders = (
         range(30, -31, -1),  # descending, across the origin
         [7, 7, 8, 8, 8, 9, 7, 6, 6, 5],  # repeated, and turning back
-        *([side * m for m in (*range(9, 16), 14, 14, 15)] for side in (1, -1)),  # in chunks of 7: back across an edge
+        *([side * m for m in (*range(9, 16), 14, 14, 15)] for side in (1, -1)),  # back one step inward, repeated, out again
         [-20, -18, -17, 3, -16, -15, 0, 1, 2, 40, 39, -39],  # gaps, and one side to the other
         [25],  # a single point
         [],
@@ -611,12 +618,12 @@ def test_series_column_in_any_order_is_the_per_cell_engine(kind, block, monkeypa
 @pytest.mark.parametrize("kind", (Kind.RIGHT, Kind.LEFT), ids=lambda kind: kind.value)
 def test_cutoff_column_steps_to_the_per_cell_binomial(kind, ks):
     # an exact_cutoff cell's powers come from the last cutoff cell's, one more factor per step
-    # out in |m|, else afresh: a chunk is summed outward, so |m| rises along the right window
-    # and the left one alike, each across m = C._BLOCK and two gaps; k sigma = -1 and 1 zero
-    # the right and left bases
+    # out in |m|, else afresh: a list is summed in its own order, so |m| rises along the right
+    # window and the left one alike, each across m = C._BLOCK and two gaps; k sigma = -1 and 1
+    # zero the right and left bases
     ms = [0, 1, 2, *range(C._BLOCK - 3, C._BLOCK + 3), *range(C._BLOCK + 7, C._BLOCK + 10)]
     if kind is Kind.LEFT:
-        ms = [-m for m in reversed(ms)]
+        ms = [-m for m in ms]
     c = Correspondence(kind, 1)
     assert {C._series_status(kind, *C._momentum_ratio(ks, 1), m) for m in ms} == {SummationStatus.EXACT_CUTOFF}
     assert_series_column_is_per_cell(c, ks, ms)
@@ -624,11 +631,16 @@ def test_cutoff_column_steps_to_the_per_cell_binomial(kind, ks):
 
 def test_a_column_splits_once_where_n_is_smallest_and_walks_outward(monkeypatch):
     # right k sigma = 0.9 over m = -105..-82: N falls toward the origin, so the one fresh
-    # split (the move from N0 = 0) is at m = -82, and every other cell steps out from it
+    # split (the move from N0 = 0) is at m = -82, and every other cell steps out from it;
+    # symmetric k sigma = 0.5 over m = -8..8 splits at +-1 and +-2, where no two walked cells
+    # are nearer the origin, and at 4, 5 and 7, where N is below a nearer cell's
     splits, resized = [], C._resized
     monkeypatch.setattr(C, "_resized", lambda *args: (args[5] == 0 and splits.append(args[3])) or resized(*args))
     list(exponential_series_column(Correspondence(Kind.RIGHT, 1), 0.9, range(-105, -81), 1e-12))
     assert splits == [-82]
+    splits.clear()
+    list(exponential_series_column(Correspondence(Kind.SYMMETRIC, 1), 0.5, range(-8, 9), 1e-12))
+    assert sorted(splits) == [-2, -1, 1, 2, 4, 5, 7]
 
 
 def test_a_column_reads_one_chunk_before_its_first_cell():

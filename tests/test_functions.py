@@ -21,6 +21,7 @@ from umbralqm import (
     amplitude_growth,
     amplitude_growth_log,
     closed_form_status,
+    exponential_series_column,
     left,
     minimum_wavelength_points,
     momentum_to_wavelength,
@@ -199,6 +200,19 @@ class TestUmbralExpSeries:
         value, status = umbral_exp_series(Correspondence(kind, sigma), k, m, 1e-12)
         assert status is status_rule(kind, ks[0] ** 2 + ks[1] ** 2, m)
         assert_rounds_to(value, series_oracle(kind, ks, m), 1e-12)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 0.5)])
+    def test_a_momentum_that_is_not_finite_is_named(self, k):
+        # the series route read k as a Fraction: "Invalid literal for Fraction: 'nan'"
+        c = right(1.0)
+        routes = (umbral_exp_series, closed_form_status, lambda c, k, m: next(exponential_series_column(c, k, [m], 1e-12)))
+        for route in routes:
+            with pytest.raises(ValueError, match="momentum must be finite") as raised:
+                route(c, k, 1)
+            assert str(raised.value).endswith(repr(k))
+
+    def test_an_exact_momentum_past_the_double_range_still_sums(self):
+        assert umbral_exp_series(right(1), 10**400, 1) == (math.inf, SummationStatus.EXACT_CUTOFF)
 
     @pytest.mark.parametrize("m, want", [(200, math.inf), (-200, 0.0)])
     def test_sum_past_the_double_range_rounds_to_inf_or_zero(self, m, want):

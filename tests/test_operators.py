@@ -251,6 +251,12 @@ class TestCorrespondence:
         with pytest.raises(ValueError, match="positive and finite"):
             Correspondence(kind, sigma)
 
+    @pytest.mark.parametrize("kind", ["right", None, 1])
+    def test_kind_must_be_a_kind(self, kind):
+        # a str kind was accepted, and every Kind.X ... else dispatch read it as symmetric
+        with pytest.raises(TypeError, match="kind must be a Kind"):
+            Correspondence(kind, 1)
+
     def test_huge_exact_sigma_is_finite(self):
         assert right(Fraction(10**400)).sigma_exact() == 10**400
 

@@ -71,6 +71,12 @@ class TestSeparate:
         with pytest.raises(ValueError):
             separate(0.1, 1.0, -1)
 
+    @pytest.mark.parametrize("E, tau", [(0.0, math.inf), (0.5, math.nan), (0.1, -math.inf)])
+    def test_a_tau_that_is_not_positive_and_finite_is_refused(self, E, tau):
+        # an inf or nan tau passed "tau <= 0" and was refused as a claim about E
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            separate(E, tau, 3)
+
     def test_a_nan_energy_is_outside_the_temporal_bound(self):
         # |nan tau| >= 1 is false: the samples were nan
         with pytest.raises(DomainError):
@@ -561,3 +567,8 @@ class TestMaxEnergyEstimate:
     def test_minimum_size(self):
         with pytest.raises(ValueError, match="M must be >= 3"):
             infinite_well_max_energy_log10(PhysicalUnits(), 2)
+
+    def test_a_point_count_that_is_not_an_int_raises(self):
+        # as every other well function does; 3.5 read as a three-and-a-half-point well
+        with pytest.raises(TypeError):
+            infinite_well_max_energy_log10(PhysicalUnits(), 3.5)
